@@ -54,12 +54,10 @@ def _assignment_pairs(assignment) -> Iterable[tuple[str, str]]:
     return getattr(assignment, "pairs", assignment)
 
 
-def update_affinities(state: AffinityState,
-                      prev_available_agents: Iterable[str],
-                      prev_available_tasks: Iterable[str],
+def update_affinities(state: AffinityState, prev_available: np.ndarray,
                       prev_assignment) -> AffinityState:
-    """Advance the state one cycle, given the previous cycle's availability
-    and its solved assignment.
+    """Advance the state one cycle, given the previous cycle's available
+    compatible pairs (an m x n mask) and its solved assignment.
 
     Assigned pairs reset to 1; pairs available on both sides but unassigned
     increment by 1; pairs with an unavailable side keep their value;
@@ -69,9 +67,6 @@ def update_affinities(state: AffinityState,
     or an object exposing them as ``.pairs``.
     """
     mats = state.mats
-    agent_mask = mats.agent_row_mask(prev_available_agents)
-    task_mask = mats.task_col_mask(prev_available_tasks)
-
     pairs = list(_assignment_pairs(prev_assignment))
     seen_tasks: set[str] = set()
     rows, cols = [], []
@@ -80,7 +75,7 @@ def update_affinities(state: AffinityState,
         j = mats.task_index[task_id]
         if not mats.compat[i, j]:
             raise ValueError(f"assignment pair ({agent_id}, {task_id}) is incompatible")
-        if not (agent_mask[i] and task_mask[j]):
+        if not prev_available[i, j]:
             raise ValueError(f"assignment pair ({agent_id}, {task_id}) was unavailable")
         if task_id in seen_tasks:
             raise ValueError(f"task {task_id} assigned more than once")
@@ -89,8 +84,7 @@ def update_affinities(state: AffinityState,
         cols.append(j)
 
     affinities = state.affinities.copy()
-    counting = mats.compat & agent_mask[:, None] & task_mask[None, :]
-    affinities[counting] += 1
+    affinities[prev_available] += 1
     counts = state.assignment_counts.copy()
     if rows:
         affinities[rows, cols] = 1
@@ -120,23 +114,19 @@ def affinity_pressure(state: AffinityState, task: str,
 
 
 def max_affinity_pressure(state: AffinityState,
-                          available_tasks: Iterable[str],
-                          available_agents: Iterable[str]) -> float:
+                          available: np.ndarray) -> float:
     """Maximum AP over the available tasks, each restricted to its available
-    compatible agents.
+    compatible agents; ``available`` is the m x n mask of compatible pairs
+    whose agent and task are both available.
 
     Tasks whose compatible agents are all unavailable are skipped (their AP
     is undefined this cycle); if every task is skipped the result is 0.0.
     """
-    mats = state.mats
-    agent_mask = mats.agent_row_mask(available_agents)
-    task_mask = mats.task_col_mask(available_tasks)
-    eligible = mats.compat & agent_mask[:, None]
-    counts = eligible.sum(axis=0)
-    usable = task_mask & (counts > 0)
+    counts = available.sum(axis=0)
+    usable = counts > 0
     if not usable.any():
         return 0.0
-    sums = np.where(eligible, state.affinities, 0).sum(axis=0)
+    sums = np.where(available, state.affinities, 0).sum(axis=0)
     c = counts[usable].astype(np.float64)
     ap = sums[usable] / c - (c + 1.0) / 2.0
     return float(ap.max())

@@ -32,32 +32,6 @@ EXIT_RUN = 3
 EXIT_REPORT = 4
 
 
-def parse_budget(text: str) -> SolverBudget:
-    kind, _, value = text.partition(":")
-    try:
-        if kind == "nodes":
-            return SolverBudget.nodes(int(value))
-        if kind == "seconds":
-            return SolverBudget.seconds(float(value))
-    except ValueError as exc:
-        raise ConfigError(f"bad budget {text!r}: {exc}") from exc
-    raise ConfigError(f"budget must be nodes:<int> or seconds:<float>, got {text!r}")
-
-
-def budget_spec(budget: SolverBudget) -> str:
-    if budget.mode == "node_limit":
-        return f"nodes:{budget.node_limit}"
-    return f"seconds:{budget.wall_clock_seconds:g}"
-
-
-def strategy_spec(config: StrategyConfig) -> str:
-    if config.kind == "os":
-        return f"os:{config.gamma:g}"
-    if config.kind == "pc" and (config.alpha, config.beta) != (1.0, 1.0):
-        return f"pc:{config.alpha:g}:{config.beta:g}"
-    return config.kind
-
-
 def parse_strategies(specs: list[str]) -> list[StrategyConfig]:
     """Parse comma-separated strategy specs; the fop baseline is appended
     automatically when absent (profit percentages need it)."""
@@ -189,8 +163,8 @@ def _resolved_config(scenario: dict, strategies: list[StrategyConfig],
                      static_priorities: bool) -> dict:
     return {
         "scenario": scenario,
-        "strategies": [strategy_spec(s) for s in strategies],
-        "budget": budget_spec(budget),
+        "strategies": [s.spec for s in strategies],
+        "budget": budget.spec,
         "cycles": cycles,
         "seeds": seeds,
         "output_dir": output_dir,
@@ -204,7 +178,7 @@ def execute_run(payload: dict) -> dict:
     scenario = payload["scenario"]
     seed = payload["seed"]
     strategy = StrategyConfig.parse(payload["strategy"])
-    budget = parse_budget(payload["budget"])
+    budget = SolverBudget.parse(payload["budget"])
     instance, trace, hook, label = materialize_scenario(
         scenario, seed, payload["cycles"], payload["static_priorities"])
     report = engine.run_scenario(instance, trace, strategy, budget,
@@ -234,7 +208,7 @@ def cmd_run(args) -> int:
                 loaded = json.load(fh)
             scenario = loaded["scenario"]
             strategies = parse_strategies(loaded["strategies"])
-            budget = parse_budget(loaded["budget"])
+            budget = SolverBudget.parse(loaded["budget"])
             cycles = loaded.get("cycles")
             seeds = [int(s) for s in loaded["seeds"]]
             output_dir = args.output_dir or loaded["output_dir"]
@@ -252,7 +226,7 @@ def cmd_run(args) -> int:
             else:
                 raise ConfigError("need --scenario or --instance/--trace or --config")
             strategies = parse_strategies(args.strategies or [])
-            budget = parse_budget(args.budget)
+            budget = SolverBudget.parse(args.budget)
             cycles = args.cycles
             seeds = [int(s) for chunk in (args.seeds or []) for s in chunk.split(",")]
             output_dir = args.output_dir
@@ -268,7 +242,7 @@ def cmd_run(args) -> int:
                 seeds = [0]
         for strategy in strategies:
             strategy.validate()
-    except (ConfigError, GenerationError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, GenerationError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -284,8 +258,8 @@ def cmd_run(args) -> int:
             payloads.append({
                 "scenario": scenario,
                 "seed": seed,
-                "strategy": strategy_spec(strategy),
-                "budget": budget_spec(budget),
+                "strategy": strategy.spec,
+                "budget": budget.spec,
                 "cycles": cycles,
                 "static_priorities": static_priorities,
                 "config": config,
@@ -334,7 +308,8 @@ def cmd_run(args) -> int:
             "strategy": result["strategy_label"],
             "seed": result["seed"],
             "total_profit": result["total_profit"],
-            "profit_pct_of_fop": repr(100.0 * result["total_profit"] / fop_total),
+            "profit_pct_of_fop": repr(engine.profit_pct(result["total_profit"],
+                                                         fop_total)),
             "full_rotations": result["full_rotations"],
             "avg_rotations_per_task": repr(result["avg_rotations_per_task"]),
             "cycles": result["cycles"],

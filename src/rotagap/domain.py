@@ -16,6 +16,13 @@ from typing import Iterable, Mapping
 import numpy as np
 
 
+def spec_number(x: float) -> str:
+    """Shortest text that ``float()`` reads back to exactly ``x``, without a
+    trailing ``.0``: ``10``, ``0.5``, ``1e+16``.  Used in config specs."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
 @dataclass(frozen=True)
 class AgentSpec:
     """A capacity-constrained resource (knapsack, test machine, ...)."""

@@ -56,12 +56,8 @@ class RunReport:
 
 
 def build_gap_problem(mats: InstanceMatrices, values: np.ndarray,
-                      available_agents: Iterable[str],
-                      available_tasks: Iterable[str]) -> GapProblem:
+                      feasible: np.ndarray) -> GapProblem:
     """Restrict the instance to the cycle's available compatible pairs."""
-    agent_mask = mats.agent_row_mask(available_agents)
-    task_mask = mats.task_col_mask(available_tasks)
-    feasible = mats.compat & agent_mask[:, None] & task_mask[None, :]
     return GapProblem(
         agent_ids=tuple(mats.agent_ids),
         task_ids=tuple(mats.task_ids),
@@ -91,23 +87,25 @@ def run_cycle(instance: Instance, entry: tuple[Iterable[str], Iterable[str]],
               profit_overrides: Mapping[str, int] | None = None,
               ) -> tuple[Assignment, AffinityState, CycleReport]:
     """Execute one cycle: measure max AP, derive values, solve the cycle's
-    assignment problem, and advance the affinity state."""
+    assignment problem, and advance the affinity state.  ``instance`` is
+    unused (``state`` carries it); it stays for callers that wrap this
+    function."""
     available_agents, available_tasks = entry
     mats = state.mats
+    feasible = mats.compat & mats.agent_row_mask(available_agents)[:, None] \
+        & mats.task_col_mask(available_tasks)[None, :]
     profits = _profit_matrix(mats, profit_overrides)
-    max_ap = max_affinity_pressure(state, available_tasks, available_agents)
-    values = compute_values(strategy, instance, state, available_agents,
-                            available_tasks, profits=profits)
-    problem = build_gap_problem(mats, values.values, available_agents,
-                                available_tasks)
+    max_ap = max_affinity_pressure(state, feasible)
+    values = compute_values(strategy, profits, state.affinities, feasible,
+                            max_ap)
+    problem = build_gap_problem(mats, values.values, feasible)
     assignment = solve(problem, budget)
 
     profit = 0
     for agent_id, task_id in assignment.pairs:
         profit += int(profits[mats.agent_index[agent_id], mats.task_index[task_id]])
 
-    next_state = update_affinities(state, available_agents, available_tasks,
-                                   assignment)
+    next_state = update_affinities(state, feasible, assignment)
     report = CycleReport(
         cycle=state.cycle,
         profit=profit,
@@ -121,8 +119,7 @@ def run_cycle(instance: Instance, entry: tuple[Iterable[str], Iterable[str]],
              report.profit, report.max_ap)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("cycle %d post-update max_ap=%.3f", report.cycle,
-                  max_affinity_pressure(next_state, available_tasks,
-                                        available_agents))
+                  max_affinity_pressure(next_state, feasible))
     return assignment, next_state, report
 
 
@@ -184,4 +181,9 @@ def compare_to_baseline(run: RunReport, baseline: RunReport) -> float:
         raise ValueError("runs were produced from different instances/traces")
     if baseline.total_profit <= 0:
         raise ValueError("baseline profit is zero; percentage undefined")
-    return 100.0 * run.total_profit / baseline.total_profit
+    return profit_pct(run.total_profit, baseline.total_profit)
+
+
+def profit_pct(total: int, baseline_total: int) -> float:
+    """``total`` as a percentage of the baseline run's total profit."""
+    return 100.0 * total / baseline_total

@@ -22,10 +22,13 @@ branch-and-bound node and one per evaluated local-search move.  In
 Tie-breaking everywhere is by value first, then lexicographic ids.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
+
+from .domain import spec_number
 
 BRUTE_FORCE_LIMIT = 10_000_000
 _EPS = 1e-9
@@ -49,9 +52,11 @@ class SolverBudget:
                     or self.wall_clock_seconds is not None:
                 raise ValueError("node_limit mode needs node_limit >= 0 only")
         elif self.mode == "wall_clock":
-            if self.wall_clock_seconds is None or self.wall_clock_seconds <= 0 \
+            if self.wall_clock_seconds is None \
+                    or not 0 < self.wall_clock_seconds < math.inf \
                     or self.node_limit is not None:
-                raise ValueError("wall_clock mode needs wall_clock_seconds > 0 only")
+                raise ValueError("wall_clock mode needs finite "
+                                 "wall_clock_seconds > 0 only")
         else:
             raise ValueError(f"unknown budget mode {self.mode!r}")
 
@@ -62,6 +67,27 @@ class SolverBudget:
     @classmethod
     def seconds(cls, s: float) -> "SolverBudget":
         return cls(mode="wall_clock", wall_clock_seconds=s)
+
+    @classmethod
+    def parse(cls, text: str) -> "SolverBudget":
+        """Read ``nodes:<int>`` or ``seconds:<float>``; raises ``ValueError``."""
+        kind, _, value = text.partition(":")
+        try:
+            if kind == "nodes":
+                return cls.nodes(int(value))
+            if kind == "seconds":
+                return cls.seconds(float(value))
+        except ValueError as exc:
+            raise ValueError(f"bad budget {text!r}: {exc}") from exc
+        raise ValueError(
+            f"budget must be nodes:<int> or seconds:<float>, got {text!r}")
+
+    @property
+    def spec(self) -> str:
+        """The text :meth:`parse` reads back to an equal budget."""
+        if self.mode == "node_limit":
+            return f"nodes:{self.node_limit}"
+        return f"seconds:{spec_number(self.wall_clock_seconds)}"
 
     def start(self) -> "_BudgetClock":
         return _BudgetClock(self)
@@ -432,19 +458,20 @@ def local_search_improve(problem: GapProblem, start: Assignment,
                               exhausted=clock.exhausted)
 
 
-_UNSET = object()
-
-
 def _branch_and_bound(work: _Work, incumbent: list[int | None],
-                      clock: _BudgetClock) -> tuple[list[int | None], bool, int]:
-    """Depth-first task-ordered search.  Returns (best, completed, nodes).
+                      clock: _BudgetClock) -> tuple[list[int | None], bool]:
+    """Depth-first task-ordered search.  Returns (best, completed).
 
     The upper bound at a node is the value of the fixed prefix plus, for each
     remaining task, its best value over statically feasible agents with the
     capacity constraint relaxed; subtrees whose bound cannot beat the
     incumbent are pruned.
+
+    Depth ``d`` fixes task ``order[d]``; ``applied[d]`` is the agent it is
+    placed on (None: left out) and ``untried[d]`` its remaining options,
+    last one next.
     """
-    m, n = work.m, work.n
+    n = work.n
     v, w = work.v, work.w
     task_ids = work.problem.task_ids
     order = sorted(range(n), key=lambda j: (-work.best_value[j], task_ids[j]))
@@ -456,68 +483,45 @@ def _branch_and_bound(work: _Work, incumbent: list[int | None],
     best_val = work.objective(incumbent)
     rem = list(work.caps)
     val = 0.0
-    chosen: list[int | None] = [None] * n
-    opts: list[list] = [[] for _ in range(n + 1)]
-    ptr = [0] * (n + 1)
-    applied: list = [_UNSET] * (n + 1)
-    nodes = 0
-    completed = False
+    untried: list[list] = [[] for _ in range(n)]
+    applied: list[int | None] = [None] * n
     d = 0
-    mode = "enter"
-
     while True:
-        if mode == "enter":
-            if not clock.charge():
-                break
-            nodes += 1
-            if d == n:
-                if val > best_val:
-                    best_val = val
-                    best = [None] * n
-                    for depth in range(n):
-                        best[order[depth]] = chosen[depth]
-                mode = "up"
-            elif val + suffix[d] <= best_val:
-                mode = "up"
-            else:
-                j = order[d]
-                options: list = [i for i in work.agents_by_task[j]
-                                 if rem[i] >= w[i][j]]
-                options.append(None)
-                opts[d] = options
-                ptr[d] = 0
-                applied[d] = _UNSET
-                mode = "next"
-        elif mode == "next":
-            prev = applied[d]
-            if prev is not _UNSET:
-                if prev is not None:
-                    j = order[d]
-                    rem[prev] += w[prev][j]
-                    val -= v[prev][j]
-                chosen[d] = None
-                applied[d] = _UNSET
-            if ptr[d] >= len(opts[d]):
-                mode = "up"
-                continue
-            opt = opts[d][ptr[d]]
-            ptr[d] += 1
-            if opt is not None:
-                j = order[d]
-                rem[opt] -= w[opt][j]
-                val += v[opt][j]
-            chosen[d] = opt
-            applied[d] = opt
-            d += 1
-            mode = "enter"
-        else:  # up
+        # visit the node whose tasks order[:d] are placed
+        if not clock.charge():
+            return best, False
+        if d == n:
+            if val > best_val:
+                best_val = val
+                best = [None] * n
+                for depth in range(n):
+                    best[order[depth]] = applied[depth]
+        elif val + suffix[d] > best_val:
+            j = order[d]
+            options: list = [i for i in reversed(work.agents_by_task[j])
+                             if rem[i] >= w[i][j]]
+            options.insert(0, None)
+            untried[d] = options
+            applied[d] = None
+            d += 1  # the backtrack below starts at this node's own depth
+        # back up to the deepest depth with an untried option
+        while True:
             d -= 1
             if d < 0:
-                completed = True
+                return best, True
+            j = order[d]
+            i = applied[d]
+            if i is not None:
+                rem[i] += w[i][j]
+                val -= v[i][j]
+            if untried[d]:
                 break
-            mode = "next"
-
-    return best, completed, nodes
+        i = untried[d].pop()
+        if i is not None:
+            rem[i] -= w[i][j]
+            val += v[i][j]
+        applied[d] = i
+        d += 1
 
 
 def branch_and_bound(problem: GapProblem, incumbent: Assignment,
@@ -528,7 +532,7 @@ def branch_and_bound(problem: GapProblem, incumbent: Assignment,
     start = work.from_assignment(incumbent)
     work.verify(start)
     clock = budget.start()
-    best, completed, _ = _branch_and_bound(work, start, clock)
+    best, completed = _branch_and_bound(work, start, clock)
     work.verify(best)
     return work.to_assignment(best, proven=completed, nodes=clock.used,
                               exhausted=clock.exhausted)
@@ -550,7 +554,7 @@ def solve(problem: GapProblem, budget: SolverBudget = DEFAULT_BUDGET) -> Assignm
     work.verify(assigned)
     assigned = _local_search(work, assigned, clock)
     work.verify(assigned)
-    best, completed, _ = _branch_and_bound(work, assigned, clock)
+    best, completed = _branch_and_bound(work, assigned, clock)
     work.verify(best)
     return work.to_assignment(best, proven=completed, nodes=clock.used,
                               exhausted=clock.exhausted)

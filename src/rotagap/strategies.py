@@ -16,12 +16,14 @@ All strategies are pure functions of (config, profits, affinities,
 availability) and are fixed for an entire run.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import AffinityState, max_affinity_pressure
-from .domain import Instance
+# not called here: the benchmark's probe (perfbench/probe.py) wraps this name
+from .affinity import max_affinity_pressure  # noqa: F401
+from .domain import spec_number
 
 STRATEGY_KINDS = ("fop", "foa", "os", "pc", "wpp")
 
@@ -46,23 +48,27 @@ class StrategyConfig:
         if self.kind == "os":
             if self.gamma is None:
                 raise ConfigError("strategy os requires gamma")
-            if not self.gamma > 0:
-                raise ConfigError(f"gamma must be > 0, got {self.gamma}")
+            if not 0 < self.gamma < math.inf:
+                raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
         elif self.gamma is not None:
             raise ConfigError(f"gamma is only valid for os, not {self.kind}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("alpha and beta must be >= 0")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ConfigError("alpha and beta must be finite and >= 0")
+
+    @property
+    def spec(self) -> str:
+        """Canonical spec, e.g. ``os:10`` or ``pc``; :meth:`parse` reads it
+        back to an equal config."""
+        if self.kind == "os":
+            return f"os:{spec_number(self.gamma)}"
+        if self.kind == "pc" and (self.alpha, self.beta) != (1.0, 1.0):
+            return f"pc:{spec_number(self.alpha)}:{spec_number(self.beta)}"
+        return self.kind
 
     @property
     def label(self) -> str:
-        """Canonical report label, e.g. ``os/10`` or ``pc``."""
-        if self.kind == "os":
-            g = self.gamma
-            text = f"{g:g}" if g != int(g) else f"{int(g)}"
-            return f"os/{text}"
-        if self.kind == "pc" and (self.alpha, self.beta) != (1.0, 1.0):
-            return f"pc/{self.alpha:g}/{self.beta:g}"
-        return self.kind
+        """Report label: the spec with ``/`` separators, e.g. ``os/10``."""
+        return self.spec.replace(":", "/")
 
     @property
     def file_label(self) -> str:
@@ -159,32 +165,24 @@ def wpp_values(profits: np.ndarray, affinities: np.ndarray,
     return ValueMatrix(v)
 
 
-def compute_values(config: StrategyConfig, instance: Instance,
-                   state: AffinityState, available_agents, available_tasks,
-                   profits: np.ndarray | None = None) -> ValueMatrix:
+def compute_values(config: StrategyConfig, profits: np.ndarray,
+                   affinities: np.ndarray, mask: np.ndarray,
+                   max_ap: float) -> ValueMatrix:
     """Dispatch to the configured strategy for one cycle.
 
-    ``profits`` optionally overrides the instance's profit matrix (index
-    space, m x n) for scenarios whose priorities are redrawn each cycle; it
-    must match ``state``'s instance layout.
+    ``profits`` and ``affinities`` are the cycle's m x n matrices, ``mask``
+    its available compatible pairs and ``max_ap`` its maximum affinity
+    pressure (read by ``os`` only).
     """
     config.validate()
-    mats = state.mats
-    agent_mask = mats.agent_row_mask(available_agents)
-    task_mask = mats.task_col_mask(available_tasks)
-    mask = mats.compat & agent_mask[:, None] & task_mask[None, :]
-    p = mats.profits if profits is None else np.asarray(profits, dtype=np.int64)
-    a = state.affinities
-
     if config.kind == "fop":
-        return ValueMatrix(np.where(mask, p, 0).astype(np.float64))
+        return ValueMatrix(np.where(mask, profits, 0).astype(np.float64))
     if config.kind == "foa":
-        return ValueMatrix(np.where(mask, a, 0).astype(np.float64))
+        return ValueMatrix(np.where(mask, affinities, 0).astype(np.float64))
     if config.kind == "os":
-        max_ap = max_affinity_pressure(state, available_tasks, available_agents)
-        return os_values(config.gamma, p, a, mask, max_ap)
+        return os_values(config.gamma, profits, affinities, mask, max_ap)
     if config.kind == "pc":
-        return pc_values(config.alpha, config.beta, p, a, mask)
+        return pc_values(config.alpha, config.beta, profits, affinities, mask)
     if config.kind == "wpp":
-        return wpp_values(p, a, mask)
+        return wpp_values(profits, affinities, mask)
     raise ConfigError(f"unknown strategy kind {config.kind!r}")

@@ -18,6 +18,13 @@ def make_instance(agents: dict[str, int], tasks: dict[str, tuple[int, int, set[s
     )
 
 
+def available_pairs(mats, agents, tasks) -> np.ndarray:
+    """Mask of the compatible pairs whose agent and task are both available,
+    as ``engine.run_cycle`` builds it."""
+    return mats.compat & mats.agent_row_mask(agents)[:, None] \
+        & mats.task_col_mask(tasks)[None, :]
+
+
 def random_gap_problem(rng: random.Random, max_agents: int = 3,
                        max_tasks: int = 10) -> GapProblem:
     """Small random problem with integer-valued objectives so float sums are

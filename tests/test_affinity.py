@@ -9,7 +9,7 @@ from rotagap.affinity import (affinity_pressure, init_affinities,
                               max_affinity_pressure, update_affinities)
 from rotagap.domain import worked_example_fixture
 
-from conftest import make_instance
+from conftest import available_pairs, make_instance
 
 ALL_AGENTS = frozenset("ABC")
 ALL_TASKS = frozenset({"T1", "T2", "T3"})
@@ -56,8 +56,9 @@ def replay_walkthrough():
     for k, expected in enumerate(WALKTHROUGH, start=1):
         yield k, state, expected
         if expected["assignment"] is not None:
-            state = update_affinities(state, trace.entry(k)[0],
-                                      trace.entry(k)[1], expected["assignment"])
+            state = update_affinities(
+                state, available_pairs(state.mats, *trace.entry(k)),
+                expected["assignment"])
 
 
 def check_walkthrough_cycle(state, expected) -> None:
@@ -97,7 +98,7 @@ def test_incompatible_pair_stays_zero_forever():
     state = init_affinities(instance)
     mats = state.mats
     for k, expected in enumerate(WALKTHROUGH[:-1], start=1):
-        state = update_affinities(state, trace.entry(k)[0], trace.entry(k)[1],
+        state = update_affinities(state, available_pairs(mats, *trace.entry(k)),
                                   expected["assignment"])
         assert state.affinities[mats.agent_index["C"], mats.task_index["T1"]] == 0
         assert state.affinities[mats.agent_index["A"], mats.task_index["T3"]] == 0
@@ -107,12 +108,14 @@ def test_update_rejects_bad_assignments():
     instance, trace = worked_example_fixture()
     state = init_affinities(instance)
     agents, tasks = trace.entry(1)
+    available = available_pairs(state.mats, agents, tasks)
     with pytest.raises(ValueError, match="incompatible"):
-        update_affinities(state, agents, tasks, [("C", "T1")])
+        update_affinities(state, available, [("C", "T1")])
     with pytest.raises(ValueError, match="unavailable"):
-        update_affinities(state, agents, {"T2"}, [("A", "T1")])
+        update_affinities(state, available_pairs(state.mats, agents, {"T2"}),
+                          [("A", "T1")])
     with pytest.raises(ValueError, match="more than once"):
-        update_affinities(state, agents, tasks, [("A", "T2"), ("B", "T2")])
+        update_affinities(state, available, [("A", "T2"), ("B", "T2")])
 
 
 def test_affinity_pressure_examples():
@@ -144,11 +147,15 @@ def test_affinity_pressure_errors():
         affinity_pressure(state, "T1", ["C"])
 
 
+def max_ap(state, agents, tasks) -> float:
+    return max_affinity_pressure(state, available_pairs(state.mats, agents, tasks))
+
+
 def test_max_affinity_pressure_walkthrough_values():
     states = {k: state for k, state, _ in replay_walkthrough()}
-    assert max_affinity_pressure(states[1], ALL_TASKS, ALL_AGENTS) == -0.5
+    assert max_ap(states[1], ALL_AGENTS, ALL_TASKS) == -0.5
     # cycle 3 availability excludes T3, whose on-demand AP would be 0.5
-    assert max_affinity_pressure(states[3], {"T1", "T2"}, ALL_AGENTS) == 0.0
+    assert max_ap(states[3], ALL_AGENTS, {"T1", "T2"}) == 0.0
 
 
 def test_max_affinity_pressure_skips_and_degenerate_cases():
@@ -157,14 +164,15 @@ def test_max_affinity_pressure_skips_and_degenerate_cases():
         {"T1": (1, 1, {"A"}), "T2": (1, 1, {"B"})})
     state = init_affinities(instance)
     # T1's only agent is unavailable: skipped, not an error
-    assert max_affinity_pressure(state, {"T1", "T2"}, {"B"}) == 0.0
+    assert max_ap(state, {"B"}, {"T1", "T2"}) == 0.0
     # every task skipped: neutral 0.0
     state2 = init_affinities(make_instance({"A": 1, "B": 1}, {"T1": (1, 1, {"A"})}))
-    assert max_affinity_pressure(state2, {"T1"}, {"B"}) == 0.0
+    assert max_ap(state2, {"B"}, {"T1"}) == 0.0
     # single task, single agent, just assigned: 1/1 - (1+1)/2 = 0
     one = init_affinities(make_instance({"A": 1}, {"T1": (1, 1, {"A"})}))
-    one = update_affinities(one, {"A"}, {"T1"}, [("A", "T1")])
-    assert max_affinity_pressure(one, {"T1"}, {"A"}) == 0.0
+    one = update_affinities(one, available_pairs(one.mats, {"A"}, {"T1"}),
+                            [("A", "T1")])
+    assert max_ap(one, {"A"}, {"T1"}) == 0.0
 
 
 def test_removing_a_task_leaves_other_pressures_unchanged():
@@ -173,8 +181,7 @@ def test_removing_a_task_leaves_other_pressures_unchanged():
     with_t3 = {t: affinity_pressure(state, t, sorted(state.instance.tasks[
         state.mats.task_index[t]].compatible)) for t in ("T1", "T2")}
     # dropping T3 from availability cannot change T1/T2 pressures
-    assert max_affinity_pressure(state, {"T1", "T2"}, ALL_AGENTS) \
-        == max(with_t3.values())
+    assert max_ap(state, ALL_AGENTS, {"T1", "T2"}) == max(with_t3.values())
 
 
 def run_max_affinity_harness(instance, cycles: int):
@@ -182,8 +189,7 @@ def run_max_affinity_harness(instance, cycles: int):
     compatible agent each cycle (ties: first by matrix order).  Yields the
     state of every cycle, including the initial one."""
     state = init_affinities(instance)
-    agents = frozenset(instance.agent_ids)
-    tasks = frozenset(instance.task_ids)
+    available = state.mats.compat  # every agent and task available
     for _ in range(cycles):
         yield state
         pairs = []
@@ -192,7 +198,7 @@ def run_max_affinity_harness(instance, cycles: int):
             rows = [mats.agent_index[a] for a in sorted(task.compatible)]
             best = max(rows, key=lambda i: (state.affinities[i, j], -i))
             pairs.append((mats.agent_ids[best], task.id))
-        state = update_affinities(state, agents, tasks, pairs)
+        state = update_affinities(state, available, pairs)
     yield state
 
 
@@ -231,8 +237,7 @@ def test_update_invariants_under_full_availability(seed, steps):
     rng = random.Random(seed)
     instance = random_compat_instance(rng, max_agents=4, max_tasks=6)
     state = init_affinities(instance)
-    agents = frozenset(instance.agent_ids)
-    tasks = frozenset(instance.task_ids)
+    available = state.mats.compat  # every agent and task available
     total_assigned = 0
     for _ in range(steps):
         pairs = []
@@ -240,7 +245,7 @@ def test_update_invariants_under_full_availability(seed, steps):
             if rng.random() < 0.7:
                 pairs.append((rng.choice(sorted(task.compatible)), task.id))
         before = state.affinities.copy()
-        state = update_affinities(state, agents, tasks, pairs)
+        state = update_affinities(state, available, pairs)
         total_assigned += len(pairs)
         compat = state.mats.compat
         delta = state.affinities - before

@@ -4,9 +4,8 @@ import os
 import pytest
 
 from rotagap import fileio
-from rotagap.cli import main, parse_budget, parse_strategies
+from rotagap.cli import main, parse_strategies
 from rotagap.domain import AgentSpec, Instance, TaskSpec
-from rotagap.strategies import ConfigError
 
 
 def run_cli(*argv) -> int:
@@ -17,15 +16,6 @@ def dir_digest(path: str) -> dict[str, str]:
     return {name: fileio.sha256_file(os.path.join(path, name))
             for name in sorted(os.listdir(path))
             if os.path.isfile(os.path.join(path, name))}
-
-
-def test_parse_budget():
-    assert parse_budget("nodes:500").node_limit == 500
-    assert parse_budget("seconds:1.5").wall_clock_seconds == 1.5
-    with pytest.raises(ConfigError):
-        parse_budget("minutes:2")
-    with pytest.raises(ConfigError):
-        parse_budget("nodes:lots")
 
 
 def test_parse_strategies_appends_fop_baseline():
@@ -141,6 +131,15 @@ def test_run_config_errors(tmp_path):
                    "-o", str(tmp_path)) == 2
     assert run_cli("run", "--instance", "only-instance.json",
                    "--strategies", "fop", "-o", str(tmp_path)) == 2
+    # non-finite numbers are refused before any job starts
+    for strategies, budget in [("os:inf", "nodes:10"), ("os:nan", "nodes:10"),
+                               ("pc:nan:1", "nodes:10"), ("pc:1:inf", "nodes:10"),
+                               ("fop", "seconds:nan"), ("fop", "seconds:inf")]:
+        out = tmp_path / f"{strategies}-{budget}".replace(":", "_")
+        assert run_cli("run", "--scenario", "mcmkp", "--agents", "2",
+                       "--tasks", "4", "--cycles", "2", "--strategies", strategies,
+                       "--budget", budget, "-o", str(out)) == 2
+        assert not out.exists()
 
 
 def test_run_failure_preserves_partial_results(tmp_path):

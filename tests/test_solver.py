@@ -45,6 +45,32 @@ def test_budget_validation():
     assert SolverBudget.seconds(60).wall_clock_seconds == 60
 
 
+def test_parse_budget():
+    assert SolverBudget.parse("nodes:500").node_limit == 500
+    assert SolverBudget.parse("seconds:1.5").wall_clock_seconds == 1.5
+    for bad in ("minutes:2", "nodes:lots", "nodes:-1", "seconds:0",
+                "seconds:nan", "seconds:inf"):
+        with pytest.raises(ValueError):
+            SolverBudget.parse(bad)
+
+
+BUDGETS = [SolverBudget.nodes(0), SolverBudget.nodes(20000),
+           SolverBudget.seconds(60), SolverBudget.seconds(1.5),
+           SolverBudget.seconds(0.1234567), SolverBudget.seconds(0.1234568),
+           SolverBudget.seconds(1234567.0), SolverBudget.seconds(1e-300)]
+
+
+@pytest.mark.parametrize("budget", BUDGETS, ids=lambda b: b.spec)
+def test_budget_spec_round_trips(budget):
+    assert SolverBudget.parse(budget.spec) == budget
+
+
+def test_budget_specs_are_distinct_and_stable():
+    assert len({b.spec for b in BUDGETS}) == len(BUDGETS)
+    assert SolverBudget.nodes(20000).spec == "nodes:20000"
+    assert SolverBudget.seconds(60.0).spec == "seconds:60"
+
+
 def test_oracle_on_two_by_three(two_by_three):
     result = brute_force_oracle(two_by_three)
     assert result.objective == 5.0
@@ -172,6 +198,61 @@ def test_solve_is_deterministic_under_node_limits():
         first = solve(problem, budget)
         second = solve(problem, budget)
         assert first == second
+
+
+# solve() on random_gap_problem(Random(seed), 4, 14) under a node budget:
+# (seed, nodes, objective, nodes_explored, proven, exhausted, agent:task pairs).
+# Recorded from the solver as it stood when these were written; the budgets
+# stop branch-and-bound after it improved on local search but before it
+# finished, so the pairs fix the order in which it visits nodes.
+TRUNCATED_SOLVES = [
+    (11, 697, 492.0, 697, False, True,
+     "a00:t00 a01:t01 a02:t02 a03:t03 a00:t04 a00:t05 a03:t06 a03:t07 a01:t08 "
+     "a01:t09 a03:t10 a03:t11 a02:t12 a01:t13"),
+    (11, 1101, 493.0, 1101, False, True,
+     "a03:t00 a01:t01 a02:t02 a03:t03 a00:t04 a00:t05 a03:t06 a02:t07 a01:t08 "
+     "a01:t09 a03:t10 a03:t11 a02:t12 a00:t13"),
+    (11, 1304, 499.0, 1304, True, False,
+     "a03:t00 a01:t01 a02:t02 a03:t03 a00:t04 a01:t05 a03:t06 a02:t07 a00:t08 "
+     "a01:t09 a03:t10 a03:t11 a02:t12 a00:t13"),
+    (60, 21, 168.0, 21, False, True, "a02:t00 a01:t01 a00:t02 a00:t03 a00:t04"),
+    (80, 63, 191.0, 63, False, True,
+     "a02:t00 a01:t01 a02:t02 a00:t03 a00:t04 a02:t05 a00:t06"),
+    (83, 110, 283.0, 110, False, True,
+     "a00:t00 a00:t01 a00:t02 a03:t03 a01:t05 a01:t06 a00:t07 a00:t08 a00:t09 "
+     "a01:t11 a00:t12"),
+    (83, 162, 284.0, 162, False, True,
+     "a01:t00 a00:t01 a00:t02 a03:t03 a01:t05 a01:t06 a00:t07 a01:t08 a00:t09 "
+     "a00:t12 a00:t13"),
+    (83, 267, 293.0, 267, True, False,
+     "a00:t00 a00:t01 a00:t03 a01:t05 a01:t06 a00:t07 a00:t08 a00:t09 a01:t11 "
+     "a00:t12 a03:t13"),
+    (103, 520, 433.0, 520, False, True,
+     "a03:t00 a02:t01 a00:t02 a02:t03 a01:t04 a01:t05 a00:t06 a01:t07 a02:t08 "
+     "a00:t09 a00:t10 a02:t11"),
+    (124, 44, 259.0, 44, False, True,
+     "a02:t00 a01:t01 a02:t04 a02:t05 a01:t06 a02:t07 a02:t08"),
+    (134, 196, 352.0, 196, False, True,
+     "a02:t00 a03:t01 a03:t02 a02:t03 a03:t04 a01:t05 a03:t06 a03:t07 a03:t08"),
+    (136, 156, 278.0, 156, False, True,
+     "a01:t00 a03:t01 a02:t02 a02:t03 a02:t04 a01:t05 a03:t06 a00:t07 a03:t08"),
+    (136, 360, 285.0, 360, True, False,
+     "a01:t00 a02:t01 a01:t02 a02:t03 a02:t04 a03:t05 a03:t06 a00:t07 a01:t08"),
+]
+
+
+@pytest.mark.parametrize("seed,nodes,objective,explored,proven,exhausted,pairs",
+                         TRUNCATED_SOLVES)
+def test_truncated_solve_is_pinned(seed, nodes, objective, explored, proven,
+                                   exhausted, pairs):
+    problem = random_gap_problem(random.Random(seed), max_agents=4, max_tasks=14)
+    result = solve(problem, SolverBudget.nodes(nodes))
+    assert result.pairs == {tuple(p.split(":")) for p in pairs.split()}
+    assert (result.objective, result.nodes_explored, result.proven_optimal,
+            result.budget_exhausted) == (objective, explored, proven, exhausted)
+    # branch-and-bound ran and found something local search did not
+    local = local_search_improve(problem, greedy_construct(problem), AMPLE)
+    assert local.nodes_explored < nodes and local.objective < objective
 
 
 @settings(max_examples=60, deadline=None)

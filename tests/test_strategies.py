@@ -3,18 +3,26 @@ import random
 import numpy as np
 import pytest
 
-from rotagap.affinity import init_affinities, update_affinities
+from rotagap.affinity import (init_affinities, max_affinity_pressure,
+                              update_affinities)
 from rotagap.domain import worked_example_fixture
 from rotagap.solver import GapProblem, brute_force_oracle
 from rotagap.strategies import (ConfigError, StrategyConfig, ValueMatrix,
                                 compute_values, os_values, pc_values,
                                 wpp_values)
 
-from conftest import make_instance
+from conftest import available_pairs, make_instance
 
 
 def full_mask(shape):
     return np.ones(shape, dtype=bool)
+
+
+def values_for(config, state, agents, tasks):
+    """compute_values for the given availability, as run_cycle calls it."""
+    mask = available_pairs(state.mats, agents, tasks)
+    return compute_values(config, state.mats.profits, state.affinities, mask,
+                          max_affinity_pressure(state, mask))
 
 
 def test_config_parse_and_labels():
@@ -28,8 +36,31 @@ def test_config_parse_and_labels():
     assert StrategyConfig.parse("pc:2:0.5").label == "pc/2/0.5"
 
 
+CONFIGS = [StrategyConfig(kind=k) for k in ("fop", "foa", "pc", "wpp")] + [
+    StrategyConfig(kind="os", gamma=g)
+    for g in (10.0, 40.0, 0.25, 1234567.0, 1e20, 1e-300)] + [
+    StrategyConfig(kind="pc", alpha=a, beta=b)
+    for a, b in ((2.0, 0.5), (0.1234567, 1.0), (0.1234568, 1.0), (0.0, 1.0),
+                 (1.0, 0.0), (1.0, 1e-5))]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.spec)
+def test_spec_round_trips(config):
+    assert StrategyConfig.parse(config.spec) == config
+    assert config.label == config.spec.replace(":", "/")
+
+
+def test_distinct_configs_get_distinct_labels():
+    assert len({c.label for c in CONFIGS}) == len(CONFIGS)
+    assert len({c.file_label for c in CONFIGS}) == len(CONFIGS)
+    # labels written by earlier runs stay as they were
+    assert [StrategyConfig.parse(s).label for s in ("os:10", "os:40", "pc", "pc:2:0.5")] \
+        == ["os/10", "os/40", "pc", "pc/2/0.5"]
+
+
 @pytest.mark.parametrize("spec", ["nope", "os", "os:0", "os:-3", "pc:1",
-                                  "fop:2", "pc:-1:1"])
+                                  "fop:2", "pc:-1:1", "os:inf", "os:nan",
+                                  "pc:nan:1", "pc:1:inf"])
 def test_config_rejects_bad_specs(spec):
     with pytest.raises(ConfigError):
         StrategyConfig.parse(spec)
@@ -57,22 +88,19 @@ def walkthrough_state():
 
 def test_fop_values_are_profits(walkthrough_state):
     instance, state = walkthrough_state
-    vm = compute_values(StrategyConfig(kind="fop"), instance, state,
-                        "ABC", instance.task_ids)
+    vm = values_for(StrategyConfig(kind="fop"), state, "ABC", instance.task_ids)
     assert np.array_equal(vm.values, state.mats.profits.astype(float))
 
 
 def test_foa_values_are_affinities(walkthrough_state):
     instance, state = walkthrough_state
-    vm = compute_values(StrategyConfig(kind="foa"), instance, state,
-                        "ABC", instance.task_ids)
+    vm = values_for(StrategyConfig(kind="foa"), state, "ABC", instance.task_ids)
     assert np.array_equal(vm.values, state.affinities.astype(float))
 
 
 def test_unavailable_rows_and_columns_are_zero(walkthrough_state):
     instance, state = walkthrough_state
-    vm = compute_values(StrategyConfig(kind="fop"), instance, state,
-                        {"A", "B"}, {"T1", "T2"})
+    vm = values_for(StrategyConfig(kind="fop"), state, {"A", "B"}, {"T1", "T2"})
     mats = state.mats
     assert vm.values[mats.agent_index["C"], :].sum() == 0
     assert vm.values[:, mats.task_index["T3"]].sum() == 0
@@ -90,15 +118,13 @@ def test_pc_arithmetic():
 
 def test_pc_special_cases_match_fixed_objectives(walkthrough_state):
     instance, state = walkthrough_state
-    state = update_affinities(state, "ABC", instance.task_ids,
-                              [("A", "T1"), ("B", "T2")])
     agents, tasks = "ABC", instance.task_ids
-    fop = compute_values(StrategyConfig(kind="fop"), instance, state, agents, tasks)
-    foa = compute_values(StrategyConfig(kind="foa"), instance, state, agents, tasks)
-    pc_b0 = compute_values(StrategyConfig(kind="pc", beta=0.0), instance, state,
-                           agents, tasks)
-    pc_a0 = compute_values(StrategyConfig(kind="pc", alpha=0.0), instance, state,
-                           agents, tasks)
+    state = update_affinities(state, available_pairs(state.mats, agents, tasks),
+                              [("A", "T1"), ("B", "T2")])
+    fop = values_for(StrategyConfig(kind="fop"), state, agents, tasks)
+    foa = values_for(StrategyConfig(kind="foa"), state, agents, tasks)
+    pc_b0 = values_for(StrategyConfig(kind="pc", beta=0.0), state, agents, tasks)
+    pc_a0 = values_for(StrategyConfig(kind="pc", alpha=0.0), state, agents, tasks)
     assert np.array_equal(pc_b0.values, fop.values)
     assert np.array_equal(pc_a0.values, foa.values)
 
@@ -127,17 +153,16 @@ def test_os_dichotomy_equals_fop_or_foa(walkthrough_state):
     agents, tasks = frozenset("ABC"), frozenset(instance.task_ids)
     for cycle in range(6):
         for gamma in (0.25, 1.0, 3.0):
-            os_m = compute_values(StrategyConfig(kind="os", gamma=gamma),
-                                  instance, state, agents, tasks)
-            fop = compute_values(StrategyConfig(kind="fop"), instance, state,
-                                 agents, tasks)
-            foa = compute_values(StrategyConfig(kind="foa"), instance, state,
-                                 agents, tasks)
+            os_m = values_for(StrategyConfig(kind="os", gamma=gamma), state,
+                              agents, tasks)
+            fop = values_for(StrategyConfig(kind="fop"), state, agents, tasks)
+            foa = values_for(StrategyConfig(kind="foa"), state, agents, tasks)
             assert (np.array_equal(os_m.values, fop.values)
                     or np.array_equal(os_m.values, foa.values))
         pairs = [(rng.choice(sorted(t.compatible)), t.id)
                  for t in instance.tasks if rng.random() < 0.7]
-        state = update_affinities(state, agents, tasks, pairs)
+        state = update_affinities(
+            state, available_pairs(state.mats, agents, tasks), pairs)
 
 
 def test_wpp_ideal_rotation_reduces_to_normalized_profits():
@@ -147,8 +172,7 @@ def test_wpp_ideal_rotation_reduces_to_normalized_profits():
     state = init_affinities(instance)
     for i, agent in enumerate(sorted(agents)):
         state.affinities[state.mats.agent_index[agent], 0] = i + 1
-    vm = compute_values(StrategyConfig(kind="wpp"), instance, state,
-                        set(agents), {"T1"})
+    vm = values_for(StrategyConfig(kind="wpp"), state, set(agents), {"T1"})
     assert np.allclose(vm.values[:, 0], state.mats.profits[:, 0] / 8.0)
 
 
@@ -157,8 +181,8 @@ def test_wpp_first_cycle_blend():
     instance = make_instance({"A": 1, "B": 1, "C": 1}, {"T1": (10, 1, {"A", "B", "C"}),
                                                         "T2": (4, 1, {"A", "B", "C"})})
     state = init_affinities(instance)
-    vm = compute_values(StrategyConfig(kind="wpp"), instance, state,
-                        {"A", "B", "C"}, {"T1", "T2"})
+    vm = values_for(StrategyConfig(kind="wpp"), state, {"A", "B", "C"},
+                    {"T1", "T2"})
     p_hat = state.mats.profits / 10.0
     expected = np.maximum(2.0 * p_hat - 1.0, 0.0)
     assert np.allclose(vm.values, expected)
@@ -169,8 +193,7 @@ def test_wpp_double_ideal_weights_equally():
     instance = make_instance(agents, {"T1": (6, 1, set(agents))})
     state = init_affinities(instance)
     state.affinities[:, 0] = 4  # sum 12 == 2 * ideal(6) -> lambda 0.5
-    vm = compute_values(StrategyConfig(kind="wpp"), instance, state,
-                        set(agents), {"T1"})
+    vm = values_for(StrategyConfig(kind="wpp"), state, set(agents), {"T1"})
     expected = 0.5 * (state.mats.profits[:, 0] / 6.0) + 0.5 * (4.0 / 4.0)
     assert np.allclose(vm.values[:, 0], expected)
 
@@ -179,7 +202,7 @@ def test_wpp_degenerate_inputs_error():
     instance = make_instance({"A": 1}, {"T1": (0, 1, {"A"})})
     state = init_affinities(instance)
     with pytest.raises(ValueError, match="wpp"):
-        compute_values(StrategyConfig(kind="wpp"), instance, state, {"A"}, {"T1"})
+        values_for(StrategyConfig(kind="wpp"), state, {"A"}, {"T1"})
     with pytest.raises(ValueError, match="wpp"):
         wpp_values(np.array([[5]]), np.array([[0]]), full_mask((1, 1)))
 
@@ -188,8 +211,8 @@ def test_all_strategies_handle_empty_availability_mask():
     instance = make_instance({"A": 1, "B": 1}, {"T1": (5, 1, {"A"})})
     state = init_affinities(instance)
     for spec in ("fop", "foa", "os:10", "pc", "wpp"):
-        vm = compute_values(StrategyConfig.parse(spec), instance, state,
-                            {"B"}, {"T1"})  # T1's only agent unavailable
+        # T1's only agent is unavailable
+        vm = values_for(StrategyConfig.parse(spec), state, {"B"}, {"T1"})
         assert vm.values.sum() == 0.0
 
 
@@ -197,8 +220,8 @@ def test_strategies_are_pure(walkthrough_state):
     instance, state = walkthrough_state
     for spec in ("fop", "foa", "os:10", "pc", "pc:2:0.5", "wpp"):
         config = StrategyConfig.parse(spec)
-        a = compute_values(config, instance, state, "ABC", instance.task_ids)
-        b = compute_values(config, instance, state, "ABC", instance.task_ids)
+        a = values_for(config, state, "ABC", instance.task_ids)
+        b = values_for(config, state, "ABC", instance.task_ids)
         assert np.array_equal(a.values, b.values)
 
 
