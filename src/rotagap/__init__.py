@@ -17,8 +17,8 @@ from .scenarios import (GenerationError, McmkpParams, TcsaParams, derive_seed,
                         generate_trace_bernoulli, generate_trace_episodic,
                         make_tcsa_priority_hook)
 from .solver import (Assignment, GapProblem, SolverBudget, SolverError,
-                     branch_and_bound, brute_force_oracle, format_lp,
-                     greedy_construct, local_search_improve, solve)
+                     branch_and_bound, brute_force_oracle, greedy_construct,
+                     local_search_improve, solve)
 from .strategies import (ConfigError, StrategyConfig, ValueMatrix,
                          compute_values, os_values, pc_values, wpp_values)
 
@@ -30,7 +30,7 @@ __all__ = [
     "McmkpParams", "RunReport", "ScenarioTrace", "SolverBudget", "SolverError",
     "StrategyConfig", "TaskSpec", "TcsaParams", "ValueMatrix",
     "affinity_pressure", "branch_and_bound", "brute_force_oracle",
-    "compare_to_baseline", "compute_values", "derive_seed", "format_lp",
+    "compare_to_baseline", "compute_values", "derive_seed",
     "generate_mcmkp", "generate_tcsa", "generate_trace_bernoulli",
     "generate_trace_episodic", "greedy_construct", "init_affinities",
     "local_search_improve", "make_tcsa_priority_hook", "max_affinity_pressure",

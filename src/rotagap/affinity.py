@@ -39,9 +39,9 @@ class AffinityState:
         return self.mats.instance
 
 
-def init_affinities(instance: Instance | InstanceMatrices) -> AffinityState:
+def init_affinities(instance: Instance) -> AffinityState:
     """State for cycle 1: affinity 1 on every compatible pair, 0 elsewhere."""
-    mats = instance if isinstance(instance, InstanceMatrices) else InstanceMatrices(instance)
+    mats = InstanceMatrices(instance)
     return AffinityState(
         mats=mats,
         affinities=mats.compat.astype(np.int64),

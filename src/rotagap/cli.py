@@ -13,6 +13,7 @@ re-run with the same config produces byte-identical files.
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import logging
 import os
@@ -24,12 +25,12 @@ from .scenarios import GenerationError, McmkpParams, TcsaParams
 from .solver import SolverBudget
 from .strategies import ConfigError, StrategyConfig
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUN = 3
 EXIT_REPORT = 4
+
+GENERATOR_PARAMS = {"mcmkp": McmkpParams, "tcsa": TcsaParams}
 
 
 def parse_strategies(specs: list[str]) -> list[StrategyConfig]:
@@ -38,13 +39,7 @@ def parse_strategies(specs: list[str]) -> list[StrategyConfig]:
     flat: list[str] = []
     for chunk in specs:
         flat.extend(s for s in chunk.split(",") if s.strip())
-    result = [StrategyConfig.parse(s) for s in flat]
-    seen = set()
-    unique = []
-    for config in result:
-        if config not in seen:
-            seen.add(config)
-            unique.append(config)
+    unique = list(dict.fromkeys(StrategyConfig.parse(s) for s in flat))
     if not any(c.kind == "fop" for c in unique):
         unique.append(StrategyConfig(kind="fop"))
     return unique
@@ -63,86 +58,96 @@ def strategy_sort_key(label: str):
     return (rank, gamma, label)
 
 
-def _mcmkp_scenario(args) -> dict:
-    return {
-        "name": "mcmkp",
-        "agents": args.agents,
-        "tasks": args.tasks,
-        "correlation": args.correlation,
-        "agent_availability": args.agent_availability,
-        "task_availability": args.task_availability,
-    }
+def scenario_fields(cls) -> list[dataclasses.Field]:
+    """The generator parameters a scenario config sets: all but the seed,
+    which each job supplies, and the cycle count, a run-level setting."""
+    return [f for f in dataclasses.fields(cls) if f.name not in ("seed", "cycles")]
 
 
-def _tcsa_scenario(args) -> dict:
-    return {
-        "name": "tcsa",
-        "agents": args.agents,
-        "tasks": args.tasks,
-        "capacity_minutes": args.capacity_minutes,
-        "compat_fraction": args.compat_fraction,
-        "runtime_range": list(args.runtime_range),
-        "agent_unavail_fraction": args.agent_unavail_fraction,
-        "task_unavail_fraction": args.task_unavail_fraction,
-        "unavail_duration_range": list(args.unavail_duration_range),
-    }
+def scenario_from_args(args) -> dict:
+    """The scenario section of a run config from the scenario flags; a flag
+    left unset takes its generator parameter's default."""
+    fields = scenario_fields(GENERATOR_PARAMS[args.scenario])
+    names = {f.name for f in fields}
+    stray = sorted(f.name for cls in GENERATOR_PARAMS.values()
+                   for f in scenario_fields(cls)
+                   if f.name not in names and getattr(args, f.name) is not None)
+    if stray:
+        raise ConfigError(f"--{stray[0].replace('_', '-')} does not apply "
+                          f"to the {args.scenario} scenario")
+    scenario = {"name": args.scenario}
+    for f in fields:
+        value = getattr(args, f.name)
+        value = f.default if value is None else value
+        if value is not dataclasses.MISSING:
+            scenario[f.name] = value
+    return scenario
+
+
+def scenario_params(scenario: dict, seed: int, cycles: int | None):
+    """The generator parameters of a mcmkp or tcsa scenario for one seed,
+    each value coerced with its field's type."""
+    name = scenario.get("name")
+    cls = GENERATOR_PARAMS.get(name)
+    if cls is None:
+        raise ConfigError(f"unknown scenario {name!r}")
+    fields = {f.name: f for f in scenario_fields(cls)}
+    given = {k: v for k, v in scenario.items() if k != "name"}
+    unknown = sorted(set(given) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown {name} scenario field(s): {', '.join(unknown)}")
+    missing = [k for k, f in fields.items()
+               if k not in given and f.default is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"the {name} scenario needs {' and '.join(missing)}")
+    values = {}
+    for key, value in given.items():
+        try:
+            values[key] = fields[key].type(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {name} scenario {key} {value!r}: {exc}") from exc
+    if cycles is not None and cls is TcsaParams:
+        values["cycles"] = cycles
+    return cls(**values, seed=seed)
+
+
+def load_files(scenario: dict):
+    """The instance and trace of a ``files`` scenario, checked together."""
+    instance = fileio.load_instance(scenario["instance"])
+    trace = fileio.load_trace(scenario["trace"])
+    problems = validate_instance(instance) + validate_trace(trace, instance)
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return instance, trace
 
 
 def materialize_scenario(scenario: dict, seed: int, cycles: int | None,
                          static_priorities: bool):
     """Build (instance, trace, priority_hook, label) for one seed."""
-    name = scenario.get("name")
-    if name == "mcmkp":
-        params = McmkpParams(
-            agents=int(scenario["agents"]),
-            tasks=int(scenario["tasks"]),
-            correlation=scenario.get("correlation", "uncorrelated"),
-            agent_availability=float(scenario.get("agent_availability", 1.0)),
-            task_availability=float(scenario.get("task_availability", 1.0)),
-            seed=seed,
-        )
-        instance = scenarios.generate_mcmkp(params)
-        trace = scenarios.generate_trace_bernoulli(
-            instance, cycles, params.agent_availability,
-            params.task_availability, seed=seed)
-        hook = None
-    elif name == "tcsa":
-        params = TcsaParams(
-            agents=int(scenario.get("agents", 20)),
-            tasks=int(scenario.get("tasks", 750)),
-            capacity_minutes=int(scenario.get("capacity_minutes", 600)),
-            compat_fraction=float(scenario.get("compat_fraction", 0.60)),
-            runtime_range=tuple(scenario.get("runtime_range", (1, 21))),
-            agent_unavail_fraction=float(scenario.get("agent_unavail_fraction", 0.40)),
-            task_unavail_fraction=float(scenario.get("task_unavail_fraction", 0.10)),
-            unavail_duration_range=tuple(scenario.get("unavail_duration_range", (3, 7))),
-            cycles=int(cycles) if cycles else 365,
-            seed=seed,
-        )
-        instance = scenarios.generate_tcsa(params)
-        trace = scenarios.generate_trace_episodic(instance, params)
-        hook = None if static_priorities \
-            else scenarios.make_tcsa_priority_hook(instance, seed)
-    elif name == "files":
-        instance = fileio.load_instance(scenario["instance"])
-        trace = fileio.load_trace(scenario["trace"])
-        problems = validate_instance(instance) + validate_trace(trace, instance)
-        if problems:
-            raise ConfigError("; ".join(problems))
-        hook = None
-        if instance.metadata.get("generator") == "tcsa" and not static_priorities:
-            hook = scenarios.make_tcsa_priority_hook(instance, seed)
+    if scenario.get("name") == "files":
+        instance, trace = load_files(scenario)
+        redraw = instance.metadata.get("generator") == "tcsa"
     else:
-        raise ConfigError(f"unknown scenario {name!r}")
+        params = scenario_params(scenario, seed, cycles)
+        redraw = isinstance(params, TcsaParams)
+        if redraw:
+            instance = scenarios.generate_tcsa(params)
+            trace = scenarios.generate_trace_episodic(instance, params)
+        else:
+            instance = scenarios.generate_mcmkp(params)
+            trace = scenarios.generate_trace_bernoulli(
+                instance, cycles, params.agent_availability,
+                params.task_availability, seed=seed)
+    hook = scenarios.make_tcsa_priority_hook(instance, seed) \
+        if redraw and not static_priorities else None
     return instance, trace, hook, fileio.scenario_label(instance)
 
 
 def cmd_generate(args) -> int:
     try:
-        scenario = _mcmkp_scenario(args) if args.scenario == "mcmkp" \
-            else _tcsa_scenario(args)
         instance, trace, _, label = materialize_scenario(
-            scenario, args.seed, args.cycles, static_priorities=True)
+            scenario_from_args(args), args.seed, args.cycles,
+            static_priorities=True)
     except (ConfigError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -157,35 +162,81 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _resolved_config(scenario: dict, strategies: list[StrategyConfig],
-                     budget: SolverBudget, cycles: int | None,
-                     seeds: list[int], output_dir: str, workers: int,
-                     static_priorities: bool) -> dict:
+def config_from_args(args) -> dict:
+    """A raw run config, shaped like ``config.json``, from the run flags."""
+    if args.instance or args.trace:
+        if not (args.instance and args.trace):
+            raise ConfigError("--instance and --trace must be given together")
+        scenario = {"name": "files", "instance": args.instance,
+                    "trace": args.trace}
+    elif args.scenario:
+        scenario = scenario_from_args(args)
+    else:
+        raise ConfigError("need --scenario or --instance/--trace or --config")
+    return {
+        "scenario": scenario,
+        "strategies": args.strategies or [],
+        "budget": args.budget,
+        "cycles": args.cycles,
+        "seeds": [s for chunk in args.seeds or [] for s in chunk.split(",")],
+        "output_dir": args.output_dir,
+        "workers": args.workers,
+        "static_priorities": args.static_priorities,
+    }
+
+
+def resolve_config(raw: dict) -> dict:
+    """Check a raw run config and return it resolved, as ``config.json``
+    records it: canonical strategy and budget specs, seeds filled in.  The
+    scenario's parameters, or its files, are checked here too, so that a
+    bad input is refused before any job starts."""
+    scenario = raw["scenario"]
+    if not isinstance(scenario, dict):
+        raise ConfigError(f"scenario must be an object, got {scenario!r}")
+    strategies = parse_strategies(raw["strategies"])
+    for strategy in strategies:
+        strategy.validate()
+    budget = SolverBudget.parse(raw["budget"])
+    cycles = raw.get("cycles")
+    if cycles is not None:
+        cycles = int(cycles)
+        if cycles < 1:
+            raise ConfigError(f"cycles must be >= 1, got {cycles}")
+    seeds = [int(s) for s in raw.get("seeds") or []]
+    if scenario.get("name") == "files":
+        instance, _ = load_files(scenario)
+        seeds = seeds or [int(instance.metadata.get("seed", 0))]
+    else:
+        scenario_params(scenario, 0, cycles).validate()
+    workers = int(raw.get("workers", 1))
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if not raw.get("output_dir"):
+        raise ConfigError("an output directory is required")
     return {
         "scenario": scenario,
         "strategies": [s.spec for s in strategies],
         "budget": budget.spec,
         "cycles": cycles,
-        "seeds": seeds,
-        "output_dir": output_dir,
+        "seeds": seeds or [0],
+        "output_dir": raw["output_dir"],
         "workers": workers,
-        "static_priorities": static_priorities,
+        "static_priorities": bool(raw.get("static_priorities", False)),
     }
 
 
 def execute_run(payload: dict) -> dict:
     """Run one (strategy, seed) job; top-level so worker pools can pickle it."""
-    scenario = payload["scenario"]
+    config = payload["config"]
     seed = payload["seed"]
     strategy = StrategyConfig.parse(payload["strategy"])
-    budget = SolverBudget.parse(payload["budget"])
+    budget = SolverBudget.parse(config["budget"])
     instance, trace, hook, label = materialize_scenario(
-        scenario, seed, payload["cycles"], payload["static_priorities"])
+        config["scenario"], seed, config["cycles"], config["static_priorities"])
     report = engine.run_scenario(instance, trace, strategy, budget,
                                  priority_hook=hook)
     doc = fileio.run_report_to_dict(report, scenario=label, seed=seed,
-                                    budget_mode=budget.mode,
-                                    config=payload["config"])
+                                    budget_mode=budget.mode, config=config)
     return {
         "scenario": label,
         "seed": seed,
@@ -205,82 +256,42 @@ def cmd_run(args) -> int:
     try:
         if args.config:
             with open(args.config, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-            scenario = loaded["scenario"]
-            strategies = parse_strategies(loaded["strategies"])
-            budget = SolverBudget.parse(loaded["budget"])
-            cycles = loaded.get("cycles")
-            seeds = [int(s) for s in loaded["seeds"]]
-            output_dir = args.output_dir or loaded["output_dir"]
-            workers = int(loaded.get("workers", 1))
-            static_priorities = bool(loaded.get("static_priorities", False))
+                raw = json.load(fh)
+            raw["output_dir"] = args.output_dir or raw.get("output_dir")
         else:
-            if args.instance or args.trace:
-                if not (args.instance and args.trace):
-                    raise ConfigError("--instance and --trace must be given together")
-                scenario = {"name": "files", "instance": args.instance,
-                            "trace": args.trace}
-            elif args.scenario:
-                scenario = _mcmkp_scenario(args) if args.scenario == "mcmkp" \
-                    else _tcsa_scenario(args)
-            else:
-                raise ConfigError("need --scenario or --instance/--trace or --config")
-            strategies = parse_strategies(args.strategies or [])
-            budget = SolverBudget.parse(args.budget)
-            cycles = args.cycles
-            seeds = [int(s) for chunk in (args.seeds or []) for s in chunk.split(",")]
-            output_dir = args.output_dir
-            workers = args.workers
-            static_priorities = args.static_priorities
-        if not output_dir:
-            raise ConfigError("an output directory is required")
-        if not seeds:
-            if scenario.get("name") == "files":
-                instance = fileio.load_instance(scenario["instance"])
-                seeds = [int(instance.metadata.get("seed", 0))]
-            else:
-                seeds = [0]
-        for strategy in strategies:
-            strategy.validate()
-    except (ValueError, GenerationError, OSError, KeyError) as exc:
+            raw = config_from_args(args)
+        config = resolve_config(raw)
+    except (ValueError, TypeError, GenerationError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    output_dir = config["output_dir"]
     os.makedirs(output_dir, exist_ok=True)
-    config = _resolved_config(scenario, strategies, budget, cycles, seeds,
-                              output_dir, workers, static_priorities)
     fileio.atomic_write_text(os.path.join(output_dir, "config.json"),
                              json.dumps(config, indent=2, sort_keys=True) + "\n")
 
-    payloads = []
-    for seed in seeds:
-        for strategy in strategies:
-            payloads.append({
-                "scenario": scenario,
-                "seed": seed,
-                "strategy": strategy.spec,
-                "budget": budget.spec,
-                "cycles": cycles,
-                "static_priorities": static_priorities,
-                "config": config,
-            })
-
+    payloads = [{"config": config, "seed": seed, "strategy": spec}
+                for seed in config["seeds"] for spec in config["strategies"]]
+    # a fork pool starts all its processes at once, so no more than there are jobs
+    workers = min(config["workers"], len(payloads))
     results = []
-    failures = []
-    if workers > 1 and len(payloads) > 1:
+    failures = []  # (scenario, seed, strategy, exception)
+    scenario = config["scenario"]
+    where = scenario["instance"] if scenario["name"] == "files" else scenario["name"]
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(execute_run, p) for p in payloads]
             for payload, future in zip(payloads, futures):
                 try:
                     results.append(future.result())
                 except Exception as exc:  # noqa: BLE001 - preserve partial results
-                    failures.append((payload, exc))
+                    failures.append((where, payload["seed"], payload["strategy"], exc))
     else:
         for payload in payloads:
             try:
                 results.append(execute_run(payload))
             except Exception as exc:  # noqa: BLE001
-                failures.append((payload, exc))
+                failures.append((where, payload["seed"], payload["strategy"], exc))
 
     for result in results:
         report_path = os.path.join(output_dir, f"{result['stem']}.report.json")
@@ -293,15 +304,14 @@ def cmd_run(args) -> int:
     rows = []
     fop_totals = {(r["scenario"], r["seed"]): r["total_profit"]
                   for r in results if r["strategy_label"] == "fop"}
-    summary_ok = True
     for result in sorted(results, key=lambda r: (r["scenario"], r["seed"],
                                                  strategy_sort_key(r["strategy_label"]))):
-        key = (result["scenario"], result["seed"])
-        fop_total = fop_totals.get(key)
+        fop_total = fop_totals.get((result["scenario"], result["seed"]))
         if not fop_total:
-            failures.append((key, RuntimeError(
-                f"no usable fop baseline for {key}; cannot compute profit percentages")))
-            summary_ok = False
+            failures.append((result["scenario"], result["seed"],
+                             result["strategy_label"], RuntimeError(
+                                 "no usable fop baseline; cannot compute "
+                                 "profit percentages")))
             continue
         rows.append({
             "scenario": result["scenario"],
@@ -315,17 +325,15 @@ def cmd_run(args) -> int:
             "cycles": result["cycles"],
             "budget_mode": result["budget_mode"],
         })
-    if rows and summary_ok:
+    if rows and len(rows) == len(results):
         summary_path = os.path.join(output_dir, "summary.csv")
         fileio.atomic_write_text(summary_path, fileio.summary_csv(rows))
         print(summary_path)
 
-    if failures:
-        for what, exc in failures:
-            label = what.get("strategy") if isinstance(what, dict) else what
-            print(f"run failed ({label}): {exc}", file=sys.stderr)
-        return EXIT_RUN
-    return EXIT_OK
+    for where, seed, strategy, exc in failures:
+        print(f"run failed (scenario {where}, seed {seed}, strategy {strategy}): "
+              f"{exc}", file=sys.stderr)
+    return EXIT_RUN if failures else EXIT_OK
 
 
 def cmd_report(args) -> int:
@@ -400,23 +408,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_scenario_args(p, for_run: bool):
-        p.add_argument("--scenario", choices=["mcmkp", "tcsa"],
+        p.add_argument("--scenario", choices=list(GENERATOR_PARAMS),
                        required=not for_run)
-        p.add_argument("--agents", type=int, default=None)
-        p.add_argument("--tasks", type=int, default=None)
-        p.add_argument("--correlation", choices=list(scenarios.CORRELATIONS),
-                       default="uncorrelated")
-        p.add_argument("--agent-availability", type=float, default=1.0)
-        p.add_argument("--task-availability", type=float, default=1.0)
-        p.add_argument("--capacity-minutes", type=int, default=600)
-        p.add_argument("--compat-fraction", type=float, default=0.60)
-        p.add_argument("--runtime-range", type=int, nargs=2, default=(1, 21),
-                       metavar=("LO", "HI"))
-        p.add_argument("--agent-unavail-fraction", type=float, default=0.40)
-        p.add_argument("--task-unavail-fraction", type=float, default=0.10)
+        p.add_argument("--agents", type=int)
+        p.add_argument("--tasks", type=int)
+        p.add_argument("--correlation", choices=list(scenarios.CORRELATIONS))
+        p.add_argument("--agent-availability", type=float)
+        p.add_argument("--task-availability", type=float)
+        p.add_argument("--capacity-minutes", type=int)
+        p.add_argument("--compat-fraction", type=float)
+        p.add_argument("--runtime-range", type=int, nargs=2, metavar=("LO", "HI"))
+        p.add_argument("--agent-unavail-fraction", type=float)
+        p.add_argument("--task-unavail-fraction", type=float)
         p.add_argument("--unavail-duration-range", type=int, nargs=2,
-                       default=(3, 7), metavar=("LO", "HI"))
-        p.add_argument("--cycles", type=int, default=None,
+                       metavar=("LO", "HI"))
+        p.add_argument("--cycles", type=int,
                        help="override the scenario's cycle count")
 
     gen = sub.add_parser("generate", help="write instance and trace files")
@@ -431,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", help="trace file (with --instance)")
     run.add_argument("--strategies", action="append", default=None,
                      help="comma-separated specs: fop,foa,os:10,pc,pc:2:0.5,wpp")
-    run.add_argument("--budget", default="seconds:60",
+    run.add_argument("--budget", default="nodes:20000",
                      help="nodes:<int> or seconds:<float> per cycle")
     run.add_argument("--seeds", action="append", default=None,
                      help="comma-separated integer seeds")
@@ -447,28 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fill_scenario_defaults(args) -> None:
-    if getattr(args, "scenario", None) == "mcmkp":
-        if args.agents is None or args.tasks is None:
-            raise ConfigError("mcmkp needs --agents and --tasks")
-    elif getattr(args, "scenario", None) == "tcsa":
-        if args.agents is None:
-            args.agents = 20
-        if args.tasks is None:
-            args.tasks = 750
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "verbose", False):
         logging.basicConfig(level=logging.INFO,
                             format="%(name)s: %(message)s")
-    try:
-        _fill_scenario_defaults(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     if args.command == "generate":
         return cmd_generate(args)
     if args.command == "run":

@@ -93,9 +93,6 @@ class SolverBudget:
         return _BudgetClock(self)
 
 
-DEFAULT_BUDGET = SolverBudget.seconds(60.0)
-
-
 class _BudgetClock:
     """Mutable work counter shared by the phases of one solve."""
 
@@ -544,7 +541,7 @@ def root_upper_bound(problem: GapProblem) -> float:
     return sum(work.best_value)
 
 
-def solve(problem: GapProblem, budget: SolverBudget = DEFAULT_BUDGET) -> Assignment:
+def solve(problem: GapProblem, budget: SolverBudget) -> Assignment:
     """Greedy construction, local search, then branch-and-bound over one
     shared budget.  The result is feasible, never worse than greedy, and
     marked proven optimal only when branch-and-bound finished."""
@@ -558,34 +555,3 @@ def solve(problem: GapProblem, budget: SolverBudget = DEFAULT_BUDGET) -> Assignm
     work.verify(best)
     return work.to_assignment(best, proven=completed, nodes=clock.used,
                               exhausted=clock.exhausted)
-
-
-def format_lp(problem: GapProblem) -> str:
-    """Plain-text LP-style dump for manual cross-checking with external
-    solvers.  One constraint per line; variables are ``x[agent,task]``.
-    Grammar documented in the README."""
-    work = _Work(problem)
-    lines = ["MAXIMIZE"]
-    terms = []
-    for j in range(work.n):
-        for i in work.agents_by_task[j]:
-            terms.append(f"+ {work.v[i][j]:.12g} x[{problem.agent_ids[i]},{problem.task_ids[j]}]")
-    lines.append(" obj: " + (" ".join(terms) if terms else "0"))
-    lines.append("SUBJECT TO")
-    for i in range(work.m):
-        parts = [f"+ {work.w[i][j]} x[{problem.agent_ids[i]},{problem.task_ids[j]}]"
-                 for j in range(work.n) if work.feas[i][j]]
-        if parts:
-            lines.append(f" cap[{problem.agent_ids[i]}]: "
-                         + " ".join(parts) + f" <= {work.caps[i]}")
-    for j in range(work.n):
-        parts = [f"+ x[{problem.agent_ids[i]},{problem.task_ids[j]}]"
-                 for i in work.agents_by_task[j]]
-        if parts:
-            lines.append(f" one[{problem.task_ids[j]}]: " + " ".join(parts) + " <= 1")
-    lines.append("BINARY")
-    names = [f" x[{problem.agent_ids[i]},{problem.task_ids[j]}]"
-             for j in range(work.n) for i in work.agents_by_task[j]]
-    lines.extend(names)
-    lines.append("END")
-    return "\n".join(lines) + "\n"

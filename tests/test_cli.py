@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 
@@ -56,6 +57,8 @@ def test_generate_rejects_bad_params(tmp_path):
                    "--tasks", "12", "--agent-availability", "0", "--seed", "1",
                    "-o", str(tmp_path))
     assert code == 2
+    assert run_cli("generate", "--scenario", "tcsa", "--agents", "3", "--tasks", "6",
+                   "--cycles", "0", "--seed", "1", "-o", str(tmp_path)) == 2
 
 
 def test_run_grid_produces_reports_and_summary(tmp_path):
@@ -140,9 +143,76 @@ def test_run_config_errors(tmp_path):
                        "--tasks", "4", "--cycles", "2", "--strategies", strategies,
                        "--budget", budget, "-o", str(out)) == 2
         assert not out.exists()
+    # so are scenario parameters, files and cycle counts
+    mcmkp = ["--scenario", "mcmkp", "--agents", "2", "--tasks", "4", "--cycles", "2"]
+    tcsa = ["--scenario", "tcsa", "--agents", "3", "--tasks", "6", "--cycles", "2"]
+    cases = {
+        "availability": [*mcmkp, "--agent-availability", "2"],
+        "no-agents": [*mcmkp, "--agents", "0"],
+        "runtime-range": [*tcsa, "--runtime-range", "5", "1"],
+        "missing-files": ["--instance", str(tmp_path / "none.instance.json"),
+                          "--trace", str(tmp_path / "none.trace.jsonl"),
+                          "--seeds", "1,2"],
+        "tcsa-cycles": [*tcsa, "--cycles", "0"],
+        "mcmkp-cycles": [*mcmkp, "--cycles", "0"],
+        "missing-agents": ["--scenario", "mcmkp", "--tasks", "4"],
+        "workers": [*mcmkp, "--workers", "0"],
+        "stray-flag": [*mcmkp, "--capacity-minutes", "90"],
+    }
+    for name, argv in cases.items():
+        out = tmp_path / name
+        assert run_cli("run", *argv, "--strategies", "foa",
+                       "--budget", "nodes:10", "-o", str(out)) == 2, name
+        assert not out.exists(), name
+    for name, scenario in [
+            ("misspelled", {"name": "mcmkp", "agents": 2, "tasks": 4,
+                            "agent_availabilty": 0.5}),
+            ("not-an-object", "mcmkp")]:
+        config = tmp_path / f"{name}.json"
+        out = tmp_path / f"from-{name}"
+        config.write_text(json.dumps({
+            "scenario": scenario, "strategies": ["fop"], "budget": "nodes:10",
+            "cycles": 2, "seeds": [1], "output_dir": str(out), "workers": 1,
+            "static_priorities": False}))
+        assert run_cli("run", "--config", str(config)) == 2, name
+        assert not out.exists(), name
 
 
-def test_run_failure_preserves_partial_results(tmp_path):
+def test_run_defaults_to_a_node_budget(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("run", "--scenario", "mcmkp", "--agents", "2", "--tasks", "4",
+                   "--cycles", "2", "-o", str(out)) == 0
+    assert json.loads((out / "config.json").read_text())["budget"] == "nodes:20000"
+
+
+def test_worker_pool_is_no_larger_than_the_grid(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:  # runs jobs in-process; never starts a process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    base = ["run", "--scenario", "mcmkp", "--agents", "2", "--tasks", "4",
+            "--cycles", "2", "--budget", "nodes:100", "--workers", "5000"]
+    assert run_cli(*base, "--strategies", "foa", "-o", str(tmp_path / "a")) == 0
+    assert sizes == [2]  # foa and fop on one seed
+    assert run_cli(*base, "--strategies", "fop", "-o", str(tmp_path / "b")) == 0
+    assert sizes == [2]  # one job runs in-process
+
+
+def test_run_failure_preserves_partial_results(tmp_path, capsys):
     # all profits zero: wpp raises its degenerate-input error, fop still runs
     instance = Instance(
         agents=(AgentSpec("A", 5),),
@@ -160,6 +230,8 @@ def test_run_failure_preserves_partial_results(tmp_path):
                    "--strategies", "wpp,fop", "--budget", "nodes:100",
                    "-o", str(out))
     assert code == 3
+    assert f"run failed (scenario {ipath}, seed 1, strategy wpp): " \
+        in capsys.readouterr().err
     names = os.listdir(out)
     assert any("fop" in n and n.endswith(".report.json") for n in names)
     assert not any("wpp" in n and n.endswith(".report.json") for n in names)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rotagap.solver import (Assignment, GapProblem, SolverBudget,
-                            branch_and_bound, brute_force_oracle, format_lp,
+                            branch_and_bound, brute_force_oracle,
                             greedy_construct, local_search_improve,
                             root_upper_bound, solve)
 
@@ -294,11 +294,42 @@ def test_wall_clock_budget_stops():
     assert_feasible(problem, result)
 
 
-def test_format_lp_structure(two_by_three):
-    text = format_lp(two_by_three)
-    lines = text.splitlines()
-    assert lines[0] == "MAXIMIZE"
-    assert "SUBJECT TO" in lines and "BINARY" in lines and lines[-1] == "END"
-    assert sum(1 for l in lines if l.startswith(" cap[")) == 2
-    assert sum(1 for l in lines if l.startswith(" one[")) == 3
-    assert " cap[a00]: + 4 x[a00,t00] + 4 x[a00,t01] + 4 x[a00,t02] <= 5" in lines
+def highs_optimum(problem: GapProblem) -> float:
+    """The exact optimum from HiGHS's MILP solver, an oracle independent of
+    this package.  A zero relative gap: the default 1e-4 would accept a
+    solution below the optimum."""
+    optimize = pytest.importorskip("scipy.optimize")
+    m, n = problem.values.shape
+    capacity_rows = np.zeros((m, m * n))
+    task_rows = np.zeros((n, m * n))
+    for i in range(m):
+        capacity_rows[i, i * n:(i + 1) * n] = problem.weights[i]
+        task_rows[:, i * n:(i + 1) * n] = np.eye(n)
+    result = optimize.milp(
+        -problem.values.ravel(),
+        constraints=[optimize.LinearConstraint(capacity_rows, ub=problem.agent_capacities),
+                     optimize.LinearConstraint(task_rows, ub=1)],
+        integrality=np.ones(m * n),
+        bounds=optimize.Bounds(0, problem.feasible_pairs.ravel().astype(float)),
+        options={"mip_rel_gap": 0})
+    assert result.success, result.message
+    return -result.fun
+
+
+def test_solve_proves_the_highs_optimum_beyond_brute_force():
+    for seed in range(40):
+        rng = random.Random(seed)
+        m, n = 6, 16
+        values = [[rng.randint(0, 50) + (rng.random() if seed % 2 else 0.0)
+                   for _ in range(n)] for _ in range(m)]
+        problem = small_problem(
+            [rng.randint(0, 30) for _ in range(m)],
+            [[rng.randint(1, 10) for _ in range(n)] for _ in range(m)], values,
+            [[rng.random() < 0.85 for _ in range(n)] for _ in range(m)])
+        with pytest.raises(ValueError):
+            brute_force_oracle(problem)  # 7**16 candidates
+        optimum = highs_optimum(problem)
+        result = solve(problem, SolverBudget.nodes(5_000_000))
+        assert result.proven_optimal, seed
+        assert result.objective == pytest.approx(optimum, rel=1e-6), seed
+        assert root_upper_bound(problem) >= optimum - 1e-9, seed
