@@ -14,8 +14,12 @@ one-agent-per-task, and a feasibility mask.  Three routes are provided:
 :func:`solve` chains greedy, local search and branch-and-bound over one
 shared budget, so its objective never falls below the greedy floor.
 
-Budgets are counted in deterministic work units ("nodes"): one unit per
-branch-and-bound node and one per evaluated local-search move.  In
+Budgets are counted in deterministic work units ("nodes"): one per
+branch-and-bound node, and one per local-search candidate move scanned --
+every insert, every shift except onto the task's current agent, every
+exchange onto a statically feasible pair, and every swap between tasks on
+different agents (charged before its mask is read).  Local search scans in
+numpy blocks charged in bulk, with exactly that accounting.  In
 ``node_limit`` mode identical inputs therefore yield identical assignments;
 ``wall_clock`` mode trades that determinism for a real-time contract.
 
@@ -109,22 +113,28 @@ class _BudgetClock:
         self.exhausted = False
         self._countdown = 1
 
-    def charge(self) -> bool:
-        """Consume one work unit; False once the budget is exhausted."""
+    def charge(self, k: int = 1) -> int:
+        """Consume up to ``k`` work units; returns how many were granted.
+
+        A node limit grants ``min(k, remaining)`` and marks the clock
+        exhausted when that is fewer than ``k``, exactly where charging unit
+        by unit would first have failed.  A deadline is checked about every
+        ``_TIME_CHECK_INTERVAL`` units and grants nothing once passed.
+        """
         if self.exhausted:
-            return False
-        if self.limit is not None and self.used >= self.limit:
+            return 0
+        if self.limit is not None and self.used + k > self.limit:
+            k = self.limit - self.used
             self.exhausted = True
-            return False
-        if self.deadline is not None:
-            self._countdown -= 1
+        elif self.deadline is not None:
+            self._countdown -= k
             if self._countdown <= 0:
                 self._countdown = self._TIME_CHECK_INTERVAL
                 if time.monotonic() >= self.deadline:
                     self.exhausted = True
-                    return False
-        self.used += 1
-        return True
+                    return 0
+        self.used += k
+        return k
 
 
 @dataclass(eq=False)
@@ -181,74 +191,94 @@ class Assignment:
                    nodes_explored=0, budget_exhausted=False)
 
 
+def _ranks(ids: tuple[str, ...]) -> np.ndarray:
+    """Each id's position in Python's sorted order of ``ids``."""
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
 class _Work:
-    """Problem unpacked into plain lists for the solver hot loops."""
+    """Problem unpacked for the solver.  An assignment is an int array over
+    tasks holding the agent index, -1 for unassigned.
+
+    The candidates are the statically feasible pairs as flat arrays, task by
+    task, each task's agents by value then id; ``offsets[j]:offsets[j + 1]``
+    is task ``j``'s slice.
+    """
 
     def __init__(self, problem: GapProblem):
         self.problem = problem
         self.m = len(problem.agent_ids)
         self.n = len(problem.task_ids)
-        self.caps = [int(c) for c in problem.agent_capacities]
-        self.w = problem.weights.tolist()
-        self.v = problem.values.tolist()
+        self.caps = problem.agent_capacities.tolist()
+        self.weights = problem.weights
         # statically infeasible pairs (weight above total capacity) can never
         # be assigned; dropping them tightens the relaxed bound for free
-        feasible = problem.feasible_pairs \
+        self.feasible = problem.feasible_pairs \
             & (problem.weights <= problem.agent_capacities[:, None])
-        self.feas = feasible.tolist()
-        agent_ids = problem.agent_ids
-        self.agents_by_task: list[list[int]] = []
-        for j in range(self.n):
-            idxs = [i for i in range(self.m) if feasible[i, j]]
-            idxs.sort(key=lambda i, j=j: (-self.v[i][j], agent_ids[i]))
-            self.agents_by_task.append(idxs)
+        # 0.0 off the feasible pairs, so whole blocks can be computed on
+        self.values = np.where(self.feasible, problem.values, 0.0)
+        self.agent_rank = _ranks(problem.agent_ids)
+        self.task_rank = _ranks(problem.task_ids)
+        agents, tasks = np.nonzero(self.feasible)
+        order = np.lexsort((self.agent_rank[agents],
+                            -self.values[agents, tasks], tasks))
+        self.cand_agent, self.cand_task = agents[order], tasks[order]
+        self.cand_v = self.values[self.cand_agent, self.cand_task]
+        self.cand_w = self.weights[self.cand_agent, self.cand_task]
+        self.offsets = np.searchsorted(self.cand_task, np.arange(self.n + 1))
         # per-task best value over statically feasible agents (bound term)
-        self.best_value = [
-            (self.v[idxs[0]][j] if idxs else 0.0)
-            for j, idxs in enumerate(self.agents_by_task)
-        ]
+        best = np.zeros(self.n)
+        has = self.offsets[1:] > self.offsets[:-1]
+        best[has] = self.cand_v[self.offsets[:-1][has]]
+        self.best_value = best.tolist()
 
-    def objective(self, assigned: list[int | None]) -> float:
-        return sum(self.v[i][j] for j, i in enumerate(assigned) if i is not None)
+    def objective(self, assigned: np.ndarray) -> float:
+        tasks = np.flatnonzero(assigned >= 0)
+        return sum(self.values[assigned[tasks], tasks].tolist())
 
-    def to_assignment(self, assigned: list[int | None], *, proven: bool,
+    def to_assignment(self, assigned: np.ndarray, *, proven: bool,
                       nodes: int, exhausted: bool) -> Assignment:
         ids = self.problem
+        tasks = np.flatnonzero(assigned >= 0)
         pairs = frozenset(
             (ids.agent_ids[i], ids.task_ids[j])
-            for j, i in enumerate(assigned) if i is not None)
+            for i, j in zip(assigned[tasks].tolist(), tasks.tolist()))
         return Assignment(pairs=pairs, objective=self.objective(assigned),
                           proven_optimal=proven, nodes_explored=nodes,
                           budget_exhausted=exhausted)
 
-    def from_assignment(self, assignment: Assignment) -> list[int | None]:
+    def from_assignment(self, assignment: Assignment) -> np.ndarray:
         agent_index = {a: i for i, a in enumerate(self.problem.agent_ids)}
         task_index = {t: j for j, t in enumerate(self.problem.task_ids)}
-        assigned: list[int | None] = [None] * self.n
+        assigned = np.full(self.n, -1, dtype=np.int64)
         for agent_id, task_id in assignment.pairs:
             j = task_index[task_id]
-            if assigned[j] is not None:
+            if assigned[j] >= 0:
                 raise SolverError(f"task {task_id} assigned twice")
             assigned[j] = agent_index[agent_id]
         return assigned
 
-    def verify(self, assigned: list[int | None]) -> None:
+    def verify(self, assigned: np.ndarray) -> None:
         """Independent feasibility check run after every solve."""
         problem = self.problem
-        loads = [0] * self.m
-        for j, i in enumerate(assigned):
-            if i is None:
-                continue
-            if not problem.feasible_pairs[i, j]:
-                raise SolverError(
-                    f"pair ({problem.agent_ids[i]}, {problem.task_ids[j]}) "
-                    f"violates the feasibility mask")
-            loads[i] += int(problem.weights[i, j])
-        for i, load in enumerate(loads):
-            if load > int(problem.agent_capacities[i]):
-                raise SolverError(
-                    f"agent {problem.agent_ids[i]} overloaded: "
-                    f"{load} > {int(problem.agent_capacities[i])}")
+        tasks = np.flatnonzero(assigned >= 0)
+        agents = assigned[tasks]
+        outside = ~problem.feasible_pairs[agents, tasks]
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise SolverError(
+                f"pair ({problem.agent_ids[agents[k]]}, "
+                f"{problem.task_ids[tasks[k]]}) violates the feasibility mask")
+        loads = np.zeros(self.m, dtype=np.int64)
+        np.add.at(loads, agents, problem.weights[agents, tasks])
+        over = loads > problem.agent_capacities
+        if over.any():
+            i = int(np.argmax(over))
+            raise SolverError(
+                f"agent {problem.agent_ids[i]} overloaded: "
+                f"{loads[i]} > {problem.agent_capacities[i]}")
 
 
 def brute_force_oracle(problem: GapProblem) -> Assignment:
@@ -265,11 +295,12 @@ def brute_force_oracle(problem: GapProblem) -> Assignment:
         raise ValueError(
             f"instance too large for exhaustive enumeration: "
             f"({m}+1)**{n} > {BRUTE_FORCE_LIMIT}")
-    w, v, feas = work.w, work.v, work.feas
+    w, v = work.weights.tolist(), work.values.tolist()
+    feas = work.feasible.tolist()
     rem = list(work.caps)
-    current: list[int | None] = [None] * n
+    current = [-1] * n
     best_val = -float("inf")
-    best: list[int | None] = [None] * n
+    best = [-1] * n
     nodes = 0
 
     def explore(j: int, val: float) -> None:
@@ -280,35 +311,34 @@ def brute_force_oracle(problem: GapProblem) -> Assignment:
                 best_val = val
                 best = current.copy()
             return
-        feas_j, w_j, v_j = feas, w, v
         for i in range(m):
-            if feas_j[i][j] and rem[i] >= w_j[i][j]:
-                rem[i] -= w_j[i][j]
+            if feas[i][j] and rem[i] >= w[i][j]:
+                rem[i] -= w[i][j]
                 current[j] = i
-                explore(j + 1, val + v_j[i][j])
-                rem[i] += w_j[i][j]
-        current[j] = None
+                explore(j + 1, val + v[i][j])
+                rem[i] += w[i][j]
+        current[j] = -1
         explore(j + 1, val)
 
     explore(0, 0.0)
+    best = np.array(best, dtype=np.int64)
     work.verify(best)
     return work.to_assignment(best, proven=True, nodes=nodes, exhausted=False)
 
 
-def _greedy(work: _Work) -> list[int | None]:
-    problem = work.problem
-    agent_ids, task_ids = problem.agent_ids, problem.task_ids
-    v, w = work.v, work.w
-    pairs = [(i, j) for j in range(work.n) for i in work.agents_by_task[j]]
-    pairs.sort(key=lambda p: (-v[p[0]][p[1]] / w[p[0]][p[1]],
-                              -v[p[0]][p[1]], agent_ids[p[0]], task_ids[p[1]]))
+def _greedy(work: _Work) -> np.ndarray:
+    agents, tasks = work.cand_agent, work.cand_task
+    v, w = work.cand_v, work.cand_w
+    order = np.lexsort((work.task_rank[tasks], work.agent_rank[agents],
+                        -v, -v / w))
     rem = list(work.caps)
-    assigned: list[int | None] = [None] * work.n
-    for i, j in pairs:
-        if assigned[j] is None and rem[i] >= w[i][j]:
+    assigned = [-1] * work.n
+    for i, j, w_ij in zip(agents[order].tolist(), tasks[order].tolist(),
+                          w[order].tolist()):
+        if assigned[j] < 0 and rem[i] >= w_ij:
             assigned[j] = i
-            rem[i] -= w[i][j]
-    return assigned
+            rem[i] -= w_ij
+    return np.array(assigned, dtype=np.int64)
 
 
 def greedy_construct(problem: GapProblem) -> Assignment:
@@ -321,130 +351,123 @@ def greedy_construct(problem: GapProblem) -> Assignment:
     return work.to_assignment(assigned, proven=False, nodes=0, exhausted=False)
 
 
-def _local_search(work: _Work, assigned: list[int | None],
-                  clock: _BudgetClock) -> list[int | None]:
+_BLOCK = 4096  # cells per exchange / swap block
+
+
+def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
+    """Local search's scan, in order, as blocks of equal-shaped arrays
+    ``(kind, charged, gain, ok, x, y)``: the cells that cost a work unit
+    (scanned row by row), each move's gain, whether it keeps the mask and
+    every capacity, and its two arguments, ``x`` by row and ``y`` by column.
+    """
+    values, weights, feasible = work.values, work.weights, work.feasible
+    agent, task = work.cand_agent, work.cand_task
+    holder = assigned[task]
+    fits = rem[agent] >= work.cand_w
+    # insert: every candidate of an unassigned task
+    yield "insert", holder < 0, work.cand_v, fits, task, agent
+    # shift: every candidate of an assigned task but its current agent
+    yield ("shift", (holder >= 0) & (holder != agent),
+           work.cand_v - values[holder, task], fits, task, agent)
+
+    free = np.flatnonzero(assigned < 0)
+    held = np.flatnonzero(assigned >= 0)
+    own = assigned[held]
+    v_own = values[own, held]
+    slack = rem[own] + weights[own, held]
+    # exchange: assigned j1 out, unassigned j2 in on j1's agent; each
+    # statically feasible (agent, j2) pair
+    if len(free):
+        vals, wts, feas = values[:, free], weights[:, free], feasible[:, free]
+        step = max(1, _BLOCK // len(free))
+        for s in range(0, len(held), step):
+            i = own[s:s + step]
+            yield ("exchange", feas[i], vals[i] - v_own[s:s + step, None],
+                   wts[i] <= slack[s:s + step, None], held[s:s + step], free)
+
+    # swap: assigned j1 before j2 trade agents; each pair on different
+    # agents, charged before the mask is read
+    vals, wts, feas = values[:, held], weights[:, held], feasible[:, held]
+    s = 0
+    while s < len(held) - 1:
+        e = min(len(held) - 1, s + max(1, _BLOCK // (len(held) - s - 1)))
+        i1, i2 = own[s:e], own[s + 1:]
+        upper = np.arange(s + 1, len(held)) > np.arange(s, e)[:, None]
+        ok = feas[i1, s + 1:] & feas[i2, s:e].T \
+            & (slack[s:e, None] >= wts[i1, s + 1:]) \
+            & (slack[s + 1:] >= wts[i2, s:e].T)
+        gain = vals[i2, s:e].T + vals[i1, s + 1:] - v_own[s:e, None] \
+            - v_own[s + 1:]
+        yield ("swap", upper & (i1[:, None] != i2), gain, ok,
+               held[s:e], held[s + 1:])
+        s = e
+
+
+def _local_search(work: _Work, assigned: np.ndarray,
+                  clock: _BudgetClock) -> np.ndarray:
     """Best-improvement over insert / shift / exchange / swap moves until a
     local optimum or budget exhaustion; the objective never decreases.
 
     Exchange replaces an assigned task with an unassigned one on the same
     agent; without it, full agents are frozen and tight knapsack-style
     instances stall well below optimum.
+
+    Each block of the scan is charged in bulk and only its granted prefix is
+    considered.  The move kept is the first largest gain above the best so
+    far, which is what a cell-by-cell scan keeping strict improvements picks.
     """
-    n = work.n
-    v, w, feas = work.v, work.w, work.feas
-    rem = list(work.caps)
-    for j, i in enumerate(assigned):
-        if i is not None:
-            rem[i] -= w[i][j]
-
+    weights = work.weights
+    rem = work.problem.agent_capacities.copy()
+    held = np.flatnonzero(assigned >= 0)
+    np.subtract.at(rem, assigned[held], weights[assigned[held], held])
     while True:
-        best_delta = _EPS
-        best_move = None
-        out_of_budget = False
-        assigned_tasks = [j for j in range(n) if assigned[j] is not None]
-        unassigned_tasks = [j for j in range(n) if assigned[j] is None]
-
-        for j in unassigned_tasks:
-            for i in work.agents_by_task[j]:
-                if not clock.charge():
-                    out_of_budget = True
-                    break
-                if rem[i] >= w[i][j] and v[i][j] > best_delta:
-                    best_delta = v[i][j]
-                    best_move = ("insert", j, i)
-            if out_of_budget:
+        best_delta, move, cut = _EPS, None, False
+        for kind, charged, gain, ok, x, y in _neighbourhoods(work, assigned,
+                                                             rem):
+            cells = np.flatnonzero(charged)
+            granted = clock.charge(len(cells))
+            cut = granted < len(cells)
+            cells = cells[:granted]
+            if len(cells):
+                gain = np.where(ok.ravel()[cells], gain.ravel()[cells],
+                                -np.inf)
+                k = int(np.argmax(gain))
+                if gain[k] > best_delta:
+                    best_delta = gain[k]
+                    at = np.unravel_index(cells[k], charged.shape)
+                    move = (kind, int(x[at[0]]), int(y[at[-1]]))
+            if cut:
                 break
 
-        if not out_of_budget:
-            for j in assigned_tasks:
-                i0 = assigned[j]
-                v0 = v[i0][j]
-                for i in work.agents_by_task[j]:
-                    if i == i0:
-                        continue
-                    if not clock.charge():
-                        out_of_budget = True
-                        break
-                    if rem[i] >= w[i][j] and v[i][j] - v0 > best_delta:
-                        best_delta = v[i][j] - v0
-                        best_move = ("shift", j, i)
-                if out_of_budget:
-                    break
-
-        if not out_of_budget:
-            for j1 in assigned_tasks:
-                i1 = assigned[j1]
-                headroom = rem[i1] + w[i1][j1]
-                v11 = v[i1][j1]
-                feas_row = feas[i1]
-                for j2 in unassigned_tasks:
-                    if not feas_row[j2]:
-                        continue
-                    if not clock.charge():
-                        out_of_budget = True
-                        break
-                    if w[i1][j2] <= headroom and v[i1][j2] - v11 > best_delta:
-                        best_delta = v[i1][j2] - v11
-                        best_move = ("exchange", j1, j2)
-                if out_of_budget:
-                    break
-
-        if not out_of_budget:
-            for a in range(len(assigned_tasks)):
-                j1 = assigned_tasks[a]
-                i1 = assigned[j1]
-                w11, v11 = w[i1][j1], v[i1][j1]
-                feas_row1 = feas[i1]
-                for b in range(a + 1, len(assigned_tasks)):
-                    j2 = assigned_tasks[b]
-                    i2 = assigned[j2]
-                    if i1 == i2:
-                        continue
-                    if not clock.charge():
-                        out_of_budget = True
-                        break
-                    if not (feas[i2][j1] and feas_row1[j2]):
-                        continue
-                    delta = v[i2][j1] + v[i1][j2] - v11 - v[i2][j2]
-                    if delta <= best_delta:
-                        continue
-                    if rem[i1] + w11 - w[i1][j2] < 0:
-                        continue
-                    if rem[i2] + w[i2][j2] - w[i2][j1] < 0:
-                        continue
-                    best_delta = delta
-                    best_move = ("swap", j1, j2)
-                if out_of_budget:
-                    break
-
-        if best_move is not None:
-            kind, x, y = best_move
+        if move is not None:
+            kind, x, y = move
             if kind == "insert":
                 assigned[x] = y
-                rem[y] -= w[y][x]
+                rem[y] -= weights[y, x]
             elif kind == "shift":
                 i0 = assigned[x]
-                rem[i0] += w[i0][x]
+                rem[i0] += weights[i0, x]
                 assigned[x] = y
-                rem[y] -= w[y][x]
+                rem[y] -= weights[y, x]
             elif kind == "exchange":
                 i0 = assigned[x]
-                rem[i0] += w[i0][x] - w[i0][y]
-                assigned[x] = None
+                rem[i0] += weights[i0, x] - weights[i0, y]
+                assigned[x] = -1
                 assigned[y] = i0
             else:  # swap
                 i1, i2 = assigned[x], assigned[y]
-                rem[i1] += w[i1][x] - w[i1][y]
-                rem[i2] += w[i2][y] - w[i2][x]
+                rem[i1] += weights[i1, x] - weights[i1, y]
+                rem[i2] += weights[i2, y] - weights[i2, x]
                 assigned[x], assigned[y] = i2, i1
-        if out_of_budget or best_move is None:
+        if cut or move is None:
             return assigned
 
 
 def local_search_improve(problem: GapProblem, start: Assignment,
                          budget: SolverBudget) -> Assignment:
     """Improve a feasible assignment; returns when no improving move exists
-    or the budget runs out.  One work unit per evaluated candidate move."""
+    or the budget runs out.  One work unit per charged candidate move (see
+    the module docstring)."""
     work = _Work(problem)
     assigned = work.from_assignment(start)
     work.verify(assigned)
@@ -455,8 +478,8 @@ def local_search_improve(problem: GapProblem, start: Assignment,
                               exhausted=clock.exhausted)
 
 
-def _branch_and_bound(work: _Work, incumbent: list[int | None],
-                      clock: _BudgetClock) -> tuple[list[int | None], bool]:
+def _branch_and_bound(work: _Work, incumbent: np.ndarray,
+                      clock: _BudgetClock) -> tuple[np.ndarray, bool]:
     """Depth-first task-ordered search.  Returns (best, completed).
 
     The upper bound at a node is the value of the fixed prefix plus, for each
@@ -468,8 +491,12 @@ def _branch_and_bound(work: _Work, incumbent: list[int | None],
     placed on (None: left out) and ``untried[d]`` its remaining options,
     last one next.
     """
+    if not clock.charge():  # the root, charged before any set-up
+        return incumbent.copy(), False
     n = work.n
-    v, w = work.v, work.w
+    v, w = work.values.tolist(), work.weights.tolist()
+    candidates, offsets = work.cand_agent.tolist(), work.offsets.tolist()
+    agents_by_task = [candidates[offsets[j]:offsets[j + 1]] for j in range(n)]
     task_ids = work.problem.task_ids
     order = sorted(range(n), key=lambda j: (-work.best_value[j], task_ids[j]))
     suffix = [0.0] * (n + 1)
@@ -484,18 +511,17 @@ def _branch_and_bound(work: _Work, incumbent: list[int | None],
     applied: list[int | None] = [None] * n
     d = 0
     while True:
-        # visit the node whose tasks order[:d] are placed
-        if not clock.charge():
-            return best, False
+        # visit the (charged) node whose tasks order[:d] are placed
         if d == n:
             if val > best_val:
                 best_val = val
-                best = [None] * n
-                for depth in range(n):
-                    best[order[depth]] = applied[depth]
+                best = np.full(n, -1, dtype=np.int64)
+                for depth, agent in enumerate(applied):
+                    if agent is not None:
+                        best[order[depth]] = agent
         elif val + suffix[d] > best_val:
             j = order[d]
-            options: list = [i for i in reversed(work.agents_by_task[j])
+            options: list = [i for i in reversed(agents_by_task[j])
                              if rem[i] >= w[i][j]]
             options.insert(0, None)
             untried[d] = options
@@ -519,6 +545,8 @@ def _branch_and_bound(work: _Work, incumbent: list[int | None],
             val += v[i][j]
         applied[d] = i
         d += 1
+        if not clock.charge():
+            return best, False
 
 
 def branch_and_bound(problem: GapProblem, incumbent: Assignment,

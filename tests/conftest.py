@@ -45,6 +45,26 @@ def random_gap_problem(rng: random.Random, max_agents: int = 3,
     )
 
 
+def shuffled_gap_problem(rng: random.Random, agents: int,
+                         tasks: int) -> GapProblem:
+    """Random problem whose id order differs from its index order, with
+    non-integer values full of ties (multiples of 0.3) and about 30% of the
+    pairs masked off."""
+    caps = np.array([rng.randint(3, 20) for _ in range(agents)])
+    weights = np.array([[rng.randint(1, 10) for _ in range(tasks)]
+                        for _ in range(agents)])
+    values = np.array([[rng.randint(0, 40) * 0.3 for _ in range(tasks)]
+                       for _ in range(agents)])
+    feasible = np.array([[rng.random() < 0.7 for _ in range(tasks)]
+                         for _ in range(agents)])
+    return GapProblem(
+        agent_ids=tuple(f"a{k:02d}" for k in rng.sample(range(agents), agents)),
+        task_ids=tuple(f"t{k:03d}" for k in rng.sample(range(tasks), tasks)),
+        agent_capacities=caps, weights=weights, values=values,
+        feasible_pairs=feasible,
+    )
+
+
 def assert_feasible(problem: GapProblem, assignment) -> None:
     """Independent feasibility re-check used by solver tests (does not rely
     on the solver's own verifier)."""

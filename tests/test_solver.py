@@ -1,15 +1,17 @@
+import hashlib
 import random
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotagap.solver import (Assignment, GapProblem, SolverBudget,
+from rotagap.solver import (Assignment, GapProblem, SolverBudget, SolverError,
                             branch_and_bound, brute_force_oracle,
                             greedy_construct, local_search_improve,
                             root_upper_bound, solve)
 
-from conftest import assert_feasible, random_gap_problem
+from conftest import assert_feasible, random_gap_problem, shuffled_gap_problem
 
 AMPLE = SolverBudget.nodes(2_000_000)
 
@@ -253,6 +255,235 @@ def test_truncated_solve_is_pinned(seed, nodes, objective, explored, proven,
     # branch-and-bound ran and found something local search did not
     local = local_search_improve(problem, greedy_construct(problem), AMPLE)
     assert local.nodes_explored < nodes and local.objective < objective
+
+
+def pairs_digest(pairs) -> str:
+    return hashlib.sha256(" ".join(
+        sorted(f"{a}:{t}" for a, t in pairs)).encode()).hexdigest()[:16]
+
+
+# local_search_improve on shuffled_gap_problem(Random(seed), 20, 200) from
+# greedy or from empty: (seed, start, nodes, objective, nodes_explored,
+# exhausted, pairs_digest).  Recorded from the unit-by-unit scans the
+# vectorised ones replaced.  From greedy, seed 1's first scan charges insert
+# [0, 445), shift [445, 2143), exchange [2143, 6033) and swap
+# [6033, 18117); seed 3's [0, 363), [363, 2310), [2310, 5521) and
+# [5521, 18838).  Within a scan the kept move changes at 1831 and 1957
+# (seed 1, shift), 4083 (seed 1, exchange), 2390-3990 (seed 3, exchange) and
+# 5853 and 13157 (seed 3, swap); from empty, the first scan is all inserts.
+LOCAL_SEARCH_PINS = [
+    (1, "greedy", 1900, 1420.8000000000002, 1900, True, "0fd6deb1403a7f4c"),
+    (1, "greedy", 4000, 1423.2, 4000, True, "de2dc4a6733cec53"),
+    (1, "greedy", 4100, 1424.1000000000001, 4100, True, "3e755a056109fe67"),
+    (1, "greedy", 18117, 1424.1000000000001, 18117, True, "3e755a056109fe67"),
+    (1, "greedy", 30000, 1426.5000000000002, 30000, True, "a8e584e344f0492a"),
+    (1, "greedy", 126708, 1431.8999999999999, 126708, False,
+     "ab23e4f43db83a42"),
+    (3, "greedy", 2600, 1464.0, 2600, True, "bd9d6a93bd8b4712"),
+    (3, "greedy", 5900, 1465.5, 5900, True, "03b947eda10c5ff9"),
+    (3, "greedy", 13200, 1466.7, 13200, True, "983398e35f33ab80"),
+    (3, "greedy", 22000, 1468.5, 22000, True, "b6cbf9a9ff8b1de7"),
+    (1, "empty", 100, 11.7, 100, True, "cd69d9667e15aa2b"),
+    (1, "empty", 2400, 23.7, 2400, True, "42ff8dd081088fd2"),
+    (3, "empty", 100, 12.0, 100, True, "e9a393a53a13499c"),
+    (3, "empty", 2560, 24.0, 2560, True, "8ab0d088fbb70cb8"),
+]
+
+# solve() on the same problems: (seed, nodes, objective, nodes_explored,
+# exhausted, proven, pairs_digest).  Local search reaches its local optimum
+# after exactly 126708 (seed 1) and 113067 (seed 3) units; beyond that
+# branch-and-bound spends the rest without improving.
+SOLVE_PINS = [
+    (1, 1900, 1420.8000000000002, 1900, True, False, "0fd6deb1403a7f4c"),
+    (1, 4100, 1424.1000000000001, 4100, True, False, "3e755a056109fe67"),
+    (1, 18117, 1424.1000000000001, 18117, True, False, "3e755a056109fe67"),
+    (1, 126708, 1431.8999999999999, 126708, True, False, "ab23e4f43db83a42"),
+    (1, 129708, 1431.8999999999999, 129708, True, False, "ab23e4f43db83a42"),
+    (3, 5900, 1465.5, 5900, True, False, "03b947eda10c5ff9"),
+    (3, 13200, 1466.7, 13200, True, False, "983398e35f33ab80"),
+    (3, 113067, 1473.6, 113067, True, False, "9c286aae47931815"),
+    (3, 116067, 1473.6, 116067, True, False, "9c286aae47931815"),
+]
+
+
+@pytest.mark.parametrize("seed,start,nodes,objective,explored,exhausted,digest",
+                         LOCAL_SEARCH_PINS)
+def test_local_search_truncation_is_pinned(seed, start, nodes, objective,
+                                           explored, exhausted, digest):
+    problem = shuffled_gap_problem(random.Random(seed), 20, 200)
+    start = greedy_construct(problem) if start == "greedy" \
+        else Assignment.empty()
+    result = local_search_improve(problem, start, SolverBudget.nodes(nodes))
+    assert (result.objective, result.nodes_explored, result.budget_exhausted,
+            pairs_digest(result.pairs)) == (objective, explored, exhausted,
+                                            digest)
+
+
+@pytest.mark.parametrize("seed,nodes,objective,explored,exhausted,proven,digest",
+                         SOLVE_PINS)
+def test_solve_truncation_is_pinned(seed, nodes, objective, explored,
+                                    exhausted, proven, digest):
+    problem = shuffled_gap_problem(random.Random(seed), 20, 200)
+    result = solve(problem, SolverBudget.nodes(nodes))
+    assert (result.objective, result.nodes_explored, result.budget_exhausted,
+            result.proven_optimal, pairs_digest(result.pairs)) \
+        == (objective, explored, exhausted, proven, digest)
+
+
+def reference_greedy_and_local_search(problem: GapProblem, nodes: int):
+    """Ratio greedy, then local search scanning move by move and charging
+    one unit at a time: the loops the vectorised solver replaced, kept as
+    its reference.  Returns (greedy pairs, improved pairs, units used,
+    exhausted)."""
+    m, n = len(problem.agent_ids), len(problem.task_ids)
+    w, v = problem.weights.tolist(), problem.values.tolist()
+    caps = problem.agent_capacities.tolist()
+    feas = (problem.feasible_pairs
+            & (problem.weights <= problem.agent_capacities[:, None])).tolist()
+    agent_ids, task_ids = problem.agent_ids, problem.task_ids
+    by_task = [sorted((i for i in range(m) if feas[i][j]),
+                      key=lambda i: (-v[i][j], agent_ids[i])) for j in range(n)]
+    candidates = sorted(((i, j) for j in range(n) for i in by_task[j]),
+                        key=lambda p: (-v[p[0]][p[1]] / w[p[0]][p[1]],
+                                       -v[p[0]][p[1]], agent_ids[p[0]],
+                                       task_ids[p[1]]))
+    rem, assigned = list(caps), [None] * n
+    for i, j in candidates:
+        if assigned[j] is None and rem[i] >= w[i][j]:
+            assigned[j], rem[i] = i, rem[i] - w[i][j]
+
+    def pairs():
+        return {(agent_ids[i], task_ids[j])
+                for j, i in enumerate(assigned) if i is not None}
+
+    greedy = pairs()
+    used, exhausted = 0, False
+
+    def charge():
+        nonlocal used, exhausted
+        exhausted = exhausted or used >= nodes
+        used += not exhausted
+        return not exhausted
+
+    while not exhausted:
+        best, move = 1e-9, None
+        held = [j for j in range(n) if assigned[j] is not None]
+        free = [j for j in range(n) if assigned[j] is None]
+        scans = (
+            (("insert", j, i, v[i][j], rem[i] >= w[i][j])
+             for j in free for i in by_task[j]),
+            (("shift", j, i, v[i][j] - v[assigned[j]][j], rem[i] >= w[i][j])
+             for j in held for i in by_task[j] if i != assigned[j]),
+            (("exchange", j1, j2, v[i][j2] - v[i][j1],
+              w[i][j2] <= rem[i] + w[i][j1])
+             for j1 in held for i in [assigned[j1]] for j2 in free
+             if feas[i][j2]),
+            (("swap", j1, j2, v[i2][j1] + v[i1][j2] - v[i1][j1] - v[i2][j2],
+              feas[i2][j1] and feas[i1][j2]
+              and rem[i1] + w[i1][j1] >= w[i1][j2]
+              and rem[i2] + w[i2][j2] >= w[i2][j1])
+             for a, j1 in enumerate(held) for j2 in held[a + 1:]
+             for i1, i2 in [(assigned[j1], assigned[j2])] if i1 != i2))
+        for kind, x, y, delta, ok in (c for scan in scans for c in scan):
+            if not charge():
+                break
+            if ok and delta > best:
+                best, move = delta, (kind, x, y)
+        if move is None:
+            break
+        kind, x, y = move
+        if kind == "insert":
+            assigned[x], rem[y] = y, rem[y] - w[y][x]
+        elif kind == "shift":
+            rem[assigned[x]] += w[assigned[x]][x]
+            assigned[x], rem[y] = y, rem[y] - w[y][x]
+        elif kind == "exchange":
+            i = assigned[x]
+            rem[i] += w[i][x] - w[i][y]
+            assigned[x], assigned[y] = None, i
+        else:
+            i1, i2 = assigned[x], assigned[y]
+            rem[i1] += w[i1][x] - w[i1][y]
+            rem[i2] += w[i2][y] - w[i2][x]
+            assigned[x], assigned[y] = i2, i1
+    return greedy, pairs(), used, exhausted
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 100_000), nodes=st.integers(0, 3000))
+def test_greedy_and_local_search_match_the_unit_scan(seed, nodes):
+    rng = random.Random(seed)
+    problem = shuffled_gap_problem(rng, rng.randint(1, 6), rng.randint(1, 30))
+    greedy = greedy_construct(problem)
+    result = local_search_improve(problem, greedy, SolverBudget.nodes(nodes))
+    assert (greedy.pairs, result.pairs, result.nodes_explored,
+            result.budget_exhausted) \
+        == reference_greedy_and_local_search(problem, nodes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(limit=st.integers(0, 60),
+       charges=st.lists(st.integers(0, 25), max_size=8))
+def test_bulk_charge_matches_unit_charging(limit, charges):
+    clock = SolverBudget.nodes(limit).start()
+    used, exhausted = 0, False  # charged one unit at a time
+    for k in charges:
+        expected = 0 if exhausted else min(k, limit - used)
+        granted = 0
+        for _ in range(k):
+            if exhausted or used >= limit:
+                exhausted = True
+                break
+            used += 1
+            granted += 1
+        assert clock.charge(k) == granted == expected
+        assert (clock.used, clock.exhausted) == (used, exhausted)
+        assert clock.used <= limit
+    assert clock.charge() == (0 if exhausted or used >= limit else 1)
+
+
+def test_verify_rejects_infeasible_starts():
+    problem = small_problem([5, 5], [[4, 4, 4]] * 2, [[3, 2, 1]] * 2,
+                            feasible=[[1, 1, 0], [1, 1, 1]])
+
+    def start(*pairs):
+        return Assignment(pairs=frozenset(pairs), objective=0.0,
+                          proven_optimal=False, nodes_explored=0,
+                          budget_exhausted=False)
+
+    masked = start(("a00", "t02"))
+    overloaded = start(("a00", "t00"), ("a01", "t01"), ("a01", "t02"))
+    for improve in (local_search_improve, branch_and_bound):
+        with pytest.raises(SolverError, match=r"\(a00, t02\) violates"):
+            improve(problem, masked, AMPLE)
+        with pytest.raises(SolverError, match=r"agent a01 overloaded: 8 > 5"):
+            improve(problem, overloaded, AMPLE)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_values_outside_the_mask_are_never_read(seed):
+    rng = random.Random(seed)
+    problem = shuffled_gap_problem(rng, rng.randint(1, 8), rng.randint(1, 40))
+    outside = ~problem.feasible_pairs
+    junk = np.array([np.inf, -np.inf, np.nan])[
+        [rng.randrange(3) for _ in range(outside.sum())]]
+    values, weights = problem.values.copy(), problem.weights.copy()
+    values[outside], weights[outside] = 0.0, 0
+    zeros = GapProblem(problem.agent_ids, problem.task_ids,
+                       problem.agent_capacities, weights, values,
+                       problem.feasible_pairs)
+    values[outside] = junk
+    weights[outside] = [rng.choice([0, -1, -7]) for _ in range(outside.sum())]
+    junky = GapProblem(problem.agent_ids, problem.task_ids,
+                       problem.agent_capacities, weights, values,
+                       problem.feasible_pairs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert root_upper_bound(junky) == root_upper_bound(zeros)
+        assert greedy_construct(junky) == greedy_construct(zeros)
+        for nodes in (0, 50, 500, 5000):
+            budget = SolverBudget.nodes(nodes)
+            assert solve(junky, budget) == solve(zeros, budget)
 
 
 @settings(max_examples=60, deadline=None)
