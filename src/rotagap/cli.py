@@ -330,6 +330,15 @@ def cmd_run(args) -> int:
         fileio.atomic_write_text(summary_path, fileio.summary_csv(rows))
         print(summary_path)
 
+    # failures.json exists only after a failed run, so reruns stay identical
+    failures_path = os.path.join(output_dir, "failures.json")
+    if failures:
+        doc = [{"scenario": where, "seed": seed, "strategy": strategy,
+                "error": str(exc)} for where, seed, strategy, exc in failures]
+        fileio.atomic_write_text(
+            failures_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    elif os.path.exists(failures_path):
+        os.remove(failures_path)
     for where, seed, strategy, exc in failures:
         print(f"run failed (scenario {where}, seed {seed}, strategy {strategy}): "
               f"{exc}", file=sys.stderr)

@@ -19,9 +19,12 @@ branch-and-bound node, and one per local-search candidate move scanned --
 every insert, every shift except onto the task's current agent, every
 exchange onto a statically feasible pair, and every swap between tasks on
 different agents (charged before its mask is read).  Local search scans in
-numpy blocks charged in bulk, with exactly that accounting.  In
-``node_limit`` mode identical inputs therefore yield identical assignments;
-``wall_clock`` mode trades that determinism for a real-time contract.
+numpy blocks charged in bulk, with exactly that accounting.  Branch-and-bound
+takes nodes from the clock in batches of at most 256 (never more than a node
+limit has left), keeps one unit per node it visits and hands back what it
+did not use.  In ``node_limit`` mode identical inputs therefore yield
+identical assignments; ``wall_clock`` mode trades that determinism for a
+real-time contract.
 
 Tie-breaking everywhere is by value first, then lexicographic ids.
 """
@@ -135,6 +138,21 @@ class _BudgetClock:
                     return 0
         self.used += k
         return k
+
+    def charge_batch(self) -> int:
+        """Take units in advance for a caller that spends one per step and
+        hands the rest back with :meth:`refund`: up to
+        ``_TIME_CHECK_INTERVAL``, never more than a node limit has left, so
+        a batch grants 0 and sets ``exhausted`` only where charging unit by
+        unit would."""
+        k = self._TIME_CHECK_INTERVAL
+        if self.limit is not None:
+            k = max(1, min(k, self.limit - self.used))
+        return self.charge(k)
+
+    def refund(self, k: int) -> None:
+        """Give back ``k`` units taken by :meth:`charge_batch` and unspent."""
+        self.used -= k
 
 
 @dataclass(eq=False)
@@ -489,64 +507,86 @@ def _branch_and_bound(work: _Work, incumbent: np.ndarray,
 
     Depth ``d`` fixes task ``order[d]``; ``applied[d]`` is the agent it is
     placed on (None: left out) and ``untried[d]`` its remaining options,
-    last one next.
+    last one next: None, then the agents with room, worst first.  An
+    expanded node steps straight into its first child; when no agent has
+    room (``max(rem)`` below the task's smallest weight) that child, leaving
+    the task out, is the only one.
+
+    Nodes cost one unit each, taken from the clock in batches; ``left`` is
+    what the current batch has not spent yet.
     """
     if not clock.charge():  # the root, charged before any set-up
         return incumbent.copy(), False
     n = work.n
-    v, w = work.values.tolist(), work.weights.tolist()
-    candidates, offsets = work.cand_agent.tolist(), work.offsets.tolist()
-    agents_by_task = [candidates[offsets[j]:offsets[j + 1]] for j in range(n)]
     task_ids = work.problem.task_ids
     order = sorted(range(n), key=lambda j: (-work.best_value[j], task_ids[j]))
     suffix = [0.0] * (n + 1)
     for d in range(n - 1, -1, -1):
         suffix[d] = suffix[d + 1] + work.best_value[order[d]]
+    # per-depth rows of task order[d]: value and weight by agent, and its
+    # candidate (agent, weight) pairs, worst first
+    v_at = work.values.T[order].tolist()
+    w_at = work.weights.T[order].tolist()
+    candidates = list(zip(work.cand_agent.tolist(), work.cand_w.tolist()))
+    offsets = work.offsets.tolist()
+    pairs_at = [candidates[offsets[j]:offsets[j + 1]][::-1] for j in order]
+    minw_at = [min((wt for _, wt in pairs), default=math.inf)
+               for pairs in pairs_at]
 
     best = incumbent.copy()
     best_val = work.objective(incumbent)
     rem = list(work.caps)
     val = 0.0
-    untried: list[list] = [[] for _ in range(n)]
+    untried: list = [()] * n
     applied: list[int | None] = [None] * n
+    left = 0
+    top = None  # max(rem), None once rem has changed
     d = 0
     while True:
         # visit the (charged) node whose tasks order[:d] are placed
-        if d == n:
-            if val > best_val:
+        if d < n and val + suffix[d] > best_val:
+            if top is None:
+                top = max(rem)
+            if top < minw_at[d]:
+                i = None
+                untried[d] = ()
+            else:
+                options = [None]
+                options += [i for i, wt in pairs_at[d] if rem[i] >= wt]
+                i = options.pop()
+                untried[d] = options
+        else:
+            if d == n and val > best_val:
                 best_val = val
                 best = np.full(n, -1, dtype=np.int64)
                 for depth, agent in enumerate(applied):
                     if agent is not None:
                         best[order[depth]] = agent
-        elif val + suffix[d] > best_val:
-            j = order[d]
-            options: list = [i for i in reversed(agents_by_task[j])
-                             if rem[i] >= w[i][j]]
-            options.insert(0, None)
-            untried[d] = options
-            applied[d] = None
-            d += 1  # the backtrack below starts at this node's own depth
-        # back up to the deepest depth with an untried option
-        while True:
-            d -= 1
-            if d < 0:
-                return best, True
-            j = order[d]
-            i = applied[d]
-            if i is not None:
-                rem[i] += w[i][j]
-                val -= v[i][j]
-            if untried[d]:
-                break
-        i = untried[d].pop()
+            # back up to the deepest depth with an untried option
+            while True:
+                d -= 1
+                if d < 0:
+                    clock.refund(left)
+                    return best, True
+                i = applied[d]
+                if i is not None:
+                    rem[i] += w_at[d][i]
+                    val -= v_at[d][i]
+                    top = None
+                if untried[d]:
+                    break
+            i = untried[d].pop()
         if i is not None:
-            rem[i] -= w[i][j]
-            val += v[i][j]
+            rem[i] -= w_at[d][i]
+            val += v_at[d][i]
+            top = None
         applied[d] = i
         d += 1
-        if not clock.charge():
-            return best, False
+        left -= 1
+        if left < 0:
+            left = clock.charge_batch() - 1
+            if left < 0:
+                return best, False
 
 
 def branch_and_bound(problem: GapProblem, incumbent: Assignment,

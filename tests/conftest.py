@@ -65,6 +65,30 @@ def shuffled_gap_problem(rng: random.Random, agents: int,
     )
 
 
+def mcmkp_gap_problem(rng: random.Random, agents: int = 12,
+                      tasks: int = 48) -> GapProblem:
+    """Problem shaped like an mcmkp cycle: agent-independent weights in
+    [10, 1000], capacities that together hold about half the total weight,
+    shuffled ids, about 10% of the pairs masked off, and values in multiples
+    of 0.3 with ties: a per-task base plus a small per-agent part, so local
+    search stalls where branch-and-bound still finds better answers."""
+    weights = [rng.randint(10, 1000) for _ in range(tasks)]
+    share = sum(weights) // (2 * agents)
+    caps = np.array([rng.randint(share // 2, share * 3 // 2)
+                     for _ in range(agents)])
+    base = [rng.randint(1, 20) for _ in range(tasks)]
+    values = np.array([[(b + rng.randint(0, 2)) * 0.3 for b in base]
+                       for _ in range(agents)])
+    feasible = np.array([[rng.random() < 0.9 for _ in range(tasks)]
+                         for _ in range(agents)])
+    return GapProblem(
+        agent_ids=tuple(f"a{k:02d}" for k in rng.sample(range(agents), agents)),
+        task_ids=tuple(f"t{k:03d}" for k in rng.sample(range(tasks), tasks)),
+        agent_capacities=caps, weights=np.tile(weights, (agents, 1)),
+        values=values, feasible_pairs=feasible,
+    )
+
+
 def assert_feasible(problem: GapProblem, assignment) -> None:
     """Independent feasibility re-check used by solver tests (does not rely
     on the solver's own verifier)."""

@@ -230,11 +230,24 @@ def test_run_failure_preserves_partial_results(tmp_path, capsys):
                    "--strategies", "wpp,fop", "--budget", "nodes:100",
                    "-o", str(out))
     assert code == 3
-    assert f"run failed (scenario {ipath}, seed 1, strategy wpp): " \
-        in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"run failed (scenario {ipath}, seed 1, strategy wpp): " in err
     names = os.listdir(out)
     assert any("fop" in n and n.endswith(".report.json") for n in names)
     assert not any("wpp" in n and n.endswith(".report.json") for n in names)
+    # fop ran but earned nothing, so no profit percentages either
+    failures = json.loads((out / "failures.json").read_text())
+    assert [(f["scenario"], f["seed"], f["strategy"]) for f in failures] \
+        == [(str(ipath), 1, "wpp"), ("custom-1x1", 1, "fop")]
+    for f in failures:
+        assert f"(scenario {f['scenario']}, seed 1, strategy {f['strategy']}): " \
+            f"{f['error']}\n" in err
+    assert "no usable fop baseline" in failures[1]["error"]
+    # a run without failures writes none and leaves no stale one behind
+    assert run_cli("run", "--scenario", "mcmkp", "--agents", "2", "--tasks",
+                   "4", "--cycles", "2", "--seeds", "1", "--strategies", "fop",
+                   "--budget", "nodes:100", "-o", str(out)) == 0
+    assert not (out / "failures.json").exists()
 
 
 def test_report_tables(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 import warnings
 
 import numpy as np
@@ -11,7 +12,8 @@ from rotagap.solver import (Assignment, GapProblem, SolverBudget, SolverError,
                             greedy_construct, local_search_improve,
                             root_upper_bound, solve)
 
-from conftest import assert_feasible, random_gap_problem, shuffled_gap_problem
+from conftest import (assert_feasible, mcmkp_gap_problem, random_gap_problem,
+                      shuffled_gap_problem)
 
 AMPLE = SolverBudget.nodes(2_000_000)
 
@@ -330,19 +332,29 @@ def test_solve_truncation_is_pinned(seed, nodes, objective, explored,
         == (objective, explored, exhausted, proven, digest)
 
 
+def reference_candidates(problem: GapProblem):
+    """The statically feasible pairs as a nested list, and each task's
+    agents among them by value, then id."""
+    m, n = len(problem.agent_ids), len(problem.task_ids)
+    v = problem.values.tolist()
+    feas = (problem.feasible_pairs
+            & (problem.weights <= problem.agent_capacities[:, None])).tolist()
+    by_task = [sorted((i for i in range(m) if feas[i][j]),
+                      key=lambda i: (-v[i][j], problem.agent_ids[i]))
+               for j in range(n)]
+    return feas, by_task
+
+
 def reference_greedy_and_local_search(problem: GapProblem, nodes: int):
     """Ratio greedy, then local search scanning move by move and charging
     one unit at a time: the loops the vectorised solver replaced, kept as
     its reference.  Returns (greedy pairs, improved pairs, units used,
     exhausted)."""
-    m, n = len(problem.agent_ids), len(problem.task_ids)
+    n = len(problem.task_ids)
     w, v = problem.weights.tolist(), problem.values.tolist()
     caps = problem.agent_capacities.tolist()
-    feas = (problem.feasible_pairs
-            & (problem.weights <= problem.agent_capacities[:, None])).tolist()
+    feas, by_task = reference_candidates(problem)
     agent_ids, task_ids = problem.agent_ids, problem.task_ids
-    by_task = [sorted((i for i in range(m) if feas[i][j]),
-                      key=lambda i: (-v[i][j], agent_ids[i])) for j in range(n)]
     candidates = sorted(((i, j) for j in range(n) for i in by_task[j]),
                         key=lambda p: (-v[p[0]][p[1]] / w[p[0]][p[1]],
                                        -v[p[0]][p[1]], agent_ids[p[0]],
@@ -419,6 +431,200 @@ def test_greedy_and_local_search_match_the_unit_scan(seed, nodes):
     assert (greedy.pairs, result.pairs, result.nodes_explored,
             result.budget_exhausted) \
         == reference_greedy_and_local_search(problem, nodes)
+
+
+def reference_branch_and_bound(problem: GapProblem, start: Assignment,
+                               nodes: int, used: int = 0) -> Assignment:
+    """Branch-and-bound charging one unit per node, as the solver did before
+    it took nodes from the clock in batches and shortcut nodes where no
+    agent has room; kept as its reference.  Continues a budget of ``nodes``
+    units of which ``used`` are spent, so it gives what
+    ``branch_and_bound`` gives (``used=0``) or, from local search's result
+    and units, what ``solve`` gives."""
+    n = len(problem.task_ids)
+    v, w = problem.values.tolist(), problem.weights.tolist()
+    _, by_task = reference_candidates(problem)
+    agent_index = {a: i for i, a in enumerate(problem.agent_ids)}
+    task_index = {t: j for j, t in enumerate(problem.task_ids)}
+    exhausted = False
+
+    def charge():
+        nonlocal used, exhausted
+        exhausted = exhausted or used >= nodes
+        used += not exhausted
+        return not exhausted
+
+    def objective(assigned):
+        return sum([v[i][j] for j, i in enumerate(assigned) if i is not None])
+
+    def result(assigned, proven):
+        return Assignment(
+            pairs=frozenset((problem.agent_ids[i], problem.task_ids[j])
+                            for j, i in enumerate(assigned) if i is not None),
+            objective=objective(assigned), proven_optimal=proven,
+            nodes_explored=used, budget_exhausted=exhausted)
+
+    best = [None] * n
+    for agent_id, task_id in start.pairs:
+        best[task_index[task_id]] = agent_index[agent_id]
+    if not charge():
+        return result(best, False)
+    best_value = [v[by_task[j][0]][j] if by_task[j] else 0.0
+                  for j in range(n)]
+    order = sorted(range(n), key=lambda j: (-best_value[j],
+                                            problem.task_ids[j]))
+    suffix = [0.0] * (n + 1)
+    for d in range(n - 1, -1, -1):
+        suffix[d] = suffix[d + 1] + best_value[order[d]]
+
+    best_val = objective(best)
+    rem = problem.agent_capacities.tolist()
+    val = 0.0
+    untried = [[] for _ in range(n)]
+    applied = [None] * n
+    d = 0
+    while True:
+        if d == n:
+            if val > best_val:
+                best_val = val
+                best = [None] * n
+                for depth, agent in enumerate(applied):
+                    best[order[depth]] = agent
+        elif val + suffix[d] > best_val:
+            j = order[d]
+            options = [i for i in reversed(by_task[j]) if rem[i] >= w[i][j]]
+            options.insert(0, None)
+            untried[d] = options
+            applied[d] = None
+            d += 1
+        while True:
+            d -= 1
+            if d < 0:
+                return result(best, True)
+            j = order[d]
+            i = applied[d]
+            if i is not None:
+                rem[i] += w[i][j]
+                val -= v[i][j]
+            if untried[d]:
+                break
+        i = untried[d].pop()
+        if i is not None:
+            rem[i] -= w[i][j]
+            val += v[i][j]
+        applied[d] = i
+        d += 1
+        if not charge():
+            return result(best, False)
+
+
+def with_signed_zeros_and_negatives(rng: random.Random,
+                                    problem: GapProblem) -> GapProblem:
+    """The same problem with about 15% of its values -0.0 and 5% negative."""
+    values = problem.values.copy()
+    for cell in np.ndindex(values.shape):
+        roll = rng.random()
+        if roll < 0.15:
+            values[cell] = -0.0
+        elif roll < 0.2:
+            values[cell] = -rng.randint(1, 9) * 0.7
+    return GapProblem(problem.agent_ids, problem.task_ids,
+                      problem.agent_capacities, problem.weights, values,
+                      problem.feasible_pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 100_000), shape=st.sampled_from(["small", "mcmkp"]),
+       nodes=st.one_of(st.sampled_from([0, 1, 2, 256, 257, 258, 513]),
+                       st.integers(0, 20_000), st.just(AMPLE.node_limit)),
+       signed=st.booleans())
+def test_branch_and_bound_matches_the_unit_charged_loop(seed, shape, nodes,
+                                                        signed):
+    rng = random.Random(seed)
+    if shape == "small":
+        problem = shuffled_gap_problem(rng, rng.randint(1, 4),
+                                       rng.randint(1, 14))
+    else:  # its search never finishes; keep the reference's run short
+        problem = mcmkp_gap_problem(rng)
+        nodes = min(nodes, 20_000)
+    if signed:
+        problem = with_signed_zeros_and_negatives(rng, problem)
+    budget = SolverBudget.nodes(nodes)
+    greedy = greedy_construct(problem)
+    for start in (Assignment.empty(), greedy):
+        assert branch_and_bound(problem, start, budget) \
+            == reference_branch_and_bound(problem, start, nodes)
+    local = local_search_improve(problem, greedy, budget)
+    assert solve(problem, budget) == reference_branch_and_bound(
+        problem, local, nodes, used=local.nodes_explored)
+
+
+# branch_and_bound from local search's optimum ("bnb"), or solve, on
+# mcmkp_gap_problem(Random(seed)): (seed, route, nodes, objective,
+# nodes_explored, exhausted, pairs_digest).  Recorded from the unit-charged
+# loop.  Local search stops at objective 132.6 after 3538 units (seed 3) and
+# 108.6 after 3468 (seed 5).  From there branch-and-bound improves at its
+# 49th node on both, then at nodes 4546, 8400 (by float rounding only) and
+# 12129 (seed 3) and 197, 3289, 3651, 5203 and 5626 (seed 5).  Nodes are
+# taken from the clock in batches: 257 is the root and one whole batch,
+# 512 and 12800 end in a part batch at a multiple of 256, and solve at
+# 8589 = 3468 + 1 + 20 * 256 ends on a whole batch after local search.
+BNB_PINS = [
+    (3, "bnb", 257, 132.89999999999995, 257, True, "82a1ac7ce4f65cc2"),
+    (3, "bnb", 4546, 135.59999999999994, 4546, True, "3e7d993107cf0923"),
+    (3, "bnb", 8400, 135.59999999999997, 8400, True, "3dab6be92b2ecd3c"),
+    (3, "bnb", 12800, 136.49999999999997, 12800, True, "2e088ebb137c6379"),
+    (5, "bnb", 197, 117.0, 197, True, "9051af59ccd6ca86"),
+    (5, "bnb", 512, 117.0, 512, True, "9051af59ccd6ca86"),
+    (5, "bnb", 3651, 117.6, 3651, True, "cf4db2f89f88e4c1"),
+    (5, "bnb", 5626, 119.1, 5626, True, "a40c22590716be09"),
+    (3, "solve", 15667, 136.49999999999997, 15667, True, "2e088ebb137c6379"),
+    (5, "solve", 8589, 117.6, 8589, True, "cf4db2f89f88e4c1"),
+]
+
+
+@pytest.mark.parametrize("seed,route,nodes,objective,explored,exhausted,digest",
+                         BNB_PINS)
+def test_branch_and_bound_truncation_is_pinned(seed, route, nodes, objective,
+                                               explored, exhausted, digest):
+    problem = mcmkp_gap_problem(random.Random(seed))
+    local = local_search_improve(problem, greedy_construct(problem), AMPLE)
+    budget = SolverBudget.nodes(nodes)
+    result = branch_and_bound(problem, local, budget) if route == "bnb" \
+        else solve(problem, budget)
+    assert (result.objective, result.nodes_explored, result.budget_exhausted,
+            pairs_digest(result.pairs)) == (objective, explored, exhausted,
+                                            digest)
+    assert result.objective > local.objective and not result.proven_optimal
+
+
+def test_branch_and_bound_charges_nodes_in_batches(monkeypatch):
+    problem = mcmkp_gap_problem(random.Random(3))
+    clock_type = type(SolverBudget.nodes(0).start())
+    charge, calls = clock_type.charge, []
+
+    def counted(self, k=1):
+        calls.append(k)
+        return charge(self, k)
+
+    monkeypatch.setattr(clock_type, "charge", counted)
+    result = branch_and_bound(problem, greedy_construct(problem),
+                              SolverBudget.nodes(20_000))
+    assert (result.nodes_explored, result.budget_exhausted) == (20_000, True)
+    # the root, 79 batches of at most 256 and the one that finds none left
+    assert len(calls) <= -(-20_000 // 256) + 2
+
+
+def test_wall_clock_budget_stops_an_unfinished_search():
+    # this search is not finished after 5,000,000 nodes
+    problem = mcmkp_gap_problem(random.Random(3))
+    start = time.monotonic()
+    result = branch_and_bound(problem, greedy_construct(problem),
+                              SolverBudget.seconds(0.2))
+    assert time.monotonic() - start < 2.0
+    assert_feasible(problem, result)
+    assert result.budget_exhausted and not result.proven_optimal
+    assert result.nodes_explored > 0
 
 
 @settings(max_examples=200, deadline=None)
