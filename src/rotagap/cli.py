@@ -188,8 +188,9 @@ def config_from_args(args) -> dict:
 def resolve_config(raw: dict) -> dict:
     """Check a raw run config and return it resolved, as ``config.json``
     records it: canonical strategy and budget specs, seeds filled in.  The
-    scenario's parameters, or its files, are checked here too, so that a
-    bad input is refused before any job starts."""
+    scenario's parameters, or its files, are checked here too, and so is
+    each strategy's value range over them, so that a bad input is refused
+    before any job starts."""
     scenario = raw["scenario"]
     if not isinstance(scenario, dict):
         raise ConfigError(f"scenario must be an object, got {scenario!r}")
@@ -204,10 +205,23 @@ def resolve_config(raw: dict) -> dict:
             raise ConfigError(f"cycles must be >= 1, got {cycles}")
     seeds = [int(s) for s in raw.get("seeds") or []]
     if scenario.get("name") == "files":
-        instance, _ = load_files(scenario)
+        instance, trace = load_files(scenario)
         seeds = seeds or [int(instance.metadata.get("seed", 0))]
+        top = max((p for task in instance.tasks
+                   for p in task.profits.values()), default=0)
+        if instance.metadata.get("generator") == "tcsa":  # may redraw
+            top = max(top, TcsaParams().max_profit)
+        extent = (top, trace.cycles, len(instance.tasks))
     else:
-        scenario_params(scenario, 0, cycles).validate()
+        params = scenario_params(scenario, 0, cycles)
+        params.validate()
+        if isinstance(params, TcsaParams):
+            run_cycles = params.cycles
+        else:
+            run_cycles = cycles or scenarios.CYCLES_PER_TASK * params.tasks
+        extent = (params.max_profit, run_cycles, params.tasks)
+    for strategy in strategies:
+        strategy.check_values_finite(*extent)
     workers = int(raw.get("workers", 1))
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")

@@ -18,6 +18,9 @@ CORRELATIONS = ("uncorrelated", "weakly_correlated")
 
 _WEIGHT_LO, _WEIGHT_HI = 10, 1000
 _PROFIT_LO, _PROFIT_HI = 10, 1000
+_PROFIT_NOISE = 99  # weakly correlated profits: weight +- this
+# a Bernoulli trace without a cycle count runs this many cycles per task
+CYCLES_PER_TASK = 3
 
 
 class GenerationError(RuntimeError):
@@ -76,6 +79,13 @@ class McmkpParams:
             if not (0.0 < p <= 1.0):
                 raise GenerationError(f"{name} must be in (0, 1], got {p}")
 
+    @property
+    def max_profit(self) -> int:
+        """The largest profit the generator can draw."""
+        if self.correlation == "uncorrelated":
+            return _PROFIT_HI
+        return _WEIGHT_HI + _PROFIT_NOISE
+
 
 @dataclass(frozen=True)
 class TcsaParams:
@@ -112,6 +122,12 @@ class TcsaParams:
                 raise GenerationError(f"{name} must be a non-empty positive range")
         if self.cycles < 1:
             raise GenerationError("cycles must be >= 1")
+
+    @property
+    def max_profit(self) -> int:
+        """The largest priority the generator, or the per-cycle redraw, can
+        draw."""
+        return _PROFIT_HI
 
 
 def _mcmkp_capacities(shares: list[float], weights: list[int], m: int) -> list[int]:
@@ -178,7 +194,8 @@ def generate_mcmkp(params: McmkpParams) -> Instance:
     if params.correlation == "uncorrelated":
         profits = [p_rng.randint(_PROFIT_LO, _PROFIT_HI) for _ in range(n)]
     else:
-        profits = [max(1, w + p_rng.randint(-99, 99)) for w in weights]
+        profits = [max(1, w + p_rng.randint(-_PROFIT_NOISE, _PROFIT_NOISE))
+                   for w in weights]
 
     agents = tuple(AgentSpec(id=_agent_id(i, m), capacity=caps[i]) for i in range(m))
     tasks = []
@@ -235,15 +252,16 @@ def generate_trace_bernoulli(instance: Instance, cycles: int | None,
                              agent_p: float, task_p: float,
                              seed: int) -> ScenarioTrace:
     """Independent per-cycle availability: each entity is available with its
-    probability every cycle.  ``cycles=None`` defaults to three times the
-    task count.  Cycles with no available agent or task are redrawn."""
+    probability every cycle.  ``cycles=None`` defaults to
+    ``CYCLES_PER_TASK`` times the task count.  Cycles with no available
+    agent or task are redrawn."""
     for name, p in (("agent_p", agent_p), ("task_p", task_p)):
         if not (0.0 < p <= 1.0):
             raise GenerationError(f"{name} must be in (0, 1], got {p}")
     agent_ids = instance.agent_ids
     task_ids = instance.task_ids
     if cycles is None:
-        cycles = 3 * len(task_ids)
+        cycles = CYCLES_PER_TASK * len(task_ids)
     if cycles < 1:
         raise GenerationError("cycles must be >= 1")
     rng = random.Random(derive_seed(seed, "trace", "bernoulli"))

@@ -18,13 +18,20 @@ Budgets are counted in deterministic work units ("nodes"): one per
 branch-and-bound node, and one per local-search candidate move scanned --
 every insert, every shift except onto the task's current agent, every
 exchange onto a statically feasible pair, and every swap between tasks on
-different agents (charged before its mask is read).  Local search scans in
-numpy blocks charged in bulk, with exactly that accounting.  Branch-and-bound
+different agents (charged before its mask is read).  Local search charges
+each neighbourhood in bulk, with one charge and exactly that per-move
+accounting, then evaluates the granted moves in numpy blocks; rows of a
+neighbourhood whose gain bound cannot beat the best move so far are not
+evaluated.  A deadline is checked once per neighbourhood.  Branch-and-bound
 takes nodes from the clock in batches of at most 256 (never more than a node
 limit has left), keeps one unit per node it visits and hands back what it
 did not use.  In ``node_limit`` mode identical inputs therefore yield
 identical assignments; ``wall_clock`` mode trades that determinism for a
 real-time contract.
+
+Values must be non-negative on feasible pairs (``GapProblem`` refuses
+others): the capacity-relaxed bound and the local-search row bounds rely on
+it.
 
 Tie-breaking everywhere is by value first, then lexicographic ids.
 """
@@ -160,7 +167,9 @@ class GapProblem:
     """One cycle's assignment problem in index space.
 
     ``feasible_pairs`` already combines compatibility and availability; rows
-    and columns are labeled by ``agent_ids`` / ``task_ids``.
+    and columns are labeled by ``agent_ids`` / ``task_ids``.  On feasible
+    pairs values are finite and non-negative (``-0.0`` included) and weights
+    positive; entries off them are never read.
     """
 
     agent_ids: tuple[str, ...]
@@ -186,8 +195,11 @@ class GapProblem:
             raise ValueError(f"agent_capacities must have shape ({m},)")
         if (self.agent_capacities < 0).any():
             raise ValueError("capacities must be >= 0")
-        if not np.isfinite(self.values[self.feasible_pairs]).all():
+        used = self.values[self.feasible_pairs]
+        if not np.isfinite(used).all():
             raise ValueError("values must be finite on feasible pairs")
+        if (used < 0).any():
+            raise ValueError("values must be >= 0 on feasible pairs")
         if (self.weights[self.feasible_pairs] <= 0).any():
             raise ValueError("weights must be positive on feasible pairs")
 
@@ -250,7 +262,7 @@ class _Work:
         best = np.zeros(self.n)
         has = self.offsets[1:] > self.offsets[:-1]
         best[has] = self.cand_v[self.offsets[:-1][has]]
-        self.best_value = best.tolist()
+        self.best_value = best
 
     def objective(self, assigned: np.ndarray) -> float:
         tasks = np.flatnonzero(assigned >= 0)
@@ -369,56 +381,152 @@ def greedy_construct(problem: GapProblem) -> Assignment:
     return work.to_assignment(assigned, proven=False, nodes=0, exhausted=False)
 
 
-_BLOCK = 4096  # cells per exchange / swap block
+_BLOCK = 4096  # cells per block of an exchange / swap scan
 
 
 def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
-    """Local search's scan, in order, as blocks of equal-shaped arrays
-    ``(kind, charged, gain, ok, x, y)``: the cells that cost a work unit
-    (scanned row by row), each move's gain, whether it keeps the mask and
-    every capacity, and its two arguments, ``x`` by row and ``y`` by column.
+    """Local search's scan, in order, one neighbourhood at a time, as
+    ``(kind, block, rows)``.
+
+    ``block(r)`` gives the cells of rows ``r`` as equal-shaped arrays
+    ``(charged, gain, ok, x, y)``: the cells that cost a work unit (scanned
+    row by row), each move's gain, whether it keeps the mask and every
+    capacity, and its two arguments, ``x`` by row and ``y`` by column.  For
+    a neighbourhood that fits in one block ``rows`` is the slice of all its
+    rows; otherwise ``r`` is an ascending index array and ``rows()`` gives,
+    per row, its number of charged cells, a bound that none of its gains
+    exceeds and its width in cells.  Insert and shift are one row each.
     """
     values, weights, feasible = work.values, work.weights, work.feasible
     agent, task = work.cand_agent, work.cand_task
     holder = assigned[task]
     fits = rem[agent] >= work.cand_w
     # insert: every candidate of an unassigned task
-    yield "insert", holder < 0, work.cand_v, fits, task, agent
+    yield ("insert", lambda r: (holder < 0, work.cand_v, fits, task, agent),
+           slice(None))
     # shift: every candidate of an assigned task but its current agent
-    yield ("shift", (holder >= 0) & (holder != agent),
-           work.cand_v - values[holder, task], fits, task, agent)
+    yield ("shift", lambda r: ((holder >= 0) & (holder != agent),
+                               work.cand_v - values[holder, task], fits,
+                               task, agent), slice(None))
 
     free = np.flatnonzero(assigned < 0)
     held = np.flatnonzero(assigned >= 0)
     own = assigned[held]
     v_own = values[own, held]
     slack = rem[own] + weights[own, held]
+    h, f = len(held), len(free)
     # exchange: assigned j1 out, unassigned j2 in on j1's agent; each
     # statically feasible (agent, j2) pair
-    if len(free):
+    if h and f:
         vals, wts, feas = values[:, free], weights[:, free], feasible[:, free]
-        step = max(1, _BLOCK // len(free))
-        for s in range(0, len(held), step):
-            i = own[s:s + step]
-            yield ("exchange", feas[i], vals[i] - v_own[s:s + step, None],
-                   wts[i] <= slack[s:s + step, None], held[s:s + step], free)
+
+        def exchange(r):
+            i = own[r]
+            return (feas[i], vals[i] - v_own[r, None],
+                    wts[i] <= slack[r, None], held[r], free)
+
+        def exchange_rows():
+            # exact: a gain is one subtraction, and rounding is monotone;
+            # values are >= 0, so the 0.0 off the mask never raises the
+            # maximum of a row that has charged cells
+            return feas.sum(1)[own], vals.max(1)[own] - v_own, np.full(h, f)
+
+        yield ("exchange", exchange,
+               slice(None) if h * f <= _BLOCK else exchange_rows)
 
     # swap: assigned j1 before j2 trade agents; each pair on different
     # agents, charged before the mask is read
-    vals, wts, feas = values[:, held], weights[:, held], feasible[:, held]
-    s = 0
-    while s < len(held) - 1:
-        e = min(len(held) - 1, s + max(1, _BLOCK // (len(held) - s - 1)))
-        i1, i2 = own[s:e], own[s + 1:]
-        upper = np.arange(s + 1, len(held)) > np.arange(s, e)[:, None]
-        ok = feas[i1, s + 1:] & feas[i2, s:e].T \
-            & (slack[s:e, None] >= wts[i1, s + 1:]) \
-            & (slack[s + 1:] >= wts[i2, s:e].T)
-        gain = vals[i2, s:e].T + vals[i1, s + 1:] - v_own[s:e, None] \
-            - v_own[s + 1:]
-        yield ("swap", upper & (i1[:, None] != i2), gain, ok,
-               held[s:e], held[s + 1:])
-        s = e
+    if h > 1:
+        vals, wts, feas = values[:, held], weights[:, held], feasible[:, held]
+        pos = np.arange(h)
+
+        def swap(r):
+            rc = pos[r, None]
+            lo = int(rc[0, 0]) + 1
+            i1, i2 = own[r], own[lo:]
+            ok = feas[i1, lo:] & feas[:, r][i2].T \
+                & (slack[r, None] >= wts[i1, lo:]) \
+                & (slack[lo:] >= wts[:, r][i2].T)
+            gain = vals[:, r][i2].T + vals[i1, lo:] - v_own[r, None] \
+                - v_own[lo:]
+            return ((pos[lo:] > rc) & (i1[:, None] != i2), gain, ok, held[r],
+                    held[lo:])
+
+        def swap_rows():
+            # row s charges the later held tasks on other agents: all later
+            # ones but those that follow it in its agent's run of `order`
+            order = np.argsort(own, kind="stable")
+            later = np.empty(h, dtype=np.int64)
+            later[order] = np.cumsum(np.bincount(own))[own[order]] - pos
+            # a gain (values[own[t], j1] + values[own[s], j2]) - v_own[s] -
+            # v_own[t] is at most best_value[j1] - v_own[s] plus the largest
+            # values[own[s], j2] - v_own[t] over the later t that can keep
+            # the mask on another agent: a suffix maximum per agent.  The
+            # gain and the bound add the same values in different orders;
+            # together they round by less than 7 ulps of the largest value,
+            # which the margin covers.
+            second = np.where(feas, vals - v_own, -np.inf)
+            second[own, pos] = -np.inf
+            second = np.maximum.accumulate(second[:, ::-1], axis=1)[:, ::-1]
+            margin = 16 * np.finfo(float).eps * values.max()
+            bound = (work.best_value[held[:-1]] - v_own[:-1]) \
+                + second[own[:-1], pos[1:]] + margin
+            return (h - pos - later)[:-1], bound, h - 1 - pos[:-1]
+
+        yield ("swap", swap,
+               slice(0, h - 1) if (h - 1) * (h - 1) <= _BLOCK else swap_rows)
+
+
+def _best_cell(best: float, drop: int, charged, gain, ok, x, y):
+    """The first largest gain above ``best`` among the charged cells in
+    scan order, all but the last ``drop`` of them: ``(gain, (x, y))``, or
+    ``(best, None)`` where none is larger."""
+    gain = np.where(charged & ok, gain, -np.inf).ravel()
+    if drop:  # up to the last cell kept
+        keep = np.flatnonzero(charged)[:-drop]
+        gain = gain[:keep[-1] + 1 if len(keep) else 0]
+    if len(gain):
+        k = int(np.argmax(gain))
+        if gain[k] > best:
+            at = np.unravel_index(k, charged.shape)
+            return gain[k], (int(x[at[0]]), int(y[at[-1]]))
+    return best, None
+
+
+def _scan(clock: _BudgetClock, best: float, block, rows):
+    """Charge one neighbourhood with a single ``charge`` and find the first
+    largest gain above ``best`` among its granted cells; returns ``(best,
+    (x, y) or None, cut)``.
+
+    A neighbourhood that fits in one block is that block with every row
+    live.  Otherwise the fully granted rows are found from the per-row
+    counts, of a partly granted last row only its granted cells count, and
+    a row is evaluated only while its bound beats the best gain so far:
+    live rows in scan order, in blocks of at most ``_BLOCK`` cells.
+    """
+    if isinstance(rows, slice):
+        charged, gain, ok, x, y = block(rows)
+        total = int(np.count_nonzero(charged))
+        granted = clock.charge(total)
+        best, move = _best_cell(best, total - granted, charged, gain, ok, x, y)
+        return best, move, granted < total
+    counts, bound, width = rows()
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    granted = clock.charge(total)
+    full = int(np.searchsorted(ends, granted, "right"))
+    part = granted - (int(ends[full - 1]) if full else 0)  # of row `full`
+    live = np.flatnonzero(bound[:full + (part > 0)] > best)
+    move = None
+    while len(live):
+        k = max(1, _BLOCK // int(width[live[0]]))
+        r, live = live[:k], live[k:]
+        drop = int(counts[full]) - part if r[-1] == full else 0
+        best, found = _best_cell(best, drop, *block(r))
+        if found is not None:
+            move = found
+            live = live[bound[live] > best]
+    return best, move, granted < total
 
 
 def _local_search(work: _Work, assigned: np.ndarray,
@@ -430,9 +538,10 @@ def _local_search(work: _Work, assigned: np.ndarray,
     agent; without it, full agents are frozen and tight knapsack-style
     instances stall well below optimum.
 
-    Each block of the scan is charged in bulk and only its granted prefix is
-    considered.  The move kept is the first largest gain above the best so
-    far, which is what a cell-by-cell scan keeping strict improvements picks.
+    Each neighbourhood is charged in bulk and only its granted cells are
+    considered (see :func:`_scan`).  The move kept is the first largest gain
+    above the best so far, which is what a cell-by-cell scan keeping strict
+    improvements picks.
     """
     weights = work.weights
     rem = work.problem.agent_capacities.copy()
@@ -440,20 +549,10 @@ def _local_search(work: _Work, assigned: np.ndarray,
     np.subtract.at(rem, assigned[held], weights[assigned[held], held])
     while True:
         best_delta, move, cut = _EPS, None, False
-        for kind, charged, gain, ok, x, y in _neighbourhoods(work, assigned,
-                                                             rem):
-            cells = np.flatnonzero(charged)
-            granted = clock.charge(len(cells))
-            cut = granted < len(cells)
-            cells = cells[:granted]
-            if len(cells):
-                gain = np.where(ok.ravel()[cells], gain.ravel()[cells],
-                                -np.inf)
-                k = int(np.argmax(gain))
-                if gain[k] > best_delta:
-                    best_delta = gain[k]
-                    at = np.unravel_index(cells[k], charged.shape)
-                    move = (kind, int(x[at[0]]), int(y[at[-1]]))
+        for kind, block, rows in _neighbourhoods(work, assigned, rem):
+            best_delta, found, cut = _scan(clock, best_delta, block, rows)
+            if found is not None:
+                move = (kind, *found)
             if cut:
                 break
 
@@ -519,10 +618,11 @@ def _branch_and_bound(work: _Work, incumbent: np.ndarray,
         return incumbent.copy(), False
     n = work.n
     task_ids = work.problem.task_ids
-    order = sorted(range(n), key=lambda j: (-work.best_value[j], task_ids[j]))
+    best_value = work.best_value.tolist()
+    order = sorted(range(n), key=lambda j: (-best_value[j], task_ids[j]))
     suffix = [0.0] * (n + 1)
     for d in range(n - 1, -1, -1):
-        suffix[d] = suffix[d + 1] + work.best_value[order[d]]
+        suffix[d] = suffix[d + 1] + best_value[order[d]]
     # per-depth rows of task order[d]: value and weight by agent, and its
     # candidate (agent, weight) pairs, worst first
     v_at = work.values.T[order].tolist()
@@ -606,7 +706,7 @@ def branch_and_bound(problem: GapProblem, incumbent: Assignment,
 def root_upper_bound(problem: GapProblem) -> float:
     """Capacity-relaxed bound at the root: sum of per-task best values."""
     work = _Work(problem)
-    return sum(work.best_value)
+    return sum(work.best_value.tolist())
 
 
 def solve(problem: GapProblem, budget: SolverBudget) -> Assignment:

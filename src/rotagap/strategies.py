@@ -55,6 +55,26 @@ class StrategyConfig:
         if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
             raise ConfigError("alpha and beta must be finite and >= 0")
 
+    def check_values_finite(self, max_profit: int, cycles: int,
+                            tasks: int) -> None:
+        """Refuse a ``pc`` config whose values can overflow float64 in a run
+        of ``cycles`` cycles over ``tasks`` tasks with profits up to
+        ``max_profit``.  An affinity never exceeds the cycle count, so a
+        value is at most ``max_profit**alpha * cycles**beta``, and one
+        cycle's objective sums at most ``tasks`` of them."""
+        if self.kind != "pc":
+            return
+        try:
+            top = float(max_profit) ** self.alpha \
+                * float(cycles) ** self.beta * tasks
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ConfigError(
+                f"strategy {self.spec} overflows: with profits up to "
+                f"{max_profit} over {cycles} cycles its values exceed the "
+                f"float range")
+
     @property
     def spec(self) -> str:
         """Canonical spec, e.g. ``os:10`` or ``pc``; :meth:`parse` reads it

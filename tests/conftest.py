@@ -89,6 +89,43 @@ def mcmkp_gap_problem(rng: random.Random, agents: int = 12,
     )
 
 
+def tcsa_gap_problem(rng: random.Random, agents: int = 20, tasks: int = 750,
+                     values: str = "integer") -> GapProblem:
+    """Problem shaped like a tcsa cycle: agent-independent weights in
+    [1, 21], each task compatible with 6 of the agents, capacities that
+    together hold about 80% of the total weight and shuffled ids.  Local
+    search's exchange and swap neighbourhoods span many blocks here.
+
+    ``values`` is ``"integer"`` (a per-task priority times a small per-pair
+    affinity, as ``pc`` gives), ``"tenths"`` (multiples of 0.1, full of
+    ties) or ``"uniform"`` (uniform floats on a random scale from 1e-3 to
+    1e6)."""
+    weights = [rng.randint(1, 21) for _ in range(tasks)]
+    share = sum(weights) * 4 // (5 * agents)
+    caps = np.array([rng.randint(share * 9 // 10, share * 11 // 10)
+                     for _ in range(agents)])
+    feasible = np.zeros((agents, tasks), dtype=bool)
+    for j in range(tasks):
+        feasible[rng.sample(range(agents), min(6, agents)), j] = True
+    if values == "integer":
+        priority = [rng.randint(10, 1000) for _ in range(tasks)]
+        table = np.array([[float(p * rng.randint(1, 8)) for p in priority]
+                          for _ in range(agents)])
+    elif values == "tenths":
+        table = np.array([[rng.randint(0, 30) * 0.1 for _ in range(tasks)]
+                          for _ in range(agents)])
+    else:
+        scale = 10.0 ** rng.randint(-3, 6)
+        table = np.array([[rng.random() * scale for _ in range(tasks)]
+                          for _ in range(agents)])
+    return GapProblem(
+        agent_ids=tuple(f"a{k:02d}" for k in rng.sample(range(agents), agents)),
+        task_ids=tuple(f"t{k:03d}" for k in rng.sample(range(tasks), tasks)),
+        agent_capacities=caps, weights=np.tile(weights, (agents, 1)),
+        values=table, feasible_pairs=feasible,
+    )
+
+
 def assert_feasible(problem: GapProblem, assignment) -> None:
     """Independent feasibility re-check used by solver tests (does not rely
     on the solver's own verifier)."""

@@ -178,6 +178,25 @@ def test_run_config_errors(tmp_path):
         assert not out.exists(), name
 
 
+def test_pc_values_that_overflow_are_refused(tmp_path):
+    # 1000**200 is beyond float range: left to the jobs, every one fails
+    # with "value matrix contains non-finite entries"
+    mcmkp = ["--scenario", "mcmkp", "--agents", "2", "--tasks", "4",
+             "--cycles", "2", "--budget", "nodes:10"]
+    gen = tmp_path / "gen"
+    assert run_cli("generate", *mcmkp[:-2], "--seed", "9", "-o", str(gen)) == 0
+    files = ["--instance", str(gen / "mcmkp-2x4-uncorrelated-seed9.instance.json"),
+             "--trace", str(gen / "mcmkp-2x4-uncorrelated-seed9.trace.jsonl"),
+             "--budget", "nodes:10"]
+    for name, argv in [("generated", mcmkp), ("files", files)]:
+        out = tmp_path / f"{name}-overflow"
+        assert run_cli("run", *argv, "--strategies", "pc:200:1",
+                       "-o", str(out)) == 2, name
+        assert not out.exists(), name
+        assert run_cli("run", *argv, "--strategies", "pc:2:0.5",
+                       "-o", str(tmp_path / f"{name}-fine")) == 0, name
+
+
 def test_run_defaults_to_a_node_budget(tmp_path):
     out = tmp_path / "run"
     assert run_cli("run", "--scenario", "mcmkp", "--agents", "2", "--tasks", "4",

@@ -13,7 +13,7 @@ from rotagap.solver import (Assignment, GapProblem, SolverBudget, SolverError,
                             root_upper_bound, solve)
 
 from conftest import (assert_feasible, mcmkp_gap_problem, random_gap_problem,
-                      shuffled_gap_problem)
+                      shuffled_gap_problem, tcsa_gap_problem)
 
 AMPLE = SolverBudget.nodes(2_000_000)
 
@@ -348,8 +348,8 @@ def reference_candidates(problem: GapProblem):
 def reference_greedy_and_local_search(problem: GapProblem, nodes: int):
     """Ratio greedy, then local search scanning move by move and charging
     one unit at a time: the loops the vectorised solver replaced, kept as
-    its reference.  Returns (greedy pairs, improved pairs, units used,
-    exhausted)."""
+    its reference.  Returns the greedy pairs and the improved assignment,
+    as ``local_search_improve`` gives it from greedy."""
     n = len(problem.task_ids)
     w, v = problem.weights.tolist(), problem.values.tolist()
     caps = problem.agent_capacities.tolist()
@@ -418,7 +418,10 @@ def reference_greedy_and_local_search(problem: GapProblem, nodes: int):
             rem[i1] += w[i1][x] - w[i1][y]
             rem[i2] += w[i2][y] - w[i2][x]
             assigned[x], assigned[y] = i2, i1
-    return greedy, pairs(), used, exhausted
+    objective = sum([v[i][j] for j, i in enumerate(assigned) if i is not None])
+    return greedy, Assignment(pairs=frozenset(pairs()), objective=objective,
+                              proven_optimal=False, nodes_explored=used,
+                              budget_exhausted=exhausted)
 
 
 @settings(max_examples=150, deadline=None)
@@ -428,8 +431,7 @@ def test_greedy_and_local_search_match_the_unit_scan(seed, nodes):
     problem = shuffled_gap_problem(rng, rng.randint(1, 6), rng.randint(1, 30))
     greedy = greedy_construct(problem)
     result = local_search_improve(problem, greedy, SolverBudget.nodes(nodes))
-    assert (greedy.pairs, result.pairs, result.nodes_explored,
-            result.budget_exhausted) \
+    assert (greedy.pairs, result) \
         == reference_greedy_and_local_search(problem, nodes)
 
 
@@ -518,19 +520,38 @@ def reference_branch_and_bound(problem: GapProblem, start: Assignment,
             return result(best, False)
 
 
-def with_signed_zeros_and_negatives(rng: random.Random,
-                                    problem: GapProblem) -> GapProblem:
-    """The same problem with about 15% of its values -0.0 and 5% negative."""
+def with_signed_zeros(rng: random.Random, problem: GapProblem) -> GapProblem:
+    """The same problem with about 15% of its values -0.0."""
     values = problem.values.copy()
     for cell in np.ndindex(values.shape):
-        roll = rng.random()
-        if roll < 0.15:
+        if rng.random() < 0.15:
             values[cell] = -0.0
-        elif roll < 0.2:
-            values[cell] = -rng.randint(1, 9) * 0.7
     return GapProblem(problem.agent_ids, problem.task_ids,
                       problem.agent_capacities, problem.weights, values,
                       problem.feasible_pairs)
+
+
+def test_negative_values_on_feasible_pairs_are_rejected():
+    # the bounds and greedy assume values >= 0; solved, this problem would
+    # give -2.0 "proven optimal" where task t01 alone gives 3.0
+    with pytest.raises(ValueError, match="values must be >= 0"):
+        small_problem([10], [[1, 1]], [[-5.0, 3.0]])
+    rng = random.Random(5)
+    problem = shuffled_gap_problem(rng, 4, 14)
+    values = problem.values.copy()
+    cells = np.argwhere(problem.feasible_pairs)
+    for i, j in cells[rng.sample(range(len(cells)), 3)]:
+        values[i, j] = -rng.randint(1, 9) * 0.7
+    with pytest.raises(ValueError, match="values must be >= 0"):
+        GapProblem(problem.agent_ids, problem.task_ids,
+                   problem.agent_capacities, problem.weights, values,
+                   problem.feasible_pairs)
+    # off the mask a negative value is never read, and -0.0 is not negative
+    values = np.where(problem.feasible_pairs, -0.0, -1.0)
+    zeros = GapProblem(problem.agent_ids, problem.task_ids,
+                       problem.agent_capacities, problem.weights, values,
+                       problem.feasible_pairs)
+    assert solve(zeros, AMPLE).objective == 0.0
 
 
 @settings(max_examples=150, deadline=None)
@@ -548,7 +569,7 @@ def test_branch_and_bound_matches_the_unit_charged_loop(seed, shape, nodes,
         problem = mcmkp_gap_problem(rng)
         nodes = min(nodes, 20_000)
     if signed:
-        problem = with_signed_zeros_and_negatives(rng, problem)
+        problem = with_signed_zeros(rng, problem)
     budget = SolverBudget.nodes(nodes)
     greedy = greedy_construct(problem)
     for start in (Assignment.empty(), greedy):
@@ -625,6 +646,139 @@ def test_wall_clock_budget_stops_an_unfinished_search():
     assert_feasible(problem, result)
     assert result.budget_exhausted and not result.proven_optimal
     assert result.nodes_explored > 0
+
+
+def first_scan_rows(problem: GapProblem, start: Assignment):
+    """Where local search's first scan from ``start`` ends each row of its
+    exchange and of its swap neighbourhood, in work units used."""
+    feas, by_task = reference_candidates(problem)
+    agent_index = {a: i for i, a in enumerate(problem.agent_ids)}
+    task_index = {t: j for j, t in enumerate(problem.task_ids)}
+    assigned = [None] * len(problem.task_ids)
+    for agent_id, task_id in start.pairs:
+        assigned[task_index[task_id]] = agent_index[agent_id]
+    held = [j for j, i in enumerate(assigned) if i is not None]
+    free = [j for j, i in enumerate(assigned) if i is None]
+    units = sum(len(by_task[j]) for j in free) \
+        + sum(len(by_task[j]) - 1 for j in held)
+    exchange, swap = [], []
+    for j1 in held:
+        units += sum(feas[assigned[j1]][j2] for j2 in free)
+        exchange.append(units)
+    for a, j1 in enumerate(held[:-1]):
+        units += sum(assigned[j2] != assigned[j1] for j2 in held[a + 1:])
+        swap.append(units)
+    return exchange, swap
+
+
+def inside(ends: list[int], k: int) -> int:
+    """A unit strictly inside the first row from the k-th on that has
+    one."""
+    while ends[k] - ends[k - 1] < 2:
+        k += 1
+    return (ends[k - 1] + ends[k]) // 2
+
+
+# tcsa-shaped problems (seed, tasks, values) whose exchange and swap
+# neighbourhoods span several blocks, even at 200 tasks
+MULTI_BLOCK_SHAPES = [(1, 750, "integer"), (2, 600, "tenths"),
+                      (3, 450, "uniform"), (4, 300, "integer"),
+                      (5, 200, "uniform"), (6, 250, "tenths")]
+
+
+@pytest.mark.parametrize("seed,tasks,values", MULTI_BLOCK_SHAPES)
+def test_multi_block_local_search_matches_the_unit_scan(seed, tasks, values):
+    problem = tcsa_gap_problem(random.Random(seed), tasks=tasks,
+                               values=values)
+    greedy = greedy_construct(problem)
+    exchange, swap = first_scan_rows(problem, greedy)
+    budgets = [inside(exchange, len(exchange) // 2),
+               exchange[len(exchange) // 3],
+               inside(swap, len(swap) // 8),
+               swap[len(swap) // 10],
+               swap[-1] + exchange[0]]
+    if tasks <= 300:
+        budgets.append(AMPLE.node_limit)
+    for nodes in budgets:
+        reference_greedy, local = reference_greedy_and_local_search(problem,
+                                                                    nodes)
+        assert reference_greedy == greedy.pairs
+        assert local_search_improve(problem, greedy,
+                                    SolverBudget.nodes(nodes)) == local
+        # solve: branch-and-bound gets what local search leaves, or 2,000
+        # nodes after a finished local search
+        nodes = min(nodes, local.nodes_explored + 2000)
+        assert solve(problem, SolverBudget.nodes(nodes)) \
+            == reference_branch_and_bound(problem, local, nodes,
+                                          used=local.nodes_explored)
+
+
+# local_search_improve from greedy ("local"), or solve, on
+# tcsa_gap_problem(Random(seed), values=values), 20 x 750: (seed, values,
+# route, nodes, objective, nodes_explored, exhausted, pairs_digest).
+# Recorded from the scan that charged every block of 4,096 cells and
+# evaluated them all.  From greedy the first scan's swap neighbourhood
+# starts at unit 25042 (seed 1) and 21371 (seed 3); its kept move changes
+# at 64086 and 177195 (seed 1, swap) and 16354 (seed 3, exchange).  Local
+# search ends after 4815086 (seed 1) and 6676958 (seed 3) units.
+TCSA_PINS = [
+    (1, "integer", "local", 64085, 2645227.0, 64085, True, "07c2525156ca7b87"),
+    (1, "integer", "local", 64086, 2645339.0, 64086, True, "26e07e7fff85993c"),
+    (1, "integer", "local", 177195, 2646042.0, 177195, True,
+     "01fc770a88663af5"),
+    (1, "integer", "solve", 4818086, 2652518.0, 4818086, True,
+     "a824522b8fde225c"),
+    (3, "uniform", "local", 16353, 577.0865423363817, 16353, True,
+     "32f168794364f5e5"),
+    (3, "uniform", "local", 16354, 577.1192707619576, 16354, True,
+     "988bee97f3a60780"),
+    (3, "uniform", "local", 400000, 577.6242367732898, 400000, True,
+     "ef32402376edb77b"),
+    (3, "uniform", "solve", 6679958, 581.1623811133963, 6679958, True,
+     "5eb6bf359adae56d"),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,values,route,nodes,objective,explored,exhausted,digest", TCSA_PINS)
+def test_multi_block_truncation_is_pinned(seed, values, route, nodes,
+                                          objective, explored, exhausted,
+                                          digest):
+    problem = tcsa_gap_problem(random.Random(seed), values=values)
+    budget = SolverBudget.nodes(nodes)
+    result = local_search_improve(problem, greedy_construct(problem), budget) \
+        if route == "local" else solve(problem, budget)
+    assert (result.objective, result.nodes_explored, result.budget_exhausted,
+            result.proven_optimal, pairs_digest(result.pairs)) \
+        == (objective, explored, exhausted, False, digest)
+
+
+def test_local_search_charges_each_neighbourhood_once(monkeypatch):
+    problem = tcsa_gap_problem(random.Random(1))
+    clock_type = type(SolverBudget.nodes(0).start())
+    charge, calls = clock_type.charge, []
+
+    def counted(self, k=1):
+        calls.append(k)
+        return charge(self, k)
+
+    monkeypatch.setattr(clock_type, "charge", counted)
+    result = local_search_improve(problem, greedy_construct(problem),
+                                  SolverBudget.nodes(100_000))
+    assert (result.nodes_explored, result.budget_exhausted) == (100_000, True)
+    # insert, shift, exchange, then the swap neighbourhood the budget cuts
+    assert len(calls) <= 4
+
+
+def test_wall_clock_budget_stops_an_unfinished_local_search():
+    # from empty, local search needs 63,086,021 units on this problem
+    problem = tcsa_gap_problem(random.Random(1))
+    start = time.monotonic()
+    result = local_search_improve(problem, Assignment.empty(),
+                                  SolverBudget.seconds(0.05))
+    assert time.monotonic() - start < 2.0
+    assert_feasible(problem, result)
+    assert result.budget_exhausted and result.nodes_explored > 0
 
 
 @settings(max_examples=200, deadline=None)
