@@ -68,27 +68,26 @@ def update_affinities(state: AffinityState, prev_available: np.ndarray,
     """
     mats = state.mats
     pairs = list(_assignment_pairs(prev_assignment))
-    seen_tasks: set[str] = set()
-    rows, cols = [], []
-    for agent_id, task_id in pairs:
-        i = mats.agent_index[agent_id]
-        j = mats.task_index[task_id]
-        if not mats.compat[i, j]:
+    rows, cols = mats.pair_positions(pairs)
+    incompatible = ~mats.compat[rows, cols]
+    unavailable = ~prev_available[rows, cols]
+    seq = np.arange(len(cols))
+    first = np.full(mats.n, len(cols))
+    np.minimum.at(first, cols, seq)  # each task's first pair
+    bad = incompatible | unavailable | (first[cols] < seq)
+    if bad.any():  # the first offending pair, checked in that order
+        k = int(np.argmax(bad))
+        agent_id, task_id = pairs[k]
+        if incompatible[k]:
             raise ValueError(f"assignment pair ({agent_id}, {task_id}) is incompatible")
-        if not prev_available[i, j]:
+        if unavailable[k]:
             raise ValueError(f"assignment pair ({agent_id}, {task_id}) was unavailable")
-        if task_id in seen_tasks:
-            raise ValueError(f"task {task_id} assigned more than once")
-        seen_tasks.add(task_id)
-        rows.append(i)
-        cols.append(j)
+        raise ValueError(f"task {task_id} assigned more than once")
 
-    affinities = state.affinities.copy()
-    affinities[prev_available] += 1
+    affinities = state.affinities + prev_available  # +1 where available
     counts = state.assignment_counts.copy()
-    if rows:
-        affinities[rows, cols] = 1
-        counts[rows, cols] += 1
+    affinities[rows, cols] = 1
+    counts[rows, cols] += 1
 
     return AffinityState(mats=mats, affinities=affinities,
                          assignment_counts=counts, cycle=state.cycle + 1)

@@ -209,16 +209,29 @@ class InstanceMatrices:
     def n(self) -> int:
         return len(self.task_ids)
 
+    @staticmethod
+    def positions(index: Mapping[str, int], ids: Iterable[str]) -> np.ndarray:
+        """Positions of ``ids`` under ``index`` (``agent_index`` or
+        ``task_index``), in iteration order; ``KeyError`` for an unknown
+        id."""
+        return np.fromiter(map(index.__getitem__, ids), dtype=np.intp)
+
+    def pair_positions(self, pairs: Iterable[tuple[str, str]]
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column positions of ``(agent_id, task_id)`` pairs, in
+        iteration order."""
+        agent_ids, task_ids = tuple(zip(*pairs)) or ((), ())
+        return (self.positions(self.agent_index, agent_ids),
+                self.positions(self.task_index, task_ids))
+
     def agent_row_mask(self, agent_ids: Iterable[str]) -> np.ndarray:
         mask = np.zeros(self.m, dtype=bool)
-        for a in agent_ids:
-            mask[self.agent_index[a]] = True
+        mask[self.positions(self.agent_index, agent_ids)] = True
         return mask
 
     def task_col_mask(self, task_ids: Iterable[str]) -> np.ndarray:
         mask = np.zeros(self.n, dtype=bool)
-        for t in task_ids:
-            mask[self.task_index[t]] = True
+        mask[self.positions(self.task_index, task_ids)] = True
         return mask
 
 

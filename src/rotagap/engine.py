@@ -70,15 +70,27 @@ def build_gap_problem(mats: InstanceMatrices, values: np.ndarray,
 
 def _profit_matrix(mats: InstanceMatrices,
                    overrides: Mapping[str, int] | None) -> np.ndarray:
+    """The instance profits with each overridden task's profit set on its
+    compatible agents; ``ValueError`` names an unknown task or a negative
+    profit."""
     if not overrides:
         return mats.profits
-    profits = mats.profits.copy()
-    values = np.full(mats.n, -1, dtype=np.int64)
-    for task_id, p in overrides.items():
-        values[mats.task_index[task_id]] = int(p)
-    cols = values >= 0
-    profits[:, cols] = np.where(mats.compat[:, cols], values[cols][None, :], 0)
-    return profits
+    try:
+        cols = mats.positions(mats.task_index, overrides)
+    except KeyError as exc:
+        raise ValueError(
+            f"profit override for unknown task {exc.args[0]}") from None
+    values = np.fromiter(overrides.values(), dtype=np.int64, count=len(cols))
+    negative = values < 0
+    if negative.any():
+        k = int(np.argmax(negative))
+        raise ValueError(f"profit override for task {list(overrides)[k]} "
+                         f"is negative: {values[k]}")
+    row = np.zeros(mats.n, dtype=np.int64)
+    row[cols] = values
+    overridden = np.zeros(mats.n, dtype=bool)
+    overridden[cols] = True
+    return np.where(overridden, mats.compat * row, mats.profits)
 
 
 def run_cycle(instance: Instance, entry: tuple[Iterable[str], Iterable[str]],
@@ -101,9 +113,7 @@ def run_cycle(instance: Instance, entry: tuple[Iterable[str], Iterable[str]],
     problem = build_gap_problem(mats, values.values, feasible)
     assignment = solve(problem, budget)
 
-    profit = 0
-    for agent_id, task_id in assignment.pairs:
-        profit += int(profits[mats.agent_index[agent_id], mats.task_index[task_id]])
+    profit = sum(profits[mats.pair_positions(assignment.pairs)].tolist())
 
     next_state = update_affinities(state, feasible, assignment)
     report = CycleReport(

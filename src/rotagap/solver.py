@@ -33,7 +33,11 @@ Values must be non-negative on feasible pairs (``GapProblem`` refuses
 others): the capacity-relaxed bound and the local-search row bounds rely on
 it.
 
-Tie-breaking everywhere is by value first, then lexicographic ids.
+Orders are exact and total.  Each task's candidate agents run by value
+descending, then agent id; greedy takes the candidates by value/weight ratio
+descending, then value descending, agent id, task id; branch-and-bound fixes
+tasks by best value descending, then task id.  Ids compare as Python strings,
+and ``-0.0`` ties with ``0.0``.
 """
 
 import math
@@ -228,13 +232,50 @@ def _ranks(ids: tuple[str, ...]) -> np.ndarray:
     return ranks
 
 
+def _dense_rank(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each entry's rank among the distinct values of ``x``, ascending, and
+    the number of distinct values.  Equal entries share a rank, ``-0.0`` and
+    ``0.0`` included, as they tie in a sort."""
+    order = np.argsort(x)
+    rank = np.empty(len(x), dtype=np.int64)
+    if not len(x):
+        return rank, 0
+    s = x[order]
+    rank[order[0]] = 0
+    rank[order[1:]] = np.cumsum(s[1:] != s[:-1])
+    return rank, int(rank[order[-1]]) + 1
+
+
+def _order(*parts: tuple[np.ndarray, int]) -> np.ndarray:
+    """The permutation that sorts by ``parts``, most significant first; each
+    part is ``(rank, levels)``, an integer array with entries in ``[0,
+    levels)``.  The parts must tell every entry apart.
+
+    One unstable ``argsort`` over an int64 mixed-radix key.  Before a part
+    would carry the key past 2**63, the key so far is replaced by its dense
+    rank, which is below the entry count; so the key fits int64 whenever the
+    entry count times the largest ``levels`` does.  For the solver's parts
+    that product is at most the square of the candidate count: up to 3e9
+    candidates, whose value matrix alone takes 24 GB.
+    """
+    key, size = parts[0]
+    for rank, levels in parts[1:]:
+        if size * levels > 2**63:
+            key, size = _dense_rank(key)
+        key = key * levels + rank
+        size *= levels
+    return np.argsort(key)
+
+
 class _Work:
     """Problem unpacked for the solver.  An assignment is an int array over
     tasks holding the agent index, -1 for unassigned.
 
     The candidates are the statically feasible pairs as flat arrays, task by
-    task, each task's agents by value then id; ``offsets[j]:offsets[j + 1]``
-    is task ``j``'s slice.
+    task, each task's agents by value descending then agent id;
+    ``offsets[j]:offsets[j + 1]`` is task ``j``'s slice.  ``cand_v_rank``
+    is each candidate's value rank, descending, among ``value_levels``
+    distinct values.
     """
 
     def __init__(self, problem: GapProblem):
@@ -252,10 +293,12 @@ class _Work:
         self.agent_rank = _ranks(problem.agent_ids)
         self.task_rank = _ranks(problem.task_ids)
         agents, tasks = np.nonzero(self.feasible)
-        order = np.lexsort((self.agent_rank[agents],
-                            -self.values[agents, tasks], tasks))
+        v = self.values[agents, tasks]
+        v_rank, self.value_levels = _dense_rank(-v)
+        order = _order((tasks, self.n), (v_rank, self.value_levels),
+                       (self.agent_rank[agents], self.m))
         self.cand_agent, self.cand_task = agents[order], tasks[order]
-        self.cand_v = self.values[self.cand_agent, self.cand_task]
+        self.cand_v, self.cand_v_rank = v[order], v_rank[order]
         self.cand_w = self.weights[self.cand_agent, self.cand_task]
         self.offsets = np.searchsorted(self.cand_task, np.arange(self.n + 1))
         # per-task best value over statically feasible agents (bound term)
@@ -356,11 +399,19 @@ def brute_force_oracle(problem: GapProblem) -> Assignment:
     return work.to_assignment(best, proven=True, nodes=nodes, exhausted=False)
 
 
+def _greedy_order(work: _Work) -> np.ndarray:
+    """The candidates' positions by ratio v/w descending, then value
+    descending, agent id, task id."""
+    ratio_rank, ratio_levels = _dense_rank(-work.cand_v / work.cand_w)
+    return _order((ratio_rank, ratio_levels),
+                  (work.cand_v_rank, work.value_levels),
+                  (work.agent_rank[work.cand_agent], work.m),
+                  (work.task_rank[work.cand_task], work.n))
+
+
 def _greedy(work: _Work) -> np.ndarray:
-    agents, tasks = work.cand_agent, work.cand_task
-    v, w = work.cand_v, work.cand_w
-    order = np.lexsort((work.task_rank[tasks], work.agent_rank[agents],
-                        -v, -v / w))
+    agents, tasks, w = work.cand_agent, work.cand_task, work.cand_w
+    order = _greedy_order(work)
     rem = list(work.caps)
     assigned = [-1] * work.n
     for i, j, w_ij in zip(agents[order].tolist(), tasks[order].tolist(),
@@ -373,8 +424,8 @@ def _greedy(work: _Work) -> np.ndarray:
 
 def greedy_construct(problem: GapProblem) -> Assignment:
     """Ratio-greedy construction: feasible pairs in non-increasing v/w order
-    (ties: higher value, then lexicographic ids); a task is assigned to the
-    first agent with remaining capacity."""
+    (ties: higher value, then agent id, then task id); a task is assigned to
+    the first agent with remaining capacity."""
     work = _Work(problem)
     assigned = _greedy(work)
     work.verify(assigned)
@@ -394,8 +445,10 @@ def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
     capacity, and its two arguments, ``x`` by row and ``y`` by column.  For
     a neighbourhood that fits in one block ``rows`` is the slice of all its
     rows; otherwise ``r`` is an ascending index array and ``rows()`` gives,
-    per row, its number of charged cells, a bound that none of its gains
-    exceeds and its width in cells.  Insert and shift are one row each.
+    per row, its number of charged cells and its width in cells, and a
+    function ``bounds(k)`` that gives, for each of the first ``k`` rows, a
+    bound that none of its gains exceeds.  Insert and shift are one row
+    each.
     """
     values, weights, feasible = work.values, work.weights, work.feasible
     agent, task = work.cand_agent, work.cand_task
@@ -429,7 +482,8 @@ def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
             # exact: a gain is one subtraction, and rounding is monotone;
             # values are >= 0, so the 0.0 off the mask never raises the
             # maximum of a row that has charged cells
-            return feas.sum(1)[own], vals.max(1)[own] - v_own, np.full(h, f)
+            return (feas.sum(1)[own], np.full(h, f),
+                    lambda k: vals.max(1)[own[:k]] - v_own[:k])
 
         yield ("exchange", exchange,
                slice(None) if h * f <= _BLOCK else exchange_rows)
@@ -465,13 +519,20 @@ def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
             # gain and the bound add the same values in different orders;
             # together they round by less than 7 ulps of the largest value,
             # which the margin covers.
-            second = np.where(feas, vals - v_own, -np.inf)
-            second[own, pos] = -np.inf
-            second = np.maximum.accumulate(second[:, ::-1], axis=1)[:, ::-1]
-            margin = 16 * np.finfo(float).eps * values.max()
-            bound = (work.best_value[held[:-1]] - v_own[:-1]) \
-                + second[own[:-1], pos[1:]] + margin
-            return (h - pos - later)[:-1], bound, h - 1 - pos[:-1]
+            def bound(k):
+                # row s < k takes the suffix maximum from column s + 1: the
+                # maximum over the columns from k on, accumulated back to 1
+                second = np.where(feas, vals - v_own, -np.inf)
+                second[own, pos] = -np.inf
+                tail = second[:, k:].max(1, initial=-np.inf)
+                suffix = np.maximum.accumulate(
+                    np.column_stack((tail, second[:, k - 1:0:-1])),
+                    axis=1)[:, ::-1]
+                margin = 16 * np.finfo(float).eps * values.max()
+                return (work.best_value[held[:k]] - v_own[:k]) \
+                    + suffix[own[:k], pos[:k]] + margin
+
+            return (h - pos - later)[:-1], h - 1 - pos[:-1], bound
 
         yield ("swap", swap,
                slice(0, h - 1) if (h - 1) * (h - 1) <= _BLOCK else swap_rows)
@@ -510,13 +571,14 @@ def _scan(clock: _BudgetClock, best: float, block, rows):
         granted = clock.charge(total)
         best, move = _best_cell(best, total - granted, charged, gain, ok, x, y)
         return best, move, granted < total
-    counts, bound, width = rows()
+    counts, width, bounds = rows()
     ends = np.cumsum(counts)
     total = int(ends[-1])
     granted = clock.charge(total)
     full = int(np.searchsorted(ends, granted, "right"))
     part = granted - (int(ends[full - 1]) if full else 0)  # of row `full`
-    live = np.flatnonzero(bound[:full + (part > 0)] > best)
+    bound = bounds(full + (part > 0)) if granted else np.empty(0)
+    live = np.flatnonzero(bound > best)
     move = None
     while len(live):
         k = max(1, _BLOCK // int(width[live[0]]))

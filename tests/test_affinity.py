@@ -118,6 +118,33 @@ def test_update_rejects_bad_assignments():
         update_affinities(state, available, [("A", "T2"), ("B", "T2")])
 
 
+@pytest.mark.parametrize("agents,tasks,pairs,message", [
+    # T3 is unavailable; the first offending pair is named, however many
+    # follow and of whatever kind
+    ("ABC", {"T1", "T2"}, [("A", "T2"), ("B", "T3"), ("C", "T1"), ("B", "T2")],
+     "assignment pair (B, T3) was unavailable"),
+    ("ABC", {"T1", "T2"}, [("B", "T2"), ("C", "T1"), ("B", "T3"), ("A", "T2")],
+     "assignment pair (C, T1) is incompatible"),
+    ("ABC", {"T1", "T2"}, [("A", "T2"), ("B", "T2"), ("C", "T1"), ("B", "T3")],
+     "task T2 assigned more than once"),
+    # one pair with several faults: incompatible, then unavailable, then
+    # assigned twice
+    ("ABC", {"T1", "T2"}, [("B", "T3"), ("A", "T3")],
+     "assignment pair (B, T3) was unavailable"),
+    ("ABC", {"T1", "T2"}, [("B", "T1"), ("A", "T3"), ("C", "T3")],
+     "assignment pair (A, T3) is incompatible"),
+    ("AB", {"T1", "T2", "T3"}, [("A", "T2"), ("C", "T2"), ("C", "T1")],
+     "assignment pair (C, T2) was unavailable"),
+])
+def test_update_names_the_first_offending_pair(agents, tasks, pairs, message):
+    instance, _ = worked_example_fixture()
+    state = init_affinities(instance)
+    available = available_pairs(state.mats, set(agents), tasks)
+    with pytest.raises(ValueError) as info:
+        update_affinities(state, available, pairs)
+    assert str(info.value) == message
+
+
 def test_affinity_pressure_examples():
     instance = make_instance(
         {"A": 1, "B": 1, "C": 1},

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from rotagap.affinity import init_affinities
-from rotagap.domain import ScenarioTrace, worked_example_fixture
-from rotagap.engine import (compare_to_baseline, rotation_metrics, run_cycle,
-                            run_scenario)
+from rotagap.domain import (InstanceMatrices, ScenarioTrace,
+                            worked_example_fixture)
+from rotagap.engine import (_profit_matrix, compare_to_baseline,
+                            rotation_metrics, run_cycle, run_scenario)
 from rotagap.scenarios import (McmkpParams, TcsaParams, generate_mcmkp,
                                generate_tcsa, generate_trace_bernoulli,
                                generate_trace_episodic,
@@ -87,6 +88,18 @@ def test_run_cycle_applies_priority_overrides():
     _, _, report = run_cycle(instance, ({"A"}, {"T1", "T2"}), state, FOP, BUDGET,
                              profit_overrides={"T1": 700, "T2": 40})
     assert report.profit == 740
+
+
+def test_profit_overrides_reject_negative_profits_and_unknown_tasks():
+    instance, _ = worked_example_fixture()
+    mats = InstanceMatrices(instance)
+    with pytest.raises(ValueError, match="task T1 is negative"):
+        _profit_matrix(mats, {"T1": -5, "T2": 7})
+    with pytest.raises(ValueError, match="unknown task T9"):
+        _profit_matrix(mats, {"T2": 7, "T9": 3})
+    # overrides apply on compatible agents only; other tasks keep theirs
+    profits = _profit_matrix(mats, {"T3": 0, "T2": 7})
+    assert profits.tolist() == [[1, 7, 0], [1, 7, 0], [0, 7, 0]]
 
 
 def fixture_run(strategy, cycles=4):

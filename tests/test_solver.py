@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rotagap.solver import (Assignment, GapProblem, SolverBudget, SolverError,
-                            branch_and_bound, brute_force_oracle,
-                            greedy_construct, local_search_improve,
-                            root_upper_bound, solve)
+                            _greedy_order, _order, _Work, branch_and_bound,
+                            brute_force_oracle, greedy_construct,
+                            local_search_improve, root_upper_bound, solve)
 
 from conftest import (assert_feasible, mcmkp_gap_problem, random_gap_problem,
                       shuffled_gap_problem, tcsa_gap_problem)
@@ -345,6 +345,70 @@ def reference_candidates(problem: GapProblem):
     return feas, by_task
 
 
+def reference_greedy_key(problem: GapProblem):
+    """Greedy's sort key of a candidate ``(i, j)``: ratio descending, then
+    value descending, agent id, task id."""
+    w, v = problem.weights.tolist(), problem.values.tolist()
+    agent_ids, task_ids = problem.agent_ids, problem.task_ids
+    return lambda p: (-v[p[0]][p[1]] / w[p[0]][p[1]], -v[p[0]][p[1]],
+                      agent_ids[p[0]], task_ids[p[1]])
+
+
+def tie_heavy_problem(rng: random.Random, agents: int,
+                      tasks: int) -> GapProblem:
+    """Problem built to stress the candidate orders: shuffled ids, values
+    in multiples of 0.3, ``-0.0`` mixed with ``0.0``, and exact multiples
+    of the weight, so that equal ratios carry different values."""
+    weights = [[rng.choice((1, 2, 3, 4, 8)) for _ in range(tasks)]
+               for _ in range(agents)]
+    values = [[rng.choice((-0.0, 0.0, rng.randint(0, 12) * 0.3,
+                           rng.randint(1, 6) * 0.5 * weight))
+               for weight in row] for row in weights]
+    return GapProblem(
+        agent_ids=tuple(f"a{k:02d}" for k in rng.sample(range(agents), agents)),
+        task_ids=tuple(f"t{k:03d}" for k in rng.sample(range(tasks), tasks)),
+        agent_capacities=np.array([rng.randint(2, 12) for _ in range(agents)]),
+        weights=np.array(weights), values=np.array(values),
+        feasible_pairs=np.array([[rng.random() < 0.8 for _ in range(tasks)]
+                                 for _ in range(agents)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_candidate_and_greedy_orders_match_python_sorted(seed):
+    rng = random.Random(seed)
+    problem = tie_heavy_problem(rng, rng.randint(1, 8), rng.randint(1, 40))
+    work = _Work(problem)
+    _, by_task = reference_candidates(problem)
+    candidates = [(i, j) for j in range(len(problem.task_ids))
+                  for i in by_task[j]]
+    assert list(zip(work.cand_agent.tolist(), work.cand_task.tolist())) \
+        == candidates
+    assert work.cand_v.tolist() \
+        == [problem.values[i, j] for i, j in candidates]
+    order = _greedy_order(work).tolist()
+    assert [candidates[k] for k in order] \
+        == sorted(candidates, key=reference_greedy_key(problem))
+
+
+@pytest.mark.parametrize("m,n", [(20, 750), (12, 48), (2**16, 2**16),
+                                 (1, 3 * 10**9), (3 * 10**9, 1)])
+def test_order_keys_cannot_overflow_at_the_largest_ranks(m, n):
+    # an m x n problem has at most m * n candidates, and as many distinct
+    # ratios and values; entries take each part's extremes, so a key that
+    # wrapped past int64 would sort out of place
+    k = m * n
+    for sizes in ((n, k, m), (k, k, m, n)):  # the candidate and greedy keys
+        rng = random.Random(k)
+        rows = sorted({tuple(rng.choice((0, size // 2, size - 1))
+                             for size in sizes) for _ in range(64)})
+        rng.shuffle(rows)
+        parts = [(np.array(column, dtype=np.int64), size)
+                 for column, size in zip(zip(*rows), sizes)]
+        assert _order(*parts).tolist() \
+            == sorted(range(len(rows)), key=rows.__getitem__)
+
+
 def reference_greedy_and_local_search(problem: GapProblem, nodes: int):
     """Ratio greedy, then local search scanning move by move and charging
     one unit at a time: the loops the vectorised solver replaced, kept as
@@ -356,9 +420,7 @@ def reference_greedy_and_local_search(problem: GapProblem, nodes: int):
     feas, by_task = reference_candidates(problem)
     agent_ids, task_ids = problem.agent_ids, problem.task_ids
     candidates = sorted(((i, j) for j in range(n) for i in by_task[j]),
-                        key=lambda p: (-v[p[0]][p[1]] / w[p[0]][p[1]],
-                                       -v[p[0]][p[1]], agent_ids[p[0]],
-                                       task_ids[p[1]]))
+                        key=reference_greedy_key(problem))
     rem, assigned = list(caps), [None] * n
     for i, j in candidates:
         if assigned[j] is None and rem[i] >= w[i][j]:
