@@ -50,25 +50,21 @@ def init_affinities(instance: Instance) -> AffinityState:
     )
 
 
-def _assignment_pairs(assignment) -> Iterable[tuple[str, str]]:
-    return getattr(assignment, "pairs", assignment)
-
-
 def update_affinities(state: AffinityState, prev_available: np.ndarray,
-                      prev_assignment) -> AffinityState:
+                      rows: np.ndarray, cols: np.ndarray) -> AffinityState:
     """Advance the state one cycle, given the previous cycle's available
-    compatible pairs (an m x n mask) and its solved assignment.
+    compatible pairs (an m x n mask) and its solved assignment as positions:
+    agent row ``rows[k]`` holds task column ``cols[k]``.  Callers holding
+    ``(agent_id, task_id)`` pairs convert them with
+    ``InstanceMatrices.pair_positions``.
 
     Assigned pairs reset to 1; pairs available on both sides but unassigned
     increment by 1; pairs with an unavailable side keep their value;
-    incompatible pairs stay 0.  Raises ``ValueError`` for an assignment that
-    references an incompatible or unavailable pair, or assigns a task twice.
-    ``prev_assignment`` may be any iterable of ``(agent_id, task_id)`` pairs
-    or an object exposing them as ``.pairs``.
+    incompatible pairs stay 0.  Raises ``ValueError`` naming the first pair,
+    in the given order, that is incompatible, unavailable, or assigns a task
+    already assigned, checked in that order.
     """
     mats = state.mats
-    pairs = list(_assignment_pairs(prev_assignment))
-    rows, cols = mats.pair_positions(pairs)
     incompatible = ~mats.compat[rows, cols]
     unavailable = ~prev_available[rows, cols]
     seq = np.arange(len(cols))
@@ -77,7 +73,7 @@ def update_affinities(state: AffinityState, prev_available: np.ndarray,
     bad = incompatible | unavailable | (first[cols] < seq)
     if bad.any():  # the first offending pair, checked in that order
         k = int(np.argmax(bad))
-        agent_id, task_id = pairs[k]
+        agent_id, task_id = mats.agent_ids[rows[k]], mats.task_ids[cols[k]]
         if incompatible[k]:
             raise ValueError(f"assignment pair ({agent_id}, {task_id}) is incompatible")
         if unavailable[k]:

@@ -179,13 +179,15 @@ def validate_trace(trace: ScenarioTrace, instance: Instance) -> list[str]:
 
 class InstanceMatrices:
     """Index-space view of an instance: row = agent position, column = task
-    position, following list order.  Built once per run and shared read-only.
+    position, following list order.  Built once per run and shared read-only;
+    ``agent_ids`` and ``task_ids`` are tuples, passed as they are to every
+    cycle's ``GapProblem``.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self.agent_ids = list(instance.agent_ids)
-        self.task_ids = list(instance.task_ids)
+        self.agent_ids = tuple(instance.agent_ids)
+        self.task_ids = tuple(instance.task_ids)
         self.agent_index = {a: i for i, a in enumerate(self.agent_ids)}
         self.task_index = {t: j for j, t in enumerate(self.task_ids)}
         m, n = len(self.agent_ids), len(self.task_ids)

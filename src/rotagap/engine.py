@@ -30,7 +30,8 @@ PriorityHook = Callable[[int], Mapping[str, int]]
 class CycleReport:
     """Per-cycle outcome.  ``profit`` sums raw profits of the assigned pairs;
     ``objective`` is the strategy-value objective; ``max_ap`` is the maximum
-    affinity pressure before this cycle's assignment."""
+    affinity pressure before this cycle's assignment; the last three are the
+    solver's flags and work units for the cycle."""
 
     cycle: int
     profit: int
@@ -38,6 +39,8 @@ class CycleReport:
     max_ap: float
     assigned_count: int
     budget_exhausted: bool
+    proven_optimal: bool
+    nodes_explored: int
 
 
 @dataclass(eq=False)
@@ -59,8 +62,8 @@ def build_gap_problem(mats: InstanceMatrices, values: np.ndarray,
                       feasible: np.ndarray) -> GapProblem:
     """Restrict the instance to the cycle's available compatible pairs."""
     return GapProblem(
-        agent_ids=tuple(mats.agent_ids),
-        task_ids=tuple(mats.task_ids),
+        agent_ids=mats.agent_ids,
+        task_ids=mats.task_ids,
         agent_capacities=mats.capacities,
         weights=mats.weights,
         values=values,
@@ -112,17 +115,18 @@ def run_cycle(instance: Instance, entry: tuple[Iterable[str], Iterable[str]],
                             max_ap)
     problem = build_gap_problem(mats, values.values, feasible)
     assignment = solve(problem, budget)
+    rows, cols = assignment.positions
 
-    profit = sum(profits[mats.pair_positions(assignment.pairs)].tolist())
-
-    next_state = update_affinities(state, feasible, assignment)
+    next_state = update_affinities(state, feasible, rows, cols)
     report = CycleReport(
         cycle=state.cycle,
-        profit=profit,
+        profit=sum(profits[rows, cols].tolist()),
         objective=assignment.objective,
         max_ap=max_ap,
-        assigned_count=len(assignment.pairs),
+        assigned_count=len(cols),
         budget_exhausted=assignment.budget_exhausted,
+        proven_optimal=assignment.proven_optimal,
+        nodes_explored=assignment.nodes_explored,
     )
     log.info("cycle %d strategy=%s assigned=%d profit=%d max_ap=%.3f",
              report.cycle, strategy.label, report.assigned_count,

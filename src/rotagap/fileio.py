@@ -22,7 +22,7 @@ SUMMARY_COLUMNS = [
     "full_rotations", "avg_rotations_per_task", "cycles", "budget_mode",
 ]
 
-REPORT_SCHEMA = "rotagap.report.v1"
+REPORT_SCHEMA = "rotagap.report.v2"
 
 
 def _dump_json(obj) -> str:
@@ -186,6 +186,8 @@ def cycle_lines(report) -> str:
             "max_ap": c.max_ap,
             "assigned_count": c.assigned_count,
             "budget_exhausted": c.budget_exhausted,
+            "proven_optimal": c.proven_optimal,
+            "nodes_explored": c.nodes_explored,
         }
         out.write(json.dumps(record, sort_keys=True) + "\n")
     return out.getvalue()

@@ -40,9 +40,11 @@ tasks by best value descending, then task id.  Ids compare as Python strings,
 and ``-0.0`` ties with ``0.0``.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -208,27 +210,73 @@ class GapProblem:
             raise ValueError("weights must be positive on feasible pairs")
 
 
-@dataclass(frozen=True)
 class Assignment:
     """One cycle's solution: feasible (agent_id, task_id) pairs plus solver
-    metadata."""
+    metadata.
 
-    pairs: frozenset[tuple[str, str]]
-    objective: float
-    proven_optimal: bool
-    nodes_explored: int
-    budget_exhausted: bool
+    The solver builds it from positions: ``positions`` is ``(rows, cols)``,
+    agent index ``rows[k]`` holding task ``cols[k]``, tasks ascending, over
+    the problem's ids.  ``pairs`` is then built on first access.  An
+    assignment built from ``pairs`` has no positions (``None``).  Two
+    assignments are equal when their pairs, objective and three flags are.
+    """
+
+    __slots__ = ("objective", "proven_optimal", "nodes_explored",
+                 "budget_exhausted", "positions", "_ids", "_pairs")
+
+    def __init__(self, pairs: Iterable[tuple[str, str]] | None,
+                 objective: float, proven_optimal: bool, nodes_explored: int,
+                 budget_exhausted: bool, *,
+                 positions: tuple[np.ndarray, np.ndarray] | None = None,
+                 ids: tuple[tuple[str, ...], tuple[str, ...]] | None = None):
+        self._pairs = None if pairs is None else frozenset(pairs)
+        self.objective = objective
+        self.proven_optimal = proven_optimal
+        self.nodes_explored = nodes_explored
+        self.budget_exhausted = budget_exhausted
+        self.positions = positions
+        self._ids = ids
 
     @classmethod
     def empty(cls) -> "Assignment":
         return cls(pairs=frozenset(), objective=0.0, proven_optimal=False,
                    nodes_explored=0, budget_exhausted=False)
 
+    @property
+    def pairs(self) -> frozenset[tuple[str, str]]:
+        if self._pairs is None:
+            (agent_ids, task_ids), (rows, cols) = self._ids, self.positions
+            self._pairs = frozenset(zip(
+                map(agent_ids.__getitem__, rows.tolist()),
+                map(task_ids.__getitem__, cols.tolist())))
+        return self._pairs
 
+    def _key(self) -> tuple:
+        return (self.pairs, self.objective, self.proven_optimal,
+                self.nodes_explored, self.budget_exhausted)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Assignment):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return ("Assignment(pairs={!r}, objective={!r}, proven_optimal={!r}, "
+                "nodes_explored={!r}, budget_exhausted={!r})"
+                .format(*self._key()))
+
+
+@functools.lru_cache(maxsize=64)
 def _ranks(ids: tuple[str, ...]) -> np.ndarray:
-    """Each id's position in Python's sorted order of ``ids``."""
+    """Each id's position in Python's sorted order of ``ids``; memoised per
+    id tuple, so a run that passes the same ids every cycle sorts them once.
+    The array is read-only."""
     ranks = np.empty(len(ids), dtype=np.int64)
     ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    ranks.flags.writeable = False
     return ranks
 
 
@@ -313,14 +361,12 @@ class _Work:
 
     def to_assignment(self, assigned: np.ndarray, *, proven: bool,
                       nodes: int, exhausted: bool) -> Assignment:
-        ids = self.problem
         tasks = np.flatnonzero(assigned >= 0)
-        pairs = frozenset(
-            (ids.agent_ids[i], ids.task_ids[j])
-            for i, j in zip(assigned[tasks].tolist(), tasks.tolist()))
-        return Assignment(pairs=pairs, objective=self.objective(assigned),
+        return Assignment(pairs=None, objective=self.objective(assigned),
                           proven_optimal=proven, nodes_explored=nodes,
-                          budget_exhausted=exhausted)
+                          budget_exhausted=exhausted,
+                          positions=(assigned[tasks], tasks),
+                          ids=(self.problem.agent_ids, self.problem.task_ids))
 
     def from_assignment(self, assignment: Assignment) -> np.ndarray:
         agent_index = {a: i for i, a in enumerate(self.problem.agent_ids)}

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from rotagap.affinity import update_affinities
 from rotagap.domain import AgentSpec, Instance, TaskSpec
 from rotagap.solver import GapProblem
 
@@ -23,6 +24,13 @@ def available_pairs(mats, agents, tasks) -> np.ndarray:
     as ``engine.run_cycle`` builds it."""
     return mats.compat & mats.agent_row_mask(agents)[:, None] \
         & mats.task_col_mask(tasks)[None, :]
+
+
+def update_from_pairs(state, available, pairs):
+    """``update_affinities`` for a caller holding ``(agent_id, task_id)``
+    pairs, converted with ``InstanceMatrices.pair_positions``."""
+    return update_affinities(state, available,
+                             *state.mats.pair_positions(pairs))
 
 
 def random_gap_problem(rng: random.Random, max_agents: int = 3,

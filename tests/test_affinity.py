@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rotagap.affinity import (affinity_pressure, init_affinities,
-                              max_affinity_pressure, update_affinities)
+                              max_affinity_pressure)
 from rotagap.domain import worked_example_fixture
 
-from conftest import available_pairs, make_instance
+from conftest import available_pairs, make_instance, update_from_pairs
 
 ALL_AGENTS = frozenset("ABC")
 ALL_TASKS = frozenset({"T1", "T2", "T3"})
@@ -56,7 +56,7 @@ def replay_walkthrough():
     for k, expected in enumerate(WALKTHROUGH, start=1):
         yield k, state, expected
         if expected["assignment"] is not None:
-            state = update_affinities(
+            state = update_from_pairs(
                 state, available_pairs(state.mats, *trace.entry(k)),
                 expected["assignment"])
 
@@ -98,7 +98,7 @@ def test_incompatible_pair_stays_zero_forever():
     state = init_affinities(instance)
     mats = state.mats
     for k, expected in enumerate(WALKTHROUGH[:-1], start=1):
-        state = update_affinities(state, available_pairs(mats, *trace.entry(k)),
+        state = update_from_pairs(state, available_pairs(mats, *trace.entry(k)),
                                   expected["assignment"])
         assert state.affinities[mats.agent_index["C"], mats.task_index["T1"]] == 0
         assert state.affinities[mats.agent_index["A"], mats.task_index["T3"]] == 0
@@ -110,12 +110,12 @@ def test_update_rejects_bad_assignments():
     agents, tasks = trace.entry(1)
     available = available_pairs(state.mats, agents, tasks)
     with pytest.raises(ValueError, match="incompatible"):
-        update_affinities(state, available, [("C", "T1")])
+        update_from_pairs(state, available, [("C", "T1")])
     with pytest.raises(ValueError, match="unavailable"):
-        update_affinities(state, available_pairs(state.mats, agents, {"T2"}),
+        update_from_pairs(state, available_pairs(state.mats, agents, {"T2"}),
                           [("A", "T1")])
     with pytest.raises(ValueError, match="more than once"):
-        update_affinities(state, available, [("A", "T2"), ("B", "T2")])
+        update_from_pairs(state, available, [("A", "T2"), ("B", "T2")])
 
 
 @pytest.mark.parametrize("agents,tasks,pairs,message", [
@@ -141,7 +141,7 @@ def test_update_names_the_first_offending_pair(agents, tasks, pairs, message):
     state = init_affinities(instance)
     available = available_pairs(state.mats, set(agents), tasks)
     with pytest.raises(ValueError) as info:
-        update_affinities(state, available, pairs)
+        update_from_pairs(state, available, pairs)
     assert str(info.value) == message
 
 
@@ -197,7 +197,7 @@ def test_max_affinity_pressure_skips_and_degenerate_cases():
     assert max_ap(state2, {"B"}, {"T1"}) == 0.0
     # single task, single agent, just assigned: 1/1 - (1+1)/2 = 0
     one = init_affinities(make_instance({"A": 1}, {"T1": (1, 1, {"A"})}))
-    one = update_affinities(one, available_pairs(one.mats, {"A"}, {"T1"}),
+    one = update_from_pairs(one, available_pairs(one.mats, {"A"}, {"T1"}),
                             [("A", "T1")])
     assert max_ap(one, {"A"}, {"T1"}) == 0.0
 
@@ -225,7 +225,7 @@ def run_max_affinity_harness(instance, cycles: int):
             rows = [mats.agent_index[a] for a in sorted(task.compatible)]
             best = max(rows, key=lambda i: (state.affinities[i, j], -i))
             pairs.append((mats.agent_ids[best], task.id))
-        state = update_affinities(state, available, pairs)
+        state = update_from_pairs(state, available, pairs)
     yield state
 
 
@@ -272,7 +272,7 @@ def test_update_invariants_under_full_availability(seed, steps):
             if rng.random() < 0.7:
                 pairs.append((rng.choice(sorted(task.compatible)), task.id))
         before = state.affinities.copy()
-        state = update_affinities(state, available, pairs)
+        state = update_from_pairs(state, available, pairs)
         total_assigned += len(pairs)
         compat = state.mats.compat
         delta = state.affinities - before

@@ -88,6 +88,10 @@ def test_run_grid_produces_reports_and_summary(tmp_path):
                   (out / "mcmkp-5x10-uncorrelated-foa-seed1.cycles.jsonl")
                   .read_text().splitlines()]
     assert [c["cycle"] for c in cycle_rows] == list(range(1, 9))
+    assert set(cycle_rows[0]) == {
+        "cycle", "profit", "objective", "max_ap", "assigned_count",
+        "budget_exhausted", "proven_optimal", "nodes_explored"}
+    assert all(0 <= c["nodes_explored"] <= 2000 for c in cycle_rows)
 
 
 def test_run_from_embedded_config_reproduces_reports(tmp_path):

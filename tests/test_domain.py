@@ -86,8 +86,8 @@ def test_matrices_follow_list_order():
         {"B": 4, "A": 2},
         {"T2": (5, 3, {"B"}), "T1": (9, 1, {"A", "B"})})
     mats = InstanceMatrices(instance)
-    assert mats.agent_ids == ["B", "A"]
-    assert mats.task_ids == ["T2", "T1"]
+    assert mats.agent_ids == ("B", "A")
+    assert mats.task_ids == ("T2", "T1")
     assert mats.capacities.tolist() == [4, 2]
     assert mats.compat.tolist() == [[True, True], [False, True]]
     assert mats.profits[0, 0] == 5 and mats.weights[0, 0] == 3

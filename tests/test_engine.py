@@ -10,10 +10,10 @@ from rotagap.scenarios import (McmkpParams, TcsaParams, generate_mcmkp,
                                generate_tcsa, generate_trace_bernoulli,
                                generate_trace_episodic,
                                make_tcsa_priority_hook)
-from rotagap.solver import SolverBudget
+from rotagap.solver import Assignment, SolverBudget
 from rotagap.strategies import StrategyConfig
 
-from conftest import make_instance
+from conftest import available_pairs, make_instance, update_from_pairs
 
 BUDGET = SolverBudget.nodes(5000)
 FOP = StrategyConfig(kind="fop")
@@ -59,6 +59,8 @@ def test_run_cycle_reports_pressure_before_assignment():
     assert next_state.cycle == 2
     assert report.assigned_count == len(assignment.pairs) == 3
     assert report.profit == 3  # unit profits
+    assert (report.proven_optimal, report.nodes_explored) \
+        == (assignment.proven_optimal, assignment.nodes_explored)
 
 
 def test_run_cycle_with_nothing_fitting():
@@ -201,3 +203,48 @@ def test_tcsa_priority_hook_changes_profit_stream():
     assert with_hook.provenance["priorities"] == "per-cycle"
     assert static.provenance["priorities"] == "static"
     assert with_hook.total_profit != static.total_profit
+
+
+def test_run_cycle_positions_agree_with_pairs():
+    params = TcsaParams(agents=5, tasks=40, cycles=6, seed=7)
+    instance = generate_tcsa(params)
+    trace = generate_trace_episodic(instance, params)
+    hook = make_tcsa_priority_hook(instance, 7)
+    state = init_affinities(instance)
+    mats = state.mats
+    for k in range(1, trace.cycles + 1):
+        entry, overrides = trace.entry(k), hook(k)
+        assignment, next_state, report = run_cycle(
+            instance, entry, state, StrategyConfig(kind="pc"), BUDGET,
+            profit_overrides=overrides)
+        profits = _profit_matrix(mats, overrides)
+        assert report.profit == sum(
+            int(profits[mats.agent_index[a], mats.task_index[t]])
+            for a, t in assignment.pairs)
+        assert report.assigned_count == len(assignment.pairs)
+        expected = update_from_pairs(state, available_pairs(mats, *entry),
+                                     assignment.pairs)
+        assert np.array_equal(next_state.affinities, expected.affinities)
+        assert np.array_equal(next_state.assignment_counts,
+                              expected.assignment_counts)
+        state = next_state
+
+
+def test_run_scenario_never_builds_id_pairs(monkeypatch):
+    """Each cycle's assignment stays in positions from the solve to the
+    affinity update; no (agent_id, task_id) pairs are built."""
+    built = []
+    pairs = Assignment.pairs
+
+    def counted(assignment):
+        built.append(assignment)
+        return pairs.fget(assignment)
+
+    monkeypatch.setattr(Assignment, "pairs", property(counted))
+    params = TcsaParams(agents=4, tasks=8, cycles=6, seed=31)
+    instance = generate_tcsa(params)
+    trace = generate_trace_episodic(instance, params)
+    report = run_scenario(instance, trace, FOA, BUDGET,
+                          priority_hook=make_tcsa_priority_hook(instance, 31))
+    assert len(report.per_cycle) == 6 and report.total_profit > 0
+    assert built == []

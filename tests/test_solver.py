@@ -908,13 +908,34 @@ def test_values_outside_the_mask_are_never_read(seed):
             assert solve(junky, budget) == solve(zeros, budget)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 100_000), nodes=st.integers(0, 500))
-def test_solve_always_feasible_and_dominates_greedy(seed, nodes):
-    problem = random_gap_problem(random.Random(seed))
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 100_000),
+       shape=st.sampled_from(["small", "shuffled", "mcmkp"]),
+       nodes=st.integers(0, 5000))
+def test_solve_always_feasible_and_dominates_greedy(seed, shape, nodes):
+    """``solve`` gives a feasible answer, never below greedy, whose
+    objective is exactly the left-to-right sum of its pairs' values, pairs
+    in task order."""
+    rng = random.Random(seed)
+    if shape == "small":
+        problem = random_gap_problem(rng)
+    elif shape == "shuffled":
+        problem = shuffled_gap_problem(rng, rng.randint(1, 6),
+                                       rng.randint(1, 30))
+    else:
+        problem = mcmkp_gap_problem(rng, agents=rng.randint(2, 8),
+                                    tasks=rng.randint(4, 30))
     result = solve(problem, SolverBudget.nodes(nodes))
     assert_feasible(problem, result)
-    assert result.objective >= greedy_construct(problem).objective - 1e-9
+    assert result.objective >= greedy_construct(problem).objective
+    agent_index = {a: i for i, a in enumerate(problem.agent_ids)}
+    task_index = {t: j for j, t in enumerate(problem.task_ids)}
+    total = 0
+    for agent_id, task_id in sorted(result.pairs,
+                                    key=lambda p: task_index[p[1]]):
+        total += float(problem.values[agent_index[agent_id],
+                                      task_index[task_id]])
+    assert result.objective == total
 
 
 def test_heuristic_quality_on_generated_knapsack_instances():
@@ -986,3 +1007,31 @@ def test_solve_proves_the_highs_optimum_beyond_brute_force():
         assert result.proven_optimal, seed
         assert result.objective == pytest.approx(optimum, rel=1e-6), seed
         assert root_upper_bound(problem) >= optimum - 1e-9, seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 100_000), nodes=st.integers(0, 3000))
+def test_solver_positions_match_pairs(seed, nodes):
+    """A solver-built assignment's positions name exactly its pairs, tasks
+    ascending, and it equals one built from those pairs."""
+    rng = random.Random(seed)
+    problem = shuffled_gap_problem(rng, rng.randint(1, 6), rng.randint(1, 25))
+    for result in (greedy_construct(problem),
+                   solve(problem, SolverBudget.nodes(nodes))):
+        rows, cols = result.positions
+        assert np.all(np.diff(cols) > 0)
+        assert len(result.pairs) == len(cols)
+        assert result.pairs == {(problem.agent_ids[i], problem.task_ids[j])
+                                for i, j in zip(rows.tolist(), cols.tolist())}
+        rebuilt = Assignment(pairs=result.pairs, objective=result.objective,
+                             proven_optimal=result.proven_optimal,
+                             nodes_explored=result.nodes_explored,
+                             budget_exhausted=result.budget_exhausted)
+        assert rebuilt.positions is None
+        assert rebuilt == result and result == rebuilt
+        assert hash(rebuilt) == hash(result)
+        assert rebuilt != Assignment(
+            pairs=result.pairs, objective=result.objective,
+            proven_optimal=result.proven_optimal,
+            nodes_explored=result.nodes_explored + 1,
+            budget_exhausted=result.budget_exhausted)

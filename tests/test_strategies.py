@@ -3,15 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from rotagap.affinity import (init_affinities, max_affinity_pressure,
-                              update_affinities)
+from rotagap.affinity import init_affinities, max_affinity_pressure
 from rotagap.domain import worked_example_fixture
 from rotagap.solver import GapProblem, brute_force_oracle
 from rotagap.strategies import (ConfigError, StrategyConfig, ValueMatrix,
                                 compute_values, os_values, pc_values,
                                 wpp_values)
 
-from conftest import available_pairs, make_instance
+from conftest import available_pairs, make_instance, update_from_pairs
 
 
 def full_mask(shape):
@@ -119,7 +118,7 @@ def test_pc_arithmetic():
 def test_pc_special_cases_match_fixed_objectives(walkthrough_state):
     instance, state = walkthrough_state
     agents, tasks = "ABC", instance.task_ids
-    state = update_affinities(state, available_pairs(state.mats, agents, tasks),
+    state = update_from_pairs(state, available_pairs(state.mats, agents, tasks),
                               [("A", "T1"), ("B", "T2")])
     fop = values_for(StrategyConfig(kind="fop"), state, agents, tasks)
     foa = values_for(StrategyConfig(kind="foa"), state, agents, tasks)
@@ -161,7 +160,7 @@ def test_os_dichotomy_equals_fop_or_foa(walkthrough_state):
                     or np.array_equal(os_m.values, foa.values))
         pairs = [(rng.choice(sorted(t.compatible)), t.id)
                  for t in instance.tasks if rng.random() < 0.7]
-        state = update_affinities(
+        state = update_from_pairs(
             state, available_pairs(state.mats, agents, tasks), pairs)
 
 
