@@ -282,7 +282,7 @@ def cmd_run(args) -> int:
     output_dir = config["output_dir"]
     os.makedirs(output_dir, exist_ok=True)
     fileio.atomic_write_text(os.path.join(output_dir, "config.json"),
-                             json.dumps(config, indent=2, sort_keys=True) + "\n")
+                             fileio._dump_json(config))
 
     payloads = [{"config": config, "seed": seed, "strategy": spec}
                 for seed in config["seeds"] for spec in config["strategies"]]
@@ -309,8 +309,7 @@ def cmd_run(args) -> int:
 
     for result in results:
         report_path = os.path.join(output_dir, f"{result['stem']}.report.json")
-        fileio.atomic_write_text(
-            report_path, json.dumps(result["report"], indent=2, sort_keys=True) + "\n")
+        fileio.atomic_write_text(report_path, fileio._dump_json(result["report"]))
         fileio.atomic_write_text(
             os.path.join(output_dir, f"{result['stem']}.cycles.jsonl"),
             result["cycle_lines"])
@@ -349,8 +348,7 @@ def cmd_run(args) -> int:
     if failures:
         doc = [{"scenario": where, "seed": seed, "strategy": strategy,
                 "error": str(exc)} for where, seed, strategy, exc in failures]
-        fileio.atomic_write_text(
-            failures_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fileio.atomic_write_text(failures_path, fileio._dump_json(doc))
     elif os.path.exists(failures_path):
         os.remove(failures_path)
     for where, seed, strategy, exc in failures:

@@ -1,10 +1,10 @@
 """File formats for instances, traces, run reports and summaries.
 
-Everything is structured text: instances and reports are JSON documents with
-sorted keys, traces and per-cycle series are JSON lines, tabular summaries
-are CSV with a fixed, documented header.  Serialization is canonical, so
-identical data yields byte-identical files; writes go through a temp file
-and an atomic rename.
+Everything is structured text: instances and reports are compact JSON
+documents with sorted keys, traces and per-cycle series are JSON lines,
+tabular summaries are CSV with a fixed, documented header.  Serialization
+is canonical, so identical data yields byte-identical files; writes go
+through a temp file and an atomic rename.
 """
 
 import csv
@@ -26,7 +26,9 @@ REPORT_SCHEMA = "rotagap.report.v2"
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """One JSON document on one line, keys sorted.  Without ``indent``,
+    ``json.dumps`` uses its C encoder."""
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:

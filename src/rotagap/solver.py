@@ -29,6 +29,15 @@ did not use.  In ``node_limit`` mode identical inputs therefore yield
 identical assignments; ``wall_clock`` mode trades that determinism for a
 real-time contract.
 
+:func:`solve` keeps the answer of its last node-budget call.  When the next
+call has an equal budget, the same ids and equal capacities, mask, values
+and weights (compared with copies taken at that call), it returns that
+``Assignment`` again after checking it against the new problem, without
+searching; its ``nodes_explored`` is the work the answer took when it was
+first computed.  Wall-clock budgets never reuse or keep an answer.
+Positions of solver-built assignments are read-only, since one may be
+returned more than once.
+
 Values must be non-negative on feasible pairs (``GapProblem`` refuses
 others): the capacity-relaxed bound and the local-search row bounds rely on
 it.
@@ -315,6 +324,31 @@ def _order(*parts: tuple[np.ndarray, int]) -> np.ndarray:
     return np.argsort(key)
 
 
+def _positions(assigned: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An index-space assignment as ``(rows, cols)``, tasks ascending."""
+    cols = np.flatnonzero(assigned >= 0)
+    return assigned[cols], cols
+
+
+def _verify(problem: GapProblem, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Independent feasibility check of agent ``rows[k]`` holding task
+    ``cols[k]``, run on every assignment a solve produces or reuses."""
+    outside = ~problem.feasible_pairs[rows, cols]
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise SolverError(
+            f"pair ({problem.agent_ids[rows[k]]}, "
+            f"{problem.task_ids[cols[k]]}) violates the feasibility mask")
+    loads = np.zeros(len(problem.agent_ids), dtype=np.int64)
+    np.add.at(loads, rows, problem.weights[rows, cols])
+    over = loads > problem.agent_capacities
+    if over.any():
+        i = int(np.argmax(over))
+        raise SolverError(
+            f"agent {problem.agent_ids[i]} overloaded: "
+            f"{loads[i]} > {problem.agent_capacities[i]}")
+
+
 class _Work:
     """Problem unpacked for the solver.  An assignment is an int array over
     tasks holding the agent index, -1 for unassigned.
@@ -361,11 +395,15 @@ class _Work:
 
     def to_assignment(self, assigned: np.ndarray, *, proven: bool,
                       nodes: int, exhausted: bool) -> Assignment:
-        tasks = np.flatnonzero(assigned >= 0)
+        """The verified ``Assignment`` of ``assigned``; its positions are
+        read-only, since one answer may be handed out again by
+        :func:`solve`."""
+        rows, cols = _positions(assigned)
+        _verify(self.problem, rows, cols)
+        rows.flags.writeable = cols.flags.writeable = False
         return Assignment(pairs=None, objective=self.objective(assigned),
                           proven_optimal=proven, nodes_explored=nodes,
-                          budget_exhausted=exhausted,
-                          positions=(assigned[tasks], tasks),
+                          budget_exhausted=exhausted, positions=(rows, cols),
                           ids=(self.problem.agent_ids, self.problem.task_ids))
 
     def from_assignment(self, assignment: Assignment) -> np.ndarray:
@@ -378,26 +416,6 @@ class _Work:
                 raise SolverError(f"task {task_id} assigned twice")
             assigned[j] = agent_index[agent_id]
         return assigned
-
-    def verify(self, assigned: np.ndarray) -> None:
-        """Independent feasibility check run after every solve."""
-        problem = self.problem
-        tasks = np.flatnonzero(assigned >= 0)
-        agents = assigned[tasks]
-        outside = ~problem.feasible_pairs[agents, tasks]
-        if outside.any():
-            k = int(np.argmax(outside))
-            raise SolverError(
-                f"pair ({problem.agent_ids[agents[k]]}, "
-                f"{problem.task_ids[tasks[k]]}) violates the feasibility mask")
-        loads = np.zeros(self.m, dtype=np.int64)
-        np.add.at(loads, agents, problem.weights[agents, tasks])
-        over = loads > problem.agent_capacities
-        if over.any():
-            i = int(np.argmax(over))
-            raise SolverError(
-                f"agent {problem.agent_ids[i]} overloaded: "
-                f"{loads[i]} > {problem.agent_capacities[i]}")
 
 
 def brute_force_oracle(problem: GapProblem) -> Assignment:
@@ -441,7 +459,6 @@ def brute_force_oracle(problem: GapProblem) -> Assignment:
 
     explore(0, 0.0)
     best = np.array(best, dtype=np.int64)
-    work.verify(best)
     return work.to_assignment(best, proven=True, nodes=nodes, exhausted=False)
 
 
@@ -474,7 +491,6 @@ def greedy_construct(problem: GapProblem) -> Assignment:
     the first agent with remaining capacity."""
     work = _Work(problem)
     assigned = _greedy(work)
-    work.verify(assigned)
     return work.to_assignment(assigned, proven=False, nodes=0, exhausted=False)
 
 
@@ -695,10 +711,9 @@ def local_search_improve(problem: GapProblem, start: Assignment,
     the module docstring)."""
     work = _Work(problem)
     assigned = work.from_assignment(start)
-    work.verify(assigned)
+    _verify(problem, *_positions(assigned))
     clock = budget.start()
     assigned = _local_search(work, assigned, clock)
-    work.verify(assigned)
     return work.to_assignment(assigned, proven=False, nodes=clock.used,
                               exhausted=clock.exhausted)
 
@@ -803,10 +818,9 @@ def branch_and_bound(problem: GapProblem, incumbent: Assignment,
     ``proven_optimal`` is set only if the tree was exhausted in budget."""
     work = _Work(problem)
     start = work.from_assignment(incumbent)
-    work.verify(start)
+    _verify(problem, *_positions(start))
     clock = budget.start()
     best, completed = _branch_and_bound(work, start, clock)
-    work.verify(best)
     return work.to_assignment(best, proven=completed, nodes=clock.used,
                               exhausted=clock.exhausted)
 
@@ -817,17 +831,47 @@ def root_upper_bound(problem: GapProblem) -> float:
     return sum(work.best_value.tolist())
 
 
+# The last node-budget solve: its budget, ids, copies of its four arrays (so
+# a caller that mutates a solved problem in place cannot get a stale answer)
+# and its answer.  Only node budgets are stored, so a wall-clock budget never
+# equals the stored one.
+_last_solve: tuple | None = None
+
+
+def _arrays(problem: GapProblem) -> tuple[np.ndarray, ...]:
+    # values first: between cycles they change most often, and they are zero
+    # off the mask as the engine builds them, so a new mask changes them too
+    return (problem.values, problem.feasible_pairs, problem.weights,
+            problem.agent_capacities)
+
+
 def solve(problem: GapProblem, budget: SolverBudget) -> Assignment:
     """Greedy construction, local search, then branch-and-bound over one
     shared budget.  The result is feasible, never worse than greedy, and
-    marked proven optimal only when branch-and-bound finished."""
+    marked proven optimal only when branch-and-bound finished.
+
+    Under a node budget the result depends on the budget and the problem
+    alone, so a call whose budget, ids and arrays equal those of the
+    previous node-budget solve returns that solve's ``Assignment`` again,
+    after checking it against this problem, without searching."""
+    global _last_solve
+    ids = (problem.agent_ids, problem.task_ids)
+    last = _last_solve
+    if last is not None and last[0] == budget and last[1] == ids \
+            and all(map(np.array_equal, last[2], _arrays(problem))):
+        result = last[3]
+        _verify(problem, *result.positions)
+        return result
     work = _Work(problem)
     clock = budget.start()
     assigned = _greedy(work)
-    work.verify(assigned)
+    _verify(problem, *_positions(assigned))
     assigned = _local_search(work, assigned, clock)
-    work.verify(assigned)
+    _verify(problem, *_positions(assigned))
     best, completed = _branch_and_bound(work, assigned, clock)
-    work.verify(best)
-    return work.to_assignment(best, proven=completed, nodes=clock.used,
-                              exhausted=clock.exhausted)
+    result = work.to_assignment(best, proven=completed, nodes=clock.used,
+                                exhausted=clock.exhausted)
+    if budget.mode == "node_limit":
+        _last_solve = (budget, ids,
+                       tuple(a.copy() for a in _arrays(problem)), result)
+    return result

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from rotagap import solver
 from rotagap.affinity import update_affinities
 from rotagap.domain import AgentSpec, Instance, TaskSpec
 from rotagap.solver import GapProblem
@@ -31,6 +32,19 @@ def update_from_pairs(state, available, pairs):
     pairs, converted with ``InstanceMatrices.pair_positions``."""
     return update_affinities(state, available,
                              *state.mats.pair_positions(pairs))
+
+
+def forget_last_solve() -> None:
+    """Clear ``solve``'s memo of the last node-budget solve, so that the
+    next call searches."""
+    solver._last_solve = None
+
+
+def copied_problem(problem: GapProblem) -> GapProblem:
+    """An equal problem that shares no array with ``problem``."""
+    return GapProblem(problem.agent_ids, problem.task_ids,
+                      problem.agent_capacities.copy(), problem.weights.copy(),
+                      problem.values.copy(), problem.feasible_pairs.copy())
 
 
 def random_gap_problem(rng: random.Random, max_agents: int = 3,

@@ -17,6 +17,11 @@ RUNS = {
     "mcmkp": ["--scenario", "mcmkp", "--agents", "4", "--tasks", "10",
               "--cycles", "5", "--agent-availability", "0.75",
               "--strategies", "foa,os:10,pc,wpp", "--budget", "nodes:300"],
+    # full availability: os:40 and the fop baseline pose the same problem
+    # cycle after cycle, so the probe also checks answers the solver reused
+    "mcmkp-full": ["--scenario", "mcmkp", "--agents", "4", "--tasks", "10",
+                   "--cycles", "5", "--strategies", "os:40",
+                   "--budget", "nodes:300"],
     "tcsa": ["--scenario", "tcsa", "--agents", "4", "--tasks", "30",
              "--cycles", "5", "--strategies", "pc,os:5", "--budget", "nodes:300"],
 }

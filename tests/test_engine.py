@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rotagap import engine, solver
 from rotagap.affinity import init_affinities
 from rotagap.domain import (InstanceMatrices, ScenarioTrace,
                             worked_example_fixture)
@@ -13,7 +14,8 @@ from rotagap.scenarios import (McmkpParams, TcsaParams, generate_mcmkp,
 from rotagap.solver import Assignment, SolverBudget
 from rotagap.strategies import StrategyConfig
 
-from conftest import available_pairs, make_instance, update_from_pairs
+from conftest import (available_pairs, forget_last_solve, make_instance,
+                      update_from_pairs)
 
 BUDGET = SolverBudget.nodes(5000)
 FOP = StrategyConfig(kind="fop")
@@ -248,3 +250,33 @@ def test_run_scenario_never_builds_id_pairs(monkeypatch):
                           priority_hook=make_tcsa_priority_hook(instance, 31))
     assert len(report.per_cycle) == 6 and report.total_profit > 0
     assert built == []
+
+
+def test_repeated_cycles_reuse_one_search(monkeypatch):
+    """A full-availability fop run poses the same problem every cycle: it
+    searches once, yet reports every cycle as a run that searches every
+    cycle does."""
+    instance = generate_mcmkp(McmkpParams(agents=4, tasks=10, seed=3))
+    trace = generate_trace_bernoulli(instance, 8, 1.0, 1.0, seed=3)
+    builds = []
+    work = solver._Work
+
+    def counted(problem):
+        builds.append(problem)
+        return work(problem)
+
+    monkeypatch.setattr(solver, "_Work", counted)
+    forget_last_solve()
+    reused = run_scenario(instance, trace, FOP, BUDGET)
+    assert len(builds) == 1
+    solve = engine.solve
+
+    def searching(problem, budget):
+        forget_last_solve()
+        return solve(problem, budget)
+
+    monkeypatch.setattr(engine, "solve", searching)
+    searched = run_scenario(instance, trace, FOP, BUDGET)
+    assert len(builds) == 1 + trace.cycles
+    assert searched.per_cycle == reused.per_cycle
+    assert np.array_equal(searched.final_counts, reused.final_counts)

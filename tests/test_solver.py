@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rotagap import solver
 from rotagap.solver import (Assignment, GapProblem, SolverBudget, SolverError,
                             _greedy_order, _order, _Work, branch_and_bound,
                             brute_force_oracle, greedy_construct,
                             local_search_improve, root_upper_bound, solve)
 
-from conftest import (assert_feasible, mcmkp_gap_problem, random_gap_problem,
+from conftest import (assert_feasible, copied_problem, forget_last_solve,
+                      mcmkp_gap_problem, random_gap_problem,
                       shuffled_gap_problem, tcsa_gap_problem)
 
 AMPLE = SolverBudget.nodes(2_000_000)
@@ -200,8 +202,108 @@ def test_solve_is_deterministic_under_node_limits():
         problem = random_gap_problem(rng)
         budget = SolverBudget.nodes(300)
         first = solve(problem, budget)
+        forget_last_solve()  # a second search, not the memo's answer
         second = solve(problem, budget)
+        assert second is not first
         assert first == second
+
+
+def shaped_problem(rng: random.Random, shape: str) -> GapProblem:
+    if shape == "small":
+        return random_gap_problem(rng)
+    if shape == "shuffled":
+        return shuffled_gap_problem(rng, rng.randint(1, 6), rng.randint(1, 30))
+    return mcmkp_gap_problem(rng, agents=rng.randint(2, 8),
+                             tasks=rng.randint(4, 30))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 100_000),
+       shape=st.sampled_from(["small", "shuffled", "mcmkp"]),
+       nodes=st.integers(0, 5000))
+def test_repeated_solve_returns_what_a_fresh_search_gives(seed, shape, nodes):
+    """An equal problem and budget reuse the last solve's answer, which is
+    the answer a search with the memo cleared gives."""
+    problem = shaped_problem(random.Random(seed), shape)
+    budget = SolverBudget.nodes(nodes)
+    forget_last_solve()
+    first = solve(problem, budget)
+    assert solve(copied_problem(problem), SolverBudget.nodes(nodes)) is first
+    forget_last_solve()
+    fresh = solve(problem, budget)
+    assert fresh is not first and fresh == first
+    for got, want in zip(first.positions, fresh.positions):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("field", ["values", "feasible_pairs", "weights",
+                                   "agent_capacities"])
+def test_mutating_a_solved_problem_in_place_searches_again(field):
+    problem = mcmkp_gap_problem(random.Random(5), agents=4, tasks=12)
+    forget_last_solve()
+    first = solve(problem, AMPLE)
+    rows, cols = first.positions
+    array = getattr(problem, field)
+    if field == "values":
+        array[rows[0], cols[0]] += 5.0
+    elif field == "feasible_pairs":
+        array[rows[0], cols[0]] = False
+    elif field == "weights":
+        array[rows[0], cols[0]] += 1
+    else:
+        array[rows[0]] += 1
+    again = solve(problem, AMPLE)
+    assert again is not first
+    forget_last_solve()
+    assert again == solve(problem, AMPLE)
+
+
+def test_another_node_budget_searches_again():
+    problem = mcmkp_gap_problem(random.Random(6), agents=4, tasks=12)
+    forget_last_solve()
+    first = solve(problem, SolverBudget.nodes(300))
+    other = solve(problem, SolverBudget.nodes(301))
+    assert other is not first
+    assert solve(problem, SolverBudget.nodes(301)) is other
+
+
+def test_wall_clock_budgets_never_reuse_or_store_an_answer():
+    problem = mcmkp_gap_problem(random.Random(7), agents=4, tasks=12)
+    forget_last_solve()
+    by_nodes = solve(problem, AMPLE)
+    first = solve(problem, SolverBudget.seconds(5.0))
+    second = solve(problem, SolverBudget.seconds(5.0))
+    assert len({id(by_nodes), id(first), id(second)}) == 3
+    # the node-budget answer is still the one kept
+    assert solve(problem, AMPLE) is by_nodes
+
+
+def test_a_reused_answer_is_checked_against_the_new_problem(monkeypatch):
+    problem = mcmkp_gap_problem(random.Random(8), agents=4, tasks=12)
+    forget_last_solve()
+    first = solve(problem, AMPLE)
+    checked = []
+    verify = solver._verify
+
+    def spied(checked_problem, rows, cols):
+        checked.append((checked_problem, rows, cols))
+        verify(checked_problem, rows, cols)
+
+    monkeypatch.setattr(solver, "_verify", spied)
+    repeat = copied_problem(problem)
+    assert solve(repeat, AMPLE) is first
+    assert len(checked) == 1
+    checked_problem, rows, cols = checked[0]
+    assert checked_problem is repeat
+    assert rows is first.positions[0] and cols is first.positions[1]
+
+
+def test_solver_positions_are_read_only():
+    problem = mcmkp_gap_problem(random.Random(9), agents=4, tasks=12)
+    for result in (greedy_construct(problem), solve(problem, AMPLE)):
+        for array in result.positions:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 # solve() on random_gap_problem(Random(seed), 4, 14) under a node budget:
@@ -916,15 +1018,7 @@ def test_solve_always_feasible_and_dominates_greedy(seed, shape, nodes):
     """``solve`` gives a feasible answer, never below greedy, whose
     objective is exactly the left-to-right sum of its pairs' values, pairs
     in task order."""
-    rng = random.Random(seed)
-    if shape == "small":
-        problem = random_gap_problem(rng)
-    elif shape == "shuffled":
-        problem = shuffled_gap_problem(rng, rng.randint(1, 6),
-                                       rng.randint(1, 30))
-    else:
-        problem = mcmkp_gap_problem(rng, agents=rng.randint(2, 8),
-                                    tasks=rng.randint(4, 30))
+    problem = shaped_problem(random.Random(seed), shape)
     result = solve(problem, SolverBudget.nodes(nodes))
     assert_feasible(problem, result)
     assert result.objective >= greedy_construct(problem).objective
