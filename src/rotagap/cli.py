@@ -239,14 +239,30 @@ def resolve_config(raw: dict) -> dict:
     }
 
 
+# The last scenario a job built in this process, as [key, (instance, trace,
+# hook, label)], the key being materialize_scenario's arguments.  cmd_run
+# empties it before and after its jobs, so no run sees another's scenario.
+_scenario_memo: list = []
+
+
 def execute_run(payload: dict) -> dict:
-    """Run one (strategy, seed) job; top-level so worker pools can pickle it."""
+    """Run one (strategy, seed) job; top-level so worker pools can pickle it.
+
+    A job whose scenario arguments equal the previous job's in this process
+    reuses that job's instance, trace and priority hook; jobs run seed by
+    seed, so each seed's scenario is built once.  The old scenario is dropped
+    before a new one is built, so at most one is alive, and a failed build
+    leaves nothing stored."""
     config = payload["config"]
     seed = payload["seed"]
     strategy = StrategyConfig.parse(payload["strategy"])
     budget = SolverBudget.parse(config["budget"])
-    instance, trace, hook, label = materialize_scenario(
-        config["scenario"], seed, config["cycles"], config["static_priorities"])
+    key = (config["scenario"], seed, config["cycles"],
+           config["static_priorities"])
+    if not (_scenario_memo and _scenario_memo[0] == key):
+        _scenario_memo.clear()
+        _scenario_memo[:] = [key, materialize_scenario(*key)]
+    instance, trace, hook, label = _scenario_memo[1]
     report = engine.run_scenario(instance, trace, strategy, budget,
                                  priority_hook=hook)
     doc = fileio.run_report_to_dict(report, scenario=label, seed=seed,
@@ -267,6 +283,7 @@ def execute_run(payload: dict) -> dict:
 
 
 def cmd_run(args) -> int:
+    _scenario_memo.clear()
     try:
         if args.config:
             with open(args.config, encoding="utf-8") as fh:
@@ -284,6 +301,8 @@ def cmd_run(args) -> int:
     fileio.atomic_write_text(os.path.join(output_dir, "config.json"),
                              fileio._dump_json(config))
 
+    # seed-major, so that a seed's jobs run one after another and share its
+    # scenario (execute_run)
     payloads = [{"config": config, "seed": seed, "strategy": spec}
                 for seed in config["seeds"] for spec in config["strategies"]]
     # a fork pool starts all its processes at once, so no more than there are jobs
@@ -306,6 +325,7 @@ def cmd_run(args) -> int:
                 results.append(execute_run(payload))
             except Exception as exc:  # noqa: BLE001
                 failures.append((where, payload["seed"], payload["strategy"], exc))
+    _scenario_memo.clear()
 
     for result in results:
         report_path = os.path.join(output_dir, f"{result['stem']}.report.json")

@@ -5,11 +5,18 @@ traces that go with them.
 All randomness is derived from explicit seeds through a stable 64-bit mixing
 function (:func:`derive_seed`), so identical parameters produce bit-identical
 instances and traces on every platform.
+
+A draw made in bulk (:func:`_randints`, used by the per-cycle tcsa priority
+redraw) takes exactly the values, and leaves the generator in exactly the
+state, of the one-at-a-time ``random.Random`` calls it replaces, so bulk and
+single draws give the same streams.
 """
 
 import hashlib
 import random
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from .domain import AgentSpec, Instance, ScenarioTrace, TaskSpec
 
@@ -236,14 +243,45 @@ def generate_tcsa(params: TcsaParams) -> Instance:
     return Instance(agents=agents, tasks=tuple(tasks), metadata=metadata)
 
 
+def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """``[rng.randint(lo, hi) for _ in range(count)]``, drawn in bulk, and
+    ``rng`` is left in the same state.
+
+    ``randint`` takes one 32-bit word per try, keeps its top
+    ``span.bit_length()`` bits and retries while that is ``>= span``.  Each
+    round here takes the words still missing from one ``getrandbits`` call,
+    whose 32-bit words come least significant first in draw order, and keeps
+    those below ``span`` in order; it never draws a word the loop would not.
+    A span of 2**32 or more takes more than one word per try and is refused,
+    as are bounds outside int64, which the values are summed in.
+    """
+    span = hi - lo + 1
+    if not (0 < span < 2**32 and -2**63 <= lo and hi < 2**63):
+        raise ValueError(f"randint range [{lo}, {hi}] must hold 1 to "
+                         f"2**32 - 1 values within int64")
+    shift = 32 - span.bit_length()
+    kept = []
+    missing = count
+    while missing > 0:
+        raw = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+        words = np.frombuffer(raw, dtype="<u4") >> shift
+        kept.append(words[words < span])
+        missing -= len(kept[-1])
+    if not kept:
+        return []
+    return (np.concatenate(kept).astype(np.int64) + lo).tolist()
+
+
 def make_tcsa_priority_hook(instance: Instance, seed: int):
     """Per-cycle priority redraw for TCSA runs: every task's profit is drawn
-    fresh from U[10, 1000] each cycle, from a per-cycle child seed."""
+    fresh from U[10, 1000] each cycle, from a per-cycle child seed, in one
+    bulk draw (:func:`_randints`)."""
     task_ids = list(instance.task_ids)
 
     def hook(cycle: int) -> dict[str, int]:
         rng = random.Random(derive_seed(seed, "tcsa", "cycle-priorities", cycle))
-        return {t: rng.randint(_PROFIT_LO, _PROFIT_HI) for t in task_ids}
+        return dict(zip(task_ids, _randints(rng, _PROFIT_LO, _PROFIT_HI,
+                                            len(task_ids))))
 
     return hook
 

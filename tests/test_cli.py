@@ -1,12 +1,15 @@
 import concurrent.futures
 import json
 import os
+import shutil
+from collections import Counter
 
 import pytest
 
-from rotagap import fileio
+from rotagap import fileio, scenarios
 from rotagap.cli import main, parse_strategies
 from rotagap.domain import AgentSpec, Instance, TaskSpec
+from rotagap.scenarios import GenerationError
 
 
 def run_cli(*argv) -> int:
@@ -327,7 +330,8 @@ def test_run_with_worker_pool_matches_serial(tmp_path):
                 continue
             path = os.path.join(root, name)
             if name.endswith(".report.json"):
-                doc = json.loads(open(path).read())
+                with open(path, encoding="utf-8") as fh:
+                    doc = json.load(fh)
                 doc.pop("config")
                 out[name] = doc
             else:
@@ -335,3 +339,84 @@ def test_run_with_worker_pool_matches_serial(tmp_path):
         return out
 
     assert content(str(serial)) == content(str(pooled))
+
+
+TCSA_RUN = ["run", "--scenario", "tcsa", "--agents", "6", "--tasks", "20",
+            "--cycles", "8", "--strategies", "pc", "--budget", "nodes:500"]
+
+
+def count_seeds(monkeypatch, name, fail_seed=None):
+    """Replace ``scenarios.<name>`` (whose last argument is a TcsaParams)
+    with a wrapper that counts calls per seed and fails on ``fail_seed``."""
+    calls = Counter()
+    real = getattr(scenarios, name)
+
+    def counted(*args):
+        seed = args[-1].seed
+        calls[seed] += 1
+        if seed == fail_seed:
+            raise GenerationError(f"no scenario for seed {seed}")
+        return real(*args)
+
+    monkeypatch.setattr(scenarios, name, counted)
+    return calls
+
+
+def test_run_builds_each_seeds_scenario_once(tmp_path, monkeypatch):
+    instances = count_seeds(monkeypatch, "generate_tcsa")
+    traces = count_seeds(monkeypatch, "generate_trace_episodic")
+    out = tmp_path / "both"
+    assert run_cli(*TCSA_RUN, "--seeds", "1,2", "-o", str(out)) == 0
+    assert instances == traces == {1: 1, 2: 1}  # pc and fop share a scenario
+    # seed 2's jobs, run after seed 1's, match a run of seed 2 alone
+    alone = tmp_path / "alone"
+    assert run_cli(*TCSA_RUN, "--seeds", "2", "-o", str(alone)) == 0
+    for name in os.listdir(alone):
+        if name.endswith(".cycles.jsonl"):
+            assert fileio.sha256_file(str(out / name)) \
+                == fileio.sha256_file(str(alone / name))
+    seed2 = [r for r in fileio.read_summary(str(out / "summary.csv"))
+             if r["seed"] == "2"]
+    assert seed2 == fileio.read_summary(str(alone / "summary.csv"))
+
+
+def test_failed_scenario_fails_every_job_of_its_seed(tmp_path, monkeypatch):
+    traces = count_seeds(monkeypatch, "generate_trace_episodic", fail_seed=1)
+    out = tmp_path / "out"
+    assert run_cli(*TCSA_RUN, "--seeds", "1,2", "-o", str(out)) == 3
+    assert traces == {1: 2, 2: 1}  # a failed build is not stored
+    failures = json.loads((out / "failures.json").read_text())
+    assert [(f["seed"], f["strategy"], f["error"]) for f in failures] == [
+        (1, "pc", "no scenario for seed 1"), (1, "fop", "no scenario for seed 1")]
+    rows = fileio.read_summary(str(out / "summary.csv"))
+    assert sorted((r["seed"], r["strategy"]) for r in rows) \
+        == [("2", "fop"), ("2", "pc")]
+
+
+def test_run_reads_input_files_rewritten_between_runs(tmp_path):
+    gen = tmp_path / "gen"
+    for seed in ("9", "10"):
+        assert run_cli("generate", "--scenario", "mcmkp", "--agents", "4",
+                       "--tasks", "8", "--cycles", "6", "--seed", seed,
+                       "-o", str(gen)) == 0
+    stem = str(gen / "mcmkp-4x8-uncorrelated-seed")
+    data = tmp_path / "data"
+    data.mkdir()
+
+    def run_on(source, out):
+        for suffix in (".instance.json", ".trace.jsonl"):
+            shutil.copyfile(source + suffix, str(data / ("x" + suffix)))
+        assert run_cli("run", "--instance", str(data / "x.instance.json"),
+                       "--trace", str(data / "x.trace.jsonl"), "--seeds", "1",
+                       "--strategies", "foa", "--budget", "nodes:1000",
+                       "-o", str(tmp_path / out)) == 0
+        return fileio.read_summary(str(tmp_path / out / "summary.csv"))
+
+    first = run_on(stem + "9", "first")
+    second = run_on(stem + "10", "second")  # same paths and seed, new content
+    assert second != first
+    assert run_cli("run", "--instance", stem + "10.instance.json",
+                   "--trace", stem + "10.trace.jsonl", "--seeds", "1",
+                   "--strategies", "foa", "--budget", "nodes:1000",
+                   "-o", str(tmp_path / "fresh")) == 0
+    assert second == fileio.read_summary(str(tmp_path / "fresh" / "summary.csv"))

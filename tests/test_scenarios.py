@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from rotagap.domain import validate_instance, validate_trace
 from rotagap.scenarios import (GenerationError, McmkpParams, TcsaParams,
-                               derive_seed, episode_entry_probability,
+                               _randints, derive_seed,
+                               episode_entry_probability,
                                generate_mcmkp, generate_tcsa,
                                generate_trace_bernoulli,
                                generate_trace_episodic,
@@ -126,6 +129,46 @@ def test_tcsa_priority_hook_redraws_each_cycle():
     assert all(10 <= p <= 1000 for p in first.values())
     assert first != second
     assert hook(1) == first  # per-cycle child seeds, not a shared stream
+
+
+def reference_randints(rng, lo, hi, count):
+    return [rng.randint(lo, hi) for _ in range(count)]
+
+
+# span 2**31 + 1 rejects about half of its words, so it takes several rounds
+@pytest.mark.parametrize("lo,span", [(7, 1), (-3, 21), (10, 991),
+                                     (2**40, 2**31 + 1), (0, 2**32 - 1)])
+@pytest.mark.parametrize("count", [0, 1, 750])
+def test_randints_matches_a_randint_loop(lo, span, count):
+    hi = lo + span - 1
+    for seed in range(200):
+        bulk, loop = random.Random(seed), random.Random(seed)
+        values = _randints(bulk, lo, hi, count)
+        assert values == reference_randints(loop, lo, hi, count)
+        assert all(type(v) is int for v in values)
+        assert bulk.getstate() == loop.getstate()
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 2**32), (-2**31, 2**31), (5, 4),
+                                   (2**63 - 5, 2**63 + 5), (-2**63 - 1, -2**63 + 5)])
+def test_randints_refuses_spans_it_cannot_draw(lo, hi):
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="randint range"):
+        _randints(rng, lo, hi, 3)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1000, 2**40])
+def test_tcsa_priority_hook_matches_a_randint_loop(seed):
+    instance = generate_tcsa(TcsaParams(agents=20, tasks=750, seed=seed))
+    hook = make_tcsa_priority_hook(instance, seed=seed)
+    for cycle in (0, 1, 2, 17, 365):
+        rng = random.Random(derive_seed(seed, "tcsa", "cycle-priorities", cycle))
+        expected = {t: rng.randint(10, 1000) for t in instance.task_ids}
+        drawn = hook(cycle)
+        assert drawn == expected
+        assert list(drawn) == list(instance.task_ids)
 
 
 def test_entry_probability_formula():
