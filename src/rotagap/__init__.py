@@ -19,8 +19,8 @@ from .scenarios import (GenerationError, McmkpParams, TcsaParams, derive_seed,
 from .solver import (Assignment, GapProblem, SolverBudget, SolverError,
                      branch_and_bound, brute_force_oracle, greedy_construct,
                      local_search_improve, solve)
-from .strategies import (ConfigError, StrategyConfig, ValueMatrix,
-                         compute_values, os_values, pc_values, wpp_values)
+from .strategies import (ConfigError, StrategyConfig, compute_values,
+                         os_values, pc_values, wpp_values)
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "AffinityState", "AgentSpec", "Assignment", "ConfigError", "CycleReport",
     "GapProblem", "GenerationError", "Instance", "InstanceMatrices",
     "McmkpParams", "RunReport", "ScenarioTrace", "SolverBudget", "SolverError",
-    "StrategyConfig", "TaskSpec", "TcsaParams", "ValueMatrix",
+    "StrategyConfig", "TaskSpec", "TcsaParams",
     "affinity_pressure", "branch_and_bound", "brute_force_oracle",
     "compare_to_baseline", "compute_values", "derive_seed",
     "generate_mcmkp", "generate_tcsa", "generate_trace_bernoulli",

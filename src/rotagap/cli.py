@@ -13,6 +13,7 @@ re-run with the same config produces byte-identical files.
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import json
 import logging
@@ -195,8 +196,6 @@ def resolve_config(raw: dict) -> dict:
     if not isinstance(scenario, dict):
         raise ConfigError(f"scenario must be an object, got {scenario!r}")
     strategies = parse_strategies(raw["strategies"])
-    for strategy in strategies:
-        strategy.validate()
     budget = SolverBudget.parse(raw["budget"])
     cycles = raw.get("cycles")
     if cycles is not None:
@@ -239,30 +238,15 @@ def resolve_config(raw: dict) -> dict:
     }
 
 
-# The last scenario a job built in this process, as [key, (instance, trace,
-# hook, label)], the key being materialize_scenario's arguments.  cmd_run
-# empties it before and after its jobs, so no run sees another's scenario.
-_scenario_memo: list = []
-
-
 def execute_run(payload: dict) -> dict:
     """Run one (strategy, seed) job; top-level so worker pools can pickle it.
-
-    A job whose scenario arguments equal the previous job's in this process
-    reuses that job's instance, trace and priority hook; jobs run seed by
-    seed, so each seed's scenario is built once.  The old scenario is dropped
-    before a new one is built, so at most one is alive, and a failed build
-    leaves nothing stored."""
+    ``payload["scenario"]`` is the seed's (instance, trace, priority_hook,
+    label) from :func:`materialize_scenario`."""
     config = payload["config"]
     seed = payload["seed"]
     strategy = StrategyConfig.parse(payload["strategy"])
     budget = SolverBudget.parse(config["budget"])
-    key = (config["scenario"], seed, config["cycles"],
-           config["static_priorities"])
-    if not (_scenario_memo and _scenario_memo[0] == key):
-        _scenario_memo.clear()
-        _scenario_memo[:] = [key, materialize_scenario(*key)]
-    instance, trace, hook, label = _scenario_memo[1]
+    instance, trace, hook, label = payload["scenario"]
     report = engine.run_scenario(instance, trace, strategy, budget,
                                  priority_hook=hook)
     doc = fileio.run_report_to_dict(report, scenario=label, seed=seed,
@@ -282,8 +266,18 @@ def execute_run(payload: dict) -> dict:
     }
 
 
+def run_here(fn, *args) -> concurrent.futures.Future:
+    """``fn(*args)`` called now, in this process, as a finished future."""
+    future = concurrent.futures.Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the job's outcome
+        # no traceback: its frames would keep the job's scenario alive
+        future.set_exception(exc.with_traceback(None))
+    return future
+
+
 def cmd_run(args) -> int:
-    _scenario_memo.clear()
     try:
         if args.config:
             with open(args.config, encoding="utf-8") as fh:
@@ -301,31 +295,35 @@ def cmd_run(args) -> int:
     fileio.atomic_write_text(os.path.join(output_dir, "config.json"),
                              fileio._dump_json(config))
 
-    # seed-major, so that a seed's jobs run one after another and share its
-    # scenario (execute_run)
-    payloads = [{"config": config, "seed": seed, "strategy": spec}
-                for seed in config["seeds"] for spec in config["strategies"]]
-    # a fork pool starts all its processes at once, so no more than there are jobs
-    workers = min(config["workers"], len(payloads))
+    # Seed by seed, each seed's scenario is built once, here, and handed to
+    # its jobs; a failed build fails every job of its seed.  One pool task
+    # per job, so a one-seed grid still uses every worker.  A fork pool
+    # starts all its processes at once, so no more than there are jobs.
+    strategies = config["strategies"]
+    workers = min(config["workers"], len(config["seeds"]) * len(strategies))
+    jobs = []  # (seed, strategy, future), seed-major
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+          if workers > 1 else contextlib.nullcontext()) as pool:
+        submit = run_here if pool is None else pool.submit
+        for seed in config["seeds"]:
+            built = run_here(materialize_scenario, config["scenario"], seed,
+                             config["cycles"], config["static_priorities"])
+            if built.exception() is not None:
+                jobs.extend((seed, spec, built) for spec in strategies)
+                continue
+            jobs.extend((seed, spec, submit(execute_run, {
+                "config": config, "seed": seed, "strategy": spec,
+                "scenario": built.result()})) for spec in strategies)
+            del built  # a serial run holds one seed's scenario at a time
     results = []
     failures = []  # (scenario, seed, strategy, exception)
     scenario = config["scenario"]
     where = scenario["instance"] if scenario["name"] == "files" else scenario["name"]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(execute_run, p) for p in payloads]
-            for payload, future in zip(payloads, futures):
-                try:
-                    results.append(future.result())
-                except Exception as exc:  # noqa: BLE001 - preserve partial results
-                    failures.append((where, payload["seed"], payload["strategy"], exc))
-    else:
-        for payload in payloads:
-            try:
-                results.append(execute_run(payload))
-            except Exception as exc:  # noqa: BLE001
-                failures.append((where, payload["seed"], payload["strategy"], exc))
-    _scenario_memo.clear()
+    for seed, spec, future in jobs:
+        try:
+            results.append(future.result())
+        except Exception as exc:  # noqa: BLE001 - preserve partial results
+            failures.append((where, seed, spec, exc))
 
     for result in results:
         report_path = os.path.join(output_dir, f"{result['stem']}.report.json")

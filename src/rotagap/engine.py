@@ -113,7 +113,7 @@ def run_cycle(instance: Instance, entry: tuple[Iterable[str], Iterable[str]],
     max_ap = max_affinity_pressure(state, feasible)
     values = compute_values(strategy, profits, state.affinities, feasible,
                             max_ap)
-    problem = build_gap_problem(mats, values.values, feasible)
+    problem = build_gap_problem(mats, values, feasible)
     assignment = solve(problem, budget)
     rows, cols = assignment.positions
 
@@ -156,7 +156,6 @@ def run_scenario(instance: Instance, trace: ScenarioTrace,
                  priority_hook: PriorityHook | None = None) -> RunReport:
     """Fold :func:`run_cycle` over the whole trace, starting from the initial
     affinity state.  The strategy is fixed for the entire run."""
-    strategy.validate()
     state = init_affinities(instance)
     mats = state.mats
     reports: list[CycleReport] = []

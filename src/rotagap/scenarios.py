@@ -12,6 +12,7 @@ state, of the one-at-a-time ``random.Random`` calls it replaces, so bulk and
 single draws give the same streams.
 """
 
+import functools
 import hashlib
 import random
 from dataclasses import asdict, dataclass
@@ -272,18 +273,19 @@ def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
     return (np.concatenate(kept).astype(np.int64) + lo).tolist()
 
 
+def _tcsa_priorities(seed: int, task_ids: tuple[str, ...],
+                     cycle: int) -> dict[str, int]:
+    rng = random.Random(derive_seed(seed, "tcsa", "cycle-priorities", cycle))
+    return dict(zip(task_ids, _randints(rng, _PROFIT_LO, _PROFIT_HI,
+                                        len(task_ids))))
+
+
 def make_tcsa_priority_hook(instance: Instance, seed: int):
     """Per-cycle priority redraw for TCSA runs: every task's profit is drawn
     fresh from U[10, 1000] each cycle, from a per-cycle child seed, in one
-    bulk draw (:func:`_randints`)."""
-    task_ids = list(instance.task_ids)
-
-    def hook(cycle: int) -> dict[str, int]:
-        rng = random.Random(derive_seed(seed, "tcsa", "cycle-priorities", cycle))
-        return dict(zip(task_ids, _randints(rng, _PROFIT_LO, _PROFIT_HI,
-                                            len(task_ids))))
-
-    return hook
+    bulk draw (:func:`_randints`).  The hook pickles, so a job can carry it
+    into a worker process."""
+    return functools.partial(_tcsa_priorities, seed, tuple(instance.task_ids))
 
 
 def generate_trace_bernoulli(instance: Instance, cycles: int | None,

@@ -35,14 +35,15 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class StrategyConfig:
     """Which strategy to run and its parameters (gamma for os; alpha/beta
-    exponents for pc)."""
+    exponents for pc).  A config is checked when it is built, so every one
+    that exists is valid."""
 
     kind: str
     gamma: float | None = None
     alpha: float = 1.0
     beta: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "os":
@@ -117,45 +118,28 @@ class StrategyConfig:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"bad strategy spec {text!r}: {exc}") from exc
-        config.validate()
         return config
 
 
-@dataclass(eq=False)
-class ValueMatrix:
-    """Dense m x n objective coefficients for one cycle; zero on incompatible
-    or unavailable pairs, finite and non-negative everywhere."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if not np.isfinite(values).all():
-            raise ValueError("value matrix contains non-finite entries")
-        if (values < 0).any():
-            raise ValueError("value matrix contains negative entries")
-        self.values = values
-
-
 def os_values(gamma: float, profits: np.ndarray, affinities: np.ndarray,
-              mask: np.ndarray, max_ap: float) -> ValueMatrix:
+              mask: np.ndarray, max_ap: float) -> np.ndarray:
     """Objective switch: the profit matrix while ``gamma > max_ap``, the
     affinity matrix otherwise."""
     source = profits if gamma > max_ap else affinities
-    return ValueMatrix(np.where(mask, source, 0).astype(np.float64))
+    return np.where(mask, source, 0).astype(np.float64)
 
 
 def pc_values(alpha: float, beta: float, profits: np.ndarray,
-              affinities: np.ndarray, mask: np.ndarray) -> ValueMatrix:
+              affinities: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Product combination ``p**alpha * a**beta`` elementwise; 0**0 == 1 so
     the fop/foa special cases hold entrywise."""
     v = np.power(profits.astype(np.float64), alpha) \
         * np.power(affinities.astype(np.float64), beta)
-    return ValueMatrix(np.where(mask, v, 0.0))
+    return np.where(mask, v, 0.0)
 
 
 def wpp_values(profits: np.ndarray, affinities: np.ndarray,
-               mask: np.ndarray) -> ValueMatrix:
+               mask: np.ndarray) -> np.ndarray:
     """Weighted partial profits.
 
     With c_j available compatible agents for task j, the blend weight is
@@ -169,7 +153,7 @@ def wpp_values(profits: np.ndarray, affinities: np.ndarray,
     the solver's non-negativity contract.
     """
     if not mask.any():
-        return ValueMatrix(np.zeros_like(profits, dtype=np.float64))
+        return np.zeros_like(profits, dtype=np.float64)
     max_p = int(profits[mask].max())
     max_a = int(affinities[mask].max())
     if max_p <= 0 or max_a <= 0:
@@ -181,28 +165,26 @@ def wpp_values(profits: np.ndarray, affinities: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.where(sums > 0, (counts * (counts + 1) / 2.0) / sums, 0.0)
     v = lam[None, :] * (profits / max_p) + (1.0 - lam[None, :]) * (affinities / max_a)
-    v = np.where(mask, np.maximum(v, 0.0), 0.0)
-    return ValueMatrix(v)
+    return np.where(mask, np.maximum(v, 0.0), 0.0)
 
 
 def compute_values(config: StrategyConfig, profits: np.ndarray,
                    affinities: np.ndarray, mask: np.ndarray,
-                   max_ap: float) -> ValueMatrix:
+                   max_ap: float) -> np.ndarray:
     """Dispatch to the configured strategy for one cycle.
 
     ``profits`` and ``affinities`` are the cycle's m x n matrices, ``mask``
     its available compatible pairs and ``max_ap`` its maximum affinity
-    pressure (read by ``os`` only).
+    pressure (read by ``os`` only).  The result is the float64 m x n value
+    matrix, zero off ``mask``; ``GapProblem`` checks that its values on the
+    available pairs are finite and non-negative.
     """
-    config.validate()
     if config.kind == "fop":
-        return ValueMatrix(np.where(mask, profits, 0).astype(np.float64))
+        return np.where(mask, profits, 0).astype(np.float64)
     if config.kind == "foa":
-        return ValueMatrix(np.where(mask, affinities, 0).astype(np.float64))
+        return np.where(mask, affinities, 0).astype(np.float64)
     if config.kind == "os":
         return os_values(config.gamma, profits, affinities, mask, max_ap)
     if config.kind == "pc":
         return pc_values(config.alpha, config.beta, profits, affinities, mask)
-    if config.kind == "wpp":
-        return wpp_values(profits, affinities, mask)
-    raise ConfigError(f"unknown strategy kind {config.kind!r}")
+    return wpp_values(profits, affinities, mask)  # the one kind left

@@ -187,7 +187,7 @@ def test_run_config_errors(tmp_path):
 
 def test_pc_values_that_overflow_are_refused(tmp_path):
     # 1000**200 is beyond float range: left to the jobs, every one fails
-    # with "value matrix contains non-finite entries"
+    # with "values must be finite on feasible pairs"
     mcmkp = ["--scenario", "mcmkp", "--agents", "2", "--tasks", "4",
              "--cycles", "2", "--budget", "nodes:10"]
     gen = tmp_path / "gen"
@@ -347,11 +347,14 @@ TCSA_RUN = ["run", "--scenario", "tcsa", "--agents", "6", "--tasks", "20",
 
 def count_seeds(monkeypatch, name, fail_seed=None):
     """Replace ``scenarios.<name>`` (whose last argument is a TcsaParams)
-    with a wrapper that counts calls per seed and fails on ``fail_seed``."""
+    with a wrapper that counts calls per seed and fails on ``fail_seed``.
+    Only this process counts, so a call from a worker process fails."""
     calls = Counter()
     real = getattr(scenarios, name)
+    parent = os.getpid()
 
     def counted(*args):
+        assert os.getpid() == parent, f"{name} called in a worker process"
         seed = args[-1].seed
         calls[seed] += 1
         if seed == fail_seed:
@@ -380,11 +383,31 @@ def test_run_builds_each_seeds_scenario_once(tmp_path, monkeypatch):
     assert seed2 == fileio.read_summary(str(alone / "summary.csv"))
 
 
-def test_failed_scenario_fails_every_job_of_its_seed(tmp_path, monkeypatch):
+def test_pooled_tcsa_run_writes_the_serial_bytes(tmp_path, monkeypatch):
+    # each pool job unpickles its seed's scenario, priority hook included
+    instances = count_seeds(monkeypatch, "generate_tcsa")
+    traces = count_seeds(monkeypatch, "generate_trace_episodic")
+    runs = {}
+    for workers, builds in (("1", 1), ("2", 2)):
+        out = tmp_path / workers
+        assert run_cli(*TCSA_RUN, "--seeds", "1,2", "--workers", workers,
+                       "-o", str(out)) == 0
+        assert instances == traces == {1: builds, 2: builds}  # once per seed
+        runs[workers] = {name: fileio.sha256_file(str(out / name))
+                         for name in os.listdir(out)
+                         if name == "summary.csv" or name.endswith(".cycles.jsonl")}
+    assert len(runs["1"]) == 5  # the summary and pc, fop x seeds 1, 2
+    assert runs["2"] == runs["1"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failed_scenario_fails_every_job_of_its_seed(tmp_path, monkeypatch,
+                                                     workers):
     traces = count_seeds(monkeypatch, "generate_trace_episodic", fail_seed=1)
     out = tmp_path / "out"
-    assert run_cli(*TCSA_RUN, "--seeds", "1,2", "-o", str(out)) == 3
-    assert traces == {1: 2, 2: 1}  # a failed build is not stored
+    assert run_cli(*TCSA_RUN, "--seeds", "1,2", "--workers", workers,
+                   "-o", str(out)) == 3
+    assert traces == {1: 1, 2: 1}  # a failed build is attempted once
     failures = json.loads((out / "failures.json").read_text())
     assert [(f["seed"], f["strategy"], f["error"]) for f in failures] == [
         (1, "pc", "no scenario for seed 1"), (1, "fop", "no scenario for seed 1")]

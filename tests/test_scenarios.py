@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -129,6 +130,16 @@ def test_tcsa_priority_hook_redraws_each_cycle():
     assert all(10 <= p <= 1000 for p in first.values())
     assert first != second
     assert hook(1) == first  # per-cycle child seeds, not a shared stream
+
+
+def test_tcsa_priority_hook_survives_a_pickle_round_trip():
+    # a pooled run sends each job its seed's hook
+    instance = generate_tcsa(TcsaParams(agents=5, tasks=10, seed=6))
+    hook = make_tcsa_priority_hook(instance, seed=6)
+    copy = pickle.loads(pickle.dumps(hook))
+    for cycle in (0, 1, 2, 17, 365):
+        assert copy(cycle) == hook(cycle)
+        assert list(copy(cycle)) == list(instance.task_ids)
 
 
 def reference_randints(rng, lo, hi, count):

@@ -718,6 +718,15 @@ def test_negative_values_on_feasible_pairs_are_rejected():
     assert solve(zeros, AMPLE).objective == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_values_on_feasible_pairs_are_rejected(bad):
+    with pytest.raises(ValueError, match="values must be finite"):
+        small_problem([10], [[1, 1]], [[bad, 3.0]])
+    # off the mask a non-finite value is never read
+    problem = small_problem([10], [[1, 1]], [[bad, 3.0]], [[False, True]])
+    assert solve(problem, AMPLE).objective == 3.0
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 100_000), shape=st.sampled_from(["small", "mcmkp"]),
        nodes=st.one_of(st.sampled_from([0, 1, 2, 256, 257, 258, 513]),
