@@ -188,10 +188,11 @@ def config_from_args(args) -> dict:
 
 def resolve_config(raw: dict) -> dict:
     """Check a raw run config and return it resolved, as ``config.json``
-    records it: canonical strategy and budget specs, seeds filled in.  The
-    scenario's parameters, or its files, are checked here too, and so is
-    each strategy's value range over them, so that a bad input is refused
-    before any job starts."""
+    records it: canonical strategy and budget specs, seeds filled in and
+    each listed once, in the order first given.  The scenario's parameters,
+    or its files, are checked here too, and so is each strategy's value
+    range over them, so that a bad input is refused before any job
+    starts."""
     scenario = raw["scenario"]
     if not isinstance(scenario, dict):
         raise ConfigError(f"scenario must be an object, got {scenario!r}")
@@ -202,7 +203,7 @@ def resolve_config(raw: dict) -> dict:
         cycles = int(cycles)
         if cycles < 1:
             raise ConfigError(f"cycles must be >= 1, got {cycles}")
-    seeds = [int(s) for s in raw.get("seeds") or []]
+    seeds = list(dict.fromkeys(int(s) for s in raw.get("seeds") or []))
     if scenario.get("name") == "files":
         instance, trace = load_files(scenario)
         seeds = seeds or [int(instance.metadata.get("seed", 0))]

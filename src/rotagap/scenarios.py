@@ -78,8 +78,10 @@ class McmkpParams:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.agents < 1 or self.tasks < 1:
-            raise GenerationError("need at least one agent and one task")
+        # the capacities hold half the total weight in all, so a lone task
+        # could never fit
+        if self.agents < 1 or self.tasks < 2:
+            raise GenerationError("need at least one agent and two tasks")
         if self.correlation not in CORRELATIONS:
             raise GenerationError(f"unknown correlation {self.correlation!r}")
         for name, p in (("agent_availability", self.agent_availability),
@@ -157,6 +159,10 @@ def _mcmkp_capacities(shares: list[float], weights: list[int], m: int) -> list[i
     ceiling = half - max(weights)
     drawn = sum(caps)
     if drawn > ceiling:
+        if not drawn:
+            raise GenerationError(
+                f"every drawn capacity rounds to 0 and the heaviest task "
+                f"({max(weights)}) outweighs half the total weight ({half})")
         caps = [c * max(ceiling, 0) // drawn for c in caps]
     return caps + [half - sum(caps)]
 

@@ -25,9 +25,14 @@ neighbourhood whose gain bound cannot beat the best move so far are not
 evaluated.  A deadline is checked once per neighbourhood.  Branch-and-bound
 takes nodes from the clock in batches of at most 256 (never more than a node
 limit has left), keeps one unit per node it visits and hands back what it
-did not use.  In ``node_limit`` mode identical inputs therefore yield
-identical assignments; ``wall_clock`` mode trades that determinism for a
-real-time contract.
+did not use.  Where no agent has room for a node's task, leaving it out is
+the only child and nothing changes, so the search steps over the run of such
+nodes to the first that is a leaf, fails the bound or has room, and charges
+the run in one step; a budget that ends inside a run stops the search there
+with its incumbent.  ``nodes_explored`` and the truncation point are those
+of charging node by node.  In ``node_limit`` mode identical inputs therefore
+yield identical assignments; ``wall_clock`` mode trades that determinism for
+a real-time contract.
 
 :func:`solve` keeps the answer of its last node-budget call.  When the next
 call has an equal budget, the same ids and equal capacities, mask, values
@@ -728,14 +733,29 @@ def _branch_and_bound(work: _Work, incumbent: np.ndarray,
     incumbent are pruned.
 
     Depth ``d`` fixes task ``order[d]``; ``applied[d]`` is the agent it is
-    placed on (None: left out) and ``untried[d]`` its remaining options,
-    last one next: None, then the agents with room, worst first.  An
-    expanded node steps straight into its first child; when no agent has
-    room (``max(rem)`` below the task's smallest weight) that child, leaving
-    the task out, is the only one.
+    placed on (None: left out).  A node's children place its task on each
+    agent with room, best first, then leave it out; ``untried[d]`` holds the
+    agents not yet tried, last one next.  ``top`` is ``max(rem)``, kept up
+    to date: a restore raises it to the restored capacity when that is
+    larger, and a placement recomputes it only when the agent placed on
+    held it.
+
+    A node at depth ``k`` has tasks ``order[:k]`` fixed.  Each pass of the
+    loop starts just after task ``order[d]`` is fixed (``d`` is -1 before
+    the root) and steps into the node at depth ``d + 1``.  When no agent has
+    room for a node's task (``top`` below its smallest weight), leaving the
+    task out is the node's only child, and ``val`` and ``rem`` stay as they
+    are; so the pass walks on over the whole run of such nodes, to the first
+    that is a leaf, fails the bound, or has room for its task, and visits
+    that one.  The run writes nothing: ``applied`` already holds None at
+    every depth after ``d``, since the search leaves a depth only after its
+    last child, the one that leaves its task out.
 
     Nodes cost one unit each, taken from the clock in batches; ``left`` is
-    what the current batch has not spent yet.
+    what the clock has granted and no node has used yet.  A pass charges
+    its nodes in one step, and when the budget ends among them the search
+    stops with the incumbent it has, so the nodes visited, ``clock.used``
+    and the point of truncation are those of charging node by node.
     """
     if not clock.charge():  # the root, charged before any set-up
         return incumbent.copy(), False
@@ -753,8 +773,10 @@ def _branch_and_bound(work: _Work, incumbent: np.ndarray,
     candidates = list(zip(work.cand_agent.tolist(), work.cand_w.tolist()))
     offsets = work.offsets.tolist()
     pairs_at = [candidates[offsets[j]:offsets[j + 1]][::-1] for j in order]
+    # the smallest weight by depth, and -inf at the leaves: there
+    # val + suffix[n] == val, so a walk expands a leaf exactly when it improves
     minw_at = [min((wt for _, wt in pairs), default=math.inf)
-               for pairs in pairs_at]
+               for pairs in pairs_at] + [-math.inf]
 
     best = incumbent.copy()
     best_val = work.objective(incumbent)
@@ -762,30 +784,39 @@ def _branch_and_bound(work: _Work, incumbent: np.ndarray,
     val = 0.0
     untried: list = [()] * n
     applied: list[int | None] = [None] * n
-    left = 0
-    top = None  # max(rem), None once rem has changed
-    d = 0
+    left = 1  # the root's unit, taken above
+    top = max(rem, default=0)  # ints, so it compares exactly
+    d = -1  # the depth of the last task fixed
     while True:
-        # visit the (charged) node whose tasks order[:d] are placed
-        if d < n and val + suffix[d] > best_val:
-            if top is None:
-                top = max(rem)
-            if top < minw_at[d]:
-                i = None
-                untried[d] = ()
-            else:
-                options = [None]
-                options += [i for i, wt in pairs_at[d] if rem[i] >= wt]
-                i = options.pop()
-                untried[d] = options
+        # step into the node at depth d + 1, and on over the run of nodes
+        # below it that leave their tasks out for want of room; charge them
+        # all, then visit the node reached
+        e = d + 1
+        while val + suffix[e] > best_val:
+            if top >= minw_at[e]:
+                expand = True
+                break
+            e += 1
         else:
-            if d == n and val > best_val:
+            expand = False
+        left -= e - d
+        while left < 0:
+            granted = clock.charge_batch()
+            if not granted:
+                return best, False
+            left += granted
+        d = e
+        if expand and d < n:
+            untried[d] = options = [i for i, wt in pairs_at[d] if rem[i] >= wt]
+            i = options.pop() if options else None
+        else:
+            if expand:  # an improving leaf
                 best_val = val
                 best = np.full(n, -1, dtype=np.int64)
                 for depth, agent in enumerate(applied):
                     if agent is not None:
                         best[order[depth]] = agent
-            # back up to the deepest depth with an untried option
+            # back up to the deepest placed task and take its next child
             while True:
                 d -= 1
                 if d < 0:
@@ -793,23 +824,21 @@ def _branch_and_bound(work: _Work, incumbent: np.ndarray,
                     return best, True
                 i = applied[d]
                 if i is not None:
-                    rem[i] += w_at[d][i]
-                    val -= v_at[d][i]
-                    top = None
-                if untried[d]:
                     break
-            i = untried[d].pop()
+            r = rem[i] + w_at[d][i]
+            rem[i] = r
+            val -= v_at[d][i]
+            if r > top:
+                top = r
+            options = untried[d]
+            i = options.pop() if options else None
         if i is not None:
-            rem[i] -= w_at[d][i]
+            r = rem[i]
+            rem[i] = r - w_at[d][i]
+            if r == top:
+                top = max(rem)
             val += v_at[d][i]
-            top = None
         applied[d] = i
-        d += 1
-        left -= 1
-        if left < 0:
-            left = clock.charge_batch() - 1
-            if left < 0:
-                return best, False
 
 
 def branch_and_bound(problem: GapProblem, incumbent: Assignment,

@@ -443,3 +443,34 @@ def test_run_reads_input_files_rewritten_between_runs(tmp_path):
                    "--strategies", "foa", "--budget", "nodes:1000",
                    "-o", str(tmp_path / "fresh")) == 0
     assert second == fileio.read_summary(str(tmp_path / "fresh" / "summary.csv"))
+
+
+def test_repeated_seeds_run_once(tmp_path):
+    argv = ["run", "--scenario", "mcmkp", "--agents", "3", "--tasks", "6",
+            "--cycles", "4", "--strategies", "pc", "--budget", "nodes:500"]
+    once = tmp_path / "once"
+    assert run_cli(*argv, "--seeds", "2,1", "-o", str(once)) == 0
+    written = {name: fileio.sha256_file(str(once / name))
+               for name in os.listdir(once)
+               if name == "summary.csv" or name.endswith(".cycles.jsonl")}
+    assert len(written) == 5  # the summary and pc, fop x seeds 2, 1
+    for name, seeds in [("twice", ["2,1,2"]), ("padded", ["2,01", "1"])]:
+        out = tmp_path / name
+        assert run_cli(*argv, *(a for s in seeds for a in ("--seeds", s)),
+                       "-o", str(out)) == 0, name
+        config = json.loads((out / "config.json").read_text())
+        assert config["seeds"] == [2, 1], name
+        assert len(fileio.read_summary(str(out / "summary.csv"))) == 4, name
+        assert {n: fileio.sha256_file(str(out / n)) for n in written} \
+            == written, name
+        assert sorted(os.listdir(out)) == sorted(os.listdir(once)), name
+
+
+def test_run_refuses_mcmkp_with_one_task(tmp_path, capsys):
+    # the lone task outweighs every capacity, so every job would fail
+    out = tmp_path / "one"
+    assert run_cli("run", "--scenario", "mcmkp", "--agents", "12",
+                   "--tasks", "1", "--seeds", "40", "--strategies", "foa",
+                   "-o", str(out)) == 2
+    assert "two tasks" in capsys.readouterr().err
+    assert not out.exists()

@@ -5,7 +5,7 @@ import pytest
 
 from rotagap.domain import validate_instance, validate_trace
 from rotagap.scenarios import (GenerationError, McmkpParams, TcsaParams,
-                               _randints, derive_seed,
+                               _mcmkp_capacities, _randints, derive_seed,
                                episode_entry_probability,
                                generate_mcmkp, generate_tcsa,
                                generate_trace_bernoulli,
@@ -80,6 +80,27 @@ def test_mcmkp_param_validation():
         generate_mcmkp(McmkpParams(agents=2, tasks=5, correlation="weird", seed=1))
     with pytest.raises(GenerationError):
         generate_mcmkp(McmkpParams(agents=2, tasks=5, agent_availability=0.0, seed=1))
+
+
+def test_mcmkp_needs_two_tasks():
+    # the capacities hold half the total weight in all, so a lone task
+    # could never fit
+    for agents in (1, 2, 12):
+        with pytest.raises(GenerationError, match="two tasks"):
+            generate_mcmkp(McmkpParams(agents=agents, tasks=1, seed=40))
+    assert len(generate_mcmkp(McmkpParams(agents=2, tasks=2, seed=3)).tasks) == 2
+
+
+def test_mcmkp_capacities_that_all_round_to_zero_are_refused():
+    # 1999 shares of 1010 / 2000 round to 0, and the heavier task is above
+    # half the total weight: there is nothing to scale down
+    with pytest.raises(GenerationError, match="rounds to 0"):
+        _mcmkp_capacities([0.5] * 1999, [10, 1000], 2000)
+    # seeds 0-2 draw two unequal weights, and over 2000 agents every share
+    # rounds to 0 as well
+    for seed in range(3):
+        with pytest.raises(GenerationError, match="rounds to 0"):
+            generate_mcmkp(McmkpParams(agents=2000, tasks=2, seed=seed))
 
 
 def test_bernoulli_trace_full_availability_and_default_cycles():

@@ -821,6 +821,106 @@ def test_wall_clock_budget_stops_an_unfinished_search():
     assert result.nodes_explored > 0
 
 
+def tight_gap_problem(rng: random.Random, agents: int, tasks: int,
+                      equal: bool = False) -> GapProblem:
+    """Problem whose capacities hold one or two tasks each, so that most
+    branch-and-bound nodes have no agent with room for their task and sit in
+    runs that leave tasks out: agent-independent weights in [10, 60], values
+    in multiples of 0.3 with ties, shuffled ids and about 20% of the pairs
+    masked off.  ``equal`` gives every agent the same capacity, so that
+    several agents tie for the largest free capacity."""
+    weights = [rng.randint(10, 60) for _ in range(tasks)]
+    low, high = min(weights), 2 * max(weights)
+    cap = rng.randint(low, high)
+    caps = np.array([cap if equal else rng.randint(low, high)
+                     for _ in range(agents)])
+    base = [rng.randint(1, 20) for _ in range(tasks)]
+    values = np.array([[(b + rng.randint(0, 2)) * 0.3 for b in base]
+                       for _ in range(agents)])
+    feasible = np.array([[rng.random() < 0.8 for _ in range(tasks)]
+                         for _ in range(agents)])
+    return GapProblem(
+        agent_ids=tuple(f"a{k:02d}" for k in rng.sample(range(agents), agents)),
+        task_ids=tuple(f"t{k:03d}" for k in rng.sample(range(tasks), tasks)),
+        agent_capacities=caps, weights=np.tile(weights, (agents, 1)),
+        values=values, feasible_pairs=feasible)
+
+
+def assert_matches_the_unit_charged_loop(problem: GapProblem, nodes: int):
+    budget = SolverBudget.nodes(nodes)
+    greedy = greedy_construct(problem)
+    for start in (Assignment.empty(), greedy):
+        assert branch_and_bound(problem, start, budget) \
+            == reference_branch_and_bound(problem, start, nodes)
+    local = local_search_improve(problem, greedy, budget)
+    forget_last_solve()
+    assert solve(problem, budget) == reference_branch_and_bound(
+        problem, local, nodes, used=local.nodes_explored)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 100_000), agents=st.integers(1, 5),
+       tasks=st.integers(1, 16), equal=st.booleans(),
+       nodes=st.one_of(st.sampled_from([0, 1, 2, 3, 256, 257]),
+                       st.integers(0, 20_000)))
+def test_tight_searches_match_the_unit_charged_loop(seed, agents, tasks,
+                                                    equal, nodes):
+    problem = tight_gap_problem(random.Random(seed), agents, tasks, equal)
+    assert_matches_the_unit_charged_loop(problem, nodes)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_agents_tied_for_the_largest_capacity_match_the_unit_charged_loop(
+        seed):
+    rng = random.Random(seed)
+    problem = tight_gap_problem(rng, rng.randint(2, 5), rng.randint(8, 14),
+                                equal=True)
+    assert len(set(problem.agent_capacities.tolist())) == 1
+    assert_matches_the_unit_charged_loop(problem, AMPLE.node_limit)
+
+
+def test_every_node_limit_matches_the_unit_charged_loop():
+    # the full search takes 2462 nodes from the empty start; from either
+    # start, 219 of these limits end part-way through a run of nodes that
+    # leave their tasks out
+    problem = tight_gap_problem(random.Random(0), 4, 14)
+    greedy = greedy_construct(problem)
+    for nodes in range(1, 601):
+        budget = SolverBudget.nodes(nodes)
+        for start in (Assignment.empty(), greedy):
+            result = branch_and_bound(problem, start, budget)
+            assert result == reference_branch_and_bound(problem, start, nodes)
+            assert result.budget_exhausted
+
+
+def test_a_budget_that_ends_inside_a_run_keeps_the_incumbent():
+    # one agent that holds one task: the root (node 1) places t00 (node 2),
+    # then no task fits and a run of 6 leave-out nodes ends at the leaf
+    # (node 8) that improves on the empty start; leaving t00 out instead
+    # (node 9) is pruned
+    problem = small_problem([10], [[10] * 7], [[9.0] + [1.0] * 6])
+    for nodes in range(11):
+        result = branch_and_bound(problem, Assignment.empty(),
+                                  SolverBudget.nodes(nodes))
+        assert result == reference_branch_and_bound(
+            problem, Assignment.empty(), nodes)
+        assert (result.objective, result.nodes_explored,
+                result.budget_exhausted, result.proven_optimal) \
+            == (9.0 if nodes >= 8 else 0, min(nodes, 9), nodes < 9, nodes >= 9)
+
+
+def test_wall_clock_budget_stops_an_unfinished_tight_search():
+    # this search is not finished after 3,000,000 nodes
+    problem = tight_gap_problem(random.Random(3), 6, 40)
+    greedy = greedy_construct(problem)
+    start = time.monotonic()
+    result = branch_and_bound(problem, greedy, SolverBudget.seconds(0.2))
+    assert time.monotonic() - start < 2.0
+    assert_feasible(problem, result)
+    assert result.budget_exhausted and not result.proven_optimal
+    assert result.nodes_explored > 0 and result.objective >= greedy.objective
+
+
 def first_scan_rows(problem: GapProblem, start: Assignment):
     """Where local search's first scan from ``start`` ends each row of its
     exchange and of its swap neighbourhood, in work units used."""
