@@ -54,10 +54,40 @@ def _compact_map(mapping: dict[str, int]) -> int | dict[str, int]:
     return dict(sorted(mapping.items()))
 
 
-def _expand_map(value, compatible: Iterable[str]) -> dict[str, int]:
+def _field(record, key: str, where: str):
+    """``record[key]`` of a record read from a file; a ``ValueError`` that
+    names the record (``where``) and the field when ``record`` is not an
+    object or has no such field."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: expected an object, "
+                         f"got {type(record).__name__}")
+    if key not in record:
+        raise ValueError(f"{where}: missing {key!r}")
+    return record[key]
+
+
+def _int(record, key: str, where: str) -> int:
+    value = _field(record, key, where)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: {key!r} is not an integer: "
+                         f"{value!r}") from None
+
+
+def _list(record, key: str, where: str) -> list:
+    value = _field(record, key, where)
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: {key!r} is not a list: {value!r}")
+    return value
+
+
+def _expand_map(task: dict, key: str, compatible: Iterable[str],
+                where: str) -> dict[str, int]:
+    value = _field(task, key, where)
     if isinstance(value, dict):
-        return {a: int(v) for a, v in value.items()}
-    return {a: int(value) for a in compatible}
+        return {a: _int(value, a, f"{where} {key}") for a in value}
+    return dict.fromkeys(compatible, _int(task, key, where))
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -77,18 +107,25 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
-    agents = tuple(AgentSpec(id=a["id"], capacity=int(a["capacity"]))
-                   for a in data["agents"])
+    """The instance of a document written by :func:`instance_to_dict`;
+    raises ``ValueError`` naming the record and field that are malformed."""
+    agents = []
+    for k, a in enumerate(_list(data, "agents", "instance")):
+        where = f"instance agent {k}"
+        agents.append(AgentSpec(
+            id=_field(a, "id", where),
+            capacity=_int(a, "capacity", where)))
     tasks = []
-    for t in data["tasks"]:
-        compatible = frozenset(t["compatible"])
+    for k, t in enumerate(_list(data, "tasks", "instance")):
+        where = f"instance task {k}"
+        compatible = frozenset(_list(t, "compatible", where))
         tasks.append(TaskSpec(
-            id=t["id"],
+            id=_field(t, "id", where),
             compatible=compatible,
-            weights=_expand_map(t["weight"], compatible),
-            profits=_expand_map(t["profit"], compatible),
+            weights=_expand_map(t, "weight", compatible, where),
+            profits=_expand_map(t, "profit", compatible, where),
         ))
-    return Instance(agents=agents, tasks=tuple(tasks),
+    return Instance(agents=tuple(agents), tasks=tuple(tasks),
                     metadata=data.get("metadata", {}))
 
 
@@ -114,22 +151,33 @@ def trace_to_lines(trace: ScenarioTrace) -> str:
 
 
 def trace_from_lines(text: str) -> ScenarioTrace:
-    lines = [json.loads(line) for line in text.splitlines() if line.strip()]
+    """The trace of text written by :func:`trace_to_lines`; raises
+    ``ValueError`` naming the record and field that are malformed."""
+    lines = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            try:
+                lines.append(json.loads(line))
+            except ValueError as exc:  # its position is within the line
+                raise ValueError(f"trace line {number}: {exc}") from None
     if not lines:
         raise ValueError("empty trace file")
     header, records = lines[0], lines[1:]
-    cycles = int(header["cycles"])
+    cycles = _int(header, "cycles", "trace header")
+    seed = _int(header, "seed", "trace header")
     if len(records) != cycles:
         raise ValueError(f"trace header says {cycles} cycles, found {len(records)}")
     agents = []
     tasks = []
     for expected, record in enumerate(records, start=1):
-        if int(record["cycle"]) != expected:
-            raise ValueError(f"trace cycles out of order at {record['cycle']}")
-        agents.append(frozenset(record["agents"]))
-        tasks.append(frozenset(record["tasks"]))
+        where = f"trace cycle {expected}"
+        cycle = _int(record, "cycle", where)
+        if cycle != expected:
+            raise ValueError(f"trace cycles out of order at {cycle}")
+        agents.append(frozenset(_list(record, "agents", where)))
+        tasks.append(frozenset(_list(record, "tasks", where)))
     return ScenarioTrace(cycles=cycles, available_agents=tuple(agents),
-                         available_tasks=tuple(tasks), seed=int(header["seed"]))
+                         available_tasks=tuple(tasks), seed=seed)
 
 
 def save_trace(path: str, trace: ScenarioTrace) -> None:

@@ -29,10 +29,12 @@ did not use.  Where no agent has room for a node's task, leaving it out is
 the only child and nothing changes, so the search steps over the run of such
 nodes to the first that is a leaf, fails the bound or has room, and charges
 the run in one step; a budget that ends inside a run stops the search there
-with its incumbent.  ``nodes_explored`` and the truncation point are those
-of charging node by node.  In ``node_limit`` mode identical inputs therefore
-yield identical assignments; ``wall_clock`` mode trades that determinism for
-a real-time contract.
+with its incumbent.  Each child is tried where it is chosen: a placement
+whose walk reaches no node to expand is undone on the spot, and the search
+backs up through a stack of its placed tasks.  ``nodes_explored`` and the
+truncation point are those of charging node by node.  In ``node_limit`` mode
+identical inputs therefore yield identical assignments; ``wall_clock`` mode
+trades that determinism for a real-time contract.
 
 :func:`solve` keeps the answer of its last node-budget call.  When the next
 call has an equal budget, the same ids and equal capacities, mask, values
@@ -732,24 +734,34 @@ def _branch_and_bound(work: _Work, incumbent: np.ndarray,
     capacity constraint relaxed; subtrees whose bound cannot beat the
     incumbent are pruned.
 
-    Depth ``d`` fixes task ``order[d]``; ``applied[d]`` is the agent it is
-    placed on (None: left out).  A node's children place its task on each
-    agent with room, best first, then leave it out; ``untried[d]`` holds the
-    agents not yet tried, last one next.  ``top`` is ``max(rem)``, kept up
-    to date: a restore raises it to the restored capacity when that is
-    larger, and a placement recomputes it only when the agent placed on
-    held it.
+    Depth ``d`` fixes task ``order[d]``.  A node's children place its task
+    on each agent with room, best first, then leave it out.  Its candidate
+    pairs are ``pairs_at[d]``, worst first; ``k`` counts those not yet
+    tried, and the scan takes them from the end, testing each for room as it
+    reaches it.  That finds the agents a list built when the node was
+    expanded would hold, since ``rem`` is the same whenever the node's next
+    child is taken: everything deeper has been undone.  ``placed`` holds
+    ``(depth, k)`` for each placed task, shallowest first; the task sits on
+    the agent of ``pairs_at[depth][k]``, and the pairs before it are still
+    untried.  ``top`` is ``max(rem)``, kept up to date: an undo raises it to
+    the restored capacity when that is larger, and a placement recomputes
+    it only when the agent placed on held it.
 
-    A node at depth ``k`` has tasks ``order[:k]`` fixed.  Each pass of the
-    loop starts just after task ``order[d]`` is fixed (``d`` is -1 before
-    the root) and steps into the node at depth ``d + 1``.  When no agent has
-    room for a node's task (``top`` below its smallest weight), leaving the
-    task out is the node's only child, and ``val`` and ``rem`` stay as they
-    are; so the pass walks on over the whole run of such nodes, to the first
-    that is a leaf, fails the bound, or has room for its task, and visits
-    that one.  The run writes nothing: ``applied`` already holds None at
-    every depth after ``d``, since the search leaves a depth only after its
-    last child, the one that leaves its task out.
+    A node at depth ``e`` has tasks ``order[:e]`` fixed.  Each pass of the
+    loop takes the next child of the node at depth ``d`` (``d`` is -1 above
+    the root, whose only child is the root) and steps into the node at
+    depth ``d + 1`` with the child's value ``x`` and largest free capacity
+    ``t``.  When no agent has room for a node's task (``t`` below its
+    smallest weight), leaving the task out is the node's only child, and
+    the value and ``rem`` stay as they are; so the pass walks on over the
+    whole run of such nodes, to the first that is a leaf, fails the bound,
+    or has room for its task, and visits that one.  A placement is kept,
+    and pushed on ``placed``, only when that node is expanded or is an
+    improving leaf; otherwise it is undone at once, with the same float
+    steps as a later back-up would take, and the next child is tried.  After
+    an improving leaf, which is recorded, and after leaving a task out
+    without expanding a node, the search backs up: it pops the deepest
+    placed task, undoes it and takes that node's next child.
 
     Nodes cost one unit each, taken from the clock in batches; ``left`` is
     what the clock has granted and no node has used yet.  A pass charges
@@ -766,10 +778,9 @@ def _branch_and_bound(work: _Work, incumbent: np.ndarray,
     suffix = [0.0] * (n + 1)
     for d in range(n - 1, -1, -1):
         suffix[d] = suffix[d + 1] + best_value[order[d]]
-    # per-depth rows of task order[d]: value and weight by agent, and its
-    # candidate (agent, weight) pairs, worst first
+    # per-depth rows of task order[d]: value by agent, and its candidate
+    # (agent, weight) pairs, worst first
     v_at = work.values.T[order].tolist()
-    w_at = work.weights.T[order].tolist()
     candidates = list(zip(work.cand_agent.tolist(), work.cand_w.tolist()))
     offsets = work.offsets.tolist()
     pairs_at = [candidates[offsets[j]:offsets[j + 1]][::-1] for j in order]
@@ -782,18 +793,34 @@ def _branch_and_bound(work: _Work, incumbent: np.ndarray,
     best_val = work.objective(incumbent)
     rem = list(work.caps)
     val = 0.0
-    untried: list = [()] * n
-    applied: list[int | None] = [None] * n
-    left = 1  # the root's unit, taken above
     top = max(rem, default=0)  # ints, so it compares exactly
-    d = -1  # the depth of the last task fixed
+    # (depth, untried) of each placed task, shallowest first: it is placed
+    # on the agent of pairs_at[depth][untried]
+    placed: list[tuple[int, int]] = []
+    left = 1  # the root's unit, taken above
+    # the node whose next child is taken: the root is the only child of a
+    # node above it that has no agents to try
+    d, pairs, k = -1, (), 0
     while True:
-        # step into the node at depth d + 1, and on over the run of nodes
+        # the next child: the next untried agent with room, else leaving the
+        # task out
+        while k:
+            k -= 1
+            i, wt = pairs[k]
+            if rem[i] >= wt:
+                r = rem[i]
+                rem[i] = r - wt
+                x = val + v_at[d][i]
+                t = max(rem) if r == top else top
+                break
+        else:
+            i, x, t = None, val, top
+        # step into the child at depth d + 1, and on over the run of nodes
         # below it that leave their tasks out for want of room; charge them
         # all, then visit the node reached
         e = d + 1
-        while val + suffix[e] > best_val:
-            if top >= minw_at[e]:
+        while x + suffix[e] > best_val:
+            if t >= minw_at[e]:
                 expand = True
                 break
             e += 1
@@ -805,40 +832,34 @@ def _branch_and_bound(work: _Work, incumbent: np.ndarray,
             if not granted:
                 return best, False
             left += granted
-        d = e
-        if expand and d < n:
-            untried[d] = options = [i for i, wt in pairs_at[d] if rem[i] >= wt]
-            i = options.pop() if options else None
-        else:
-            if expand:  # an improving leaf
-                best_val = val
-                best = np.full(n, -1, dtype=np.int64)
-                for depth, agent in enumerate(applied):
-                    if agent is not None:
-                        best[order[depth]] = agent
-            # back up to the deepest placed task and take its next child
-            while True:
-                d -= 1
-                if d < 0:
-                    clock.refund(left)
-                    return best, True
-                i = applied[d]
-                if i is not None:
-                    break
-            r = rem[i] + w_at[d][i]
+        if expand:
+            if i is not None:
+                placed.append((d, k))
+                val, top = x, t
+            if e < n:
+                d, pairs = e, pairs_at[e]
+                k = len(pairs)
+                continue
+            best_val = val  # an improving leaf
+            best = np.full(n, -1, dtype=np.int64)
+            for depth, untried in placed:
+                best[order[depth]] = pairs_at[depth][untried][0]
+        elif i is not None:  # undone on the spot: no deeper node was expanded
             rem[i] = r
-            val -= v_at[d][i]
-            if r > top:
-                top = r
-            options = untried[d]
-            i = options.pop() if options else None
-        if i is not None:
-            r = rem[i]
-            rem[i] = r - w_at[d][i]
-            if r == top:
-                top = max(rem)
-            val += v_at[d][i]
-        applied[d] = i
+            val = x - v_at[d][i]
+            continue
+        # back up to the deepest placed task and take its next child
+        if not placed:
+            clock.refund(left)
+            return best, True
+        d, k = placed.pop()
+        pairs = pairs_at[d]
+        i, wt = pairs[k]
+        r = rem[i] + wt
+        rem[i] = r
+        val -= v_at[d][i]
+        if r > top:
+            top = r
 
 
 def branch_and_bound(problem: GapProblem, incumbent: Assignment,

@@ -88,18 +88,19 @@ def shuffled_gap_problem(rng: random.Random, agents: int,
 
 
 def mcmkp_gap_problem(rng: random.Random, agents: int = 12,
-                      tasks: int = 48) -> GapProblem:
+                      tasks: int = 48, unit: float = 0.3) -> GapProblem:
     """Problem shaped like an mcmkp cycle: agent-independent weights in
     [10, 1000], capacities that together hold about half the total weight,
     shuffled ids, about 10% of the pairs masked off, and values in multiples
-    of 0.3 with ties: a per-task base plus a small per-agent part, so local
-    search stalls where branch-and-bound still finds better answers."""
+    of ``unit`` with ties: a per-task base plus a small per-agent part, so
+    local search stalls where branch-and-bound still finds better answers.
+    ``unit=1.0`` gives integer values, whose sums are exact."""
     weights = [rng.randint(10, 1000) for _ in range(tasks)]
     share = sum(weights) // (2 * agents)
     caps = np.array([rng.randint(share // 2, share * 3 // 2)
                      for _ in range(agents)])
     base = [rng.randint(1, 20) for _ in range(tasks)]
-    values = np.array([[(b + rng.randint(0, 2)) * 0.3 for b in base]
+    values = np.array([[(b + rng.randint(0, 2)) * unit for b in base]
                        for _ in range(agents)])
     feasible = np.array([[rng.random() < 0.9 for _ in range(tasks)]
                          for _ in range(agents)])

@@ -185,6 +185,79 @@ def test_run_config_errors(tmp_path):
         assert not out.exists(), name
 
 
+def set_in(path: tuple, value):
+    """A change to a parsed file that sets the entry at ``path``; ``value``
+    None deletes it."""
+    def change(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        if value is None:
+            del doc[last]
+        else:
+            doc[last] = value
+    return change
+
+
+# (file, change to its parsed records, message): the trace's records are
+# its header and then one per cycle
+MALFORMED_FILES = [
+    ("instance", set_in(("agents",), None), "instance: missing 'agents'"),
+    ("instance", set_in(("agents", 0, "capacity"), None),
+     "instance agent 0: missing 'capacity'"),
+    ("instance", set_in(("agents", 1), [["A02", 40]]),
+     "instance agent 1: expected an object, got list"),
+    ("instance", set_in(("tasks",), {"T01": {}}),
+     "instance: 'tasks' is not a list"),
+    ("instance", set_in(("tasks", 2, "weight"), "heavy"),
+     "instance task 2: 'weight' is not an integer: 'heavy'"),
+    ("instance", set_in(("tasks", 0, "profit"), {"A01": None}),
+     "instance task 0 profit: 'A01' is not an integer: None"),
+    ("instance", set_in(("tasks", 1, "compatible"), None),
+     "instance task 1: missing 'compatible'"),
+    ("trace", set_in((0, "cycles"), None), "trace header: missing 'cycles'"),
+    ("trace", set_in((0, "seed"), "one"),
+     "trace header: 'seed' is not an integer: 'one'"),
+    ("trace", set_in((2, "agents"), "A01"),
+     "trace cycle 2: 'agents' is not a list: 'A01'"),
+    ("trace", set_in((3, "tasks"), None), "trace cycle 3: missing 'tasks'"),
+    ("trace", set_in((1,), ["A01"]),
+     "trace cycle 1: expected an object, got list"),
+]
+
+
+@pytest.mark.parametrize("kind,change,message", MALFORMED_FILES)
+def test_malformed_files_name_the_record_and_field(tmp_path, capsys, kind,
+                                                   change, message):
+    gen = tmp_path / "gen"
+    assert run_cli("generate", "--scenario", "mcmkp", "--agents", "2",
+                   "--tasks", "3", "--cycles", "4", "--seed", "1",
+                   "-o", str(gen)) == 0
+    stem = gen / "mcmkp-2x3-uncorrelated-seed1"
+    paths = {"instance": f"{stem}.instance.json",
+             "trace": f"{stem}.trace.jsonl"}
+    with open(paths[kind], encoding="utf-8") as fh:
+        text = fh.read()
+    if kind == "instance":
+        doc = json.loads(text)
+        change(doc)
+        text = json.dumps(doc)
+    else:
+        records = [json.loads(line) for line in text.splitlines()]
+        change(records)
+        text = "".join(json.dumps(r) + "\n" for r in records)
+    paths[kind] = str(tmp_path / f"bad-{kind}")
+    with open(paths[kind], "w", encoding="utf-8") as fh:
+        fh.write(text)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert run_cli("run", "--instance", paths["instance"],
+                   "--trace", paths["trace"], "--strategies", "foa",
+                   "--budget", "nodes:10", "-o", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_pc_values_that_overflow_are_refused(tmp_path):
     # 1000**200 is beyond float range: left to the jobs, every one fails
     # with "values must be finite on feasible pairs"

@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotagap import fileio
-from rotagap.domain import (AgentSpec, Instance, TaskSpec,
+from rotagap.domain import (AgentSpec, Instance, ScenarioTrace, TaskSpec,
                             worked_example_fixture)
 from rotagap.scenarios import (McmkpParams, TcsaParams, generate_mcmkp,
                                generate_tcsa, generate_trace_bernoulli,
@@ -48,12 +49,65 @@ def test_trace_round_trip(tmp_path):
     assert json.loads(first_line) == {"cycles": 20, "seed": 17}
 
 
+@st.composite
+def instances(draw) -> Instance:
+    """Instances with arbitrary ids and metadata whose tasks carry uniform
+    or per-agent profit and weight maps."""
+    agent_ids = draw(st.lists(st.text(), unique=True, max_size=5))
+    agents = [AgentSpec(a, draw(st.integers(0, 10**9))) for a in agent_ids]
+    tasks = []
+    for task_id in draw(st.lists(st.text(), unique=True, max_size=6)):
+        compatible = draw(st.frozensets(st.sampled_from(agent_ids))
+                          if agent_ids else st.just(frozenset()))
+        if draw(st.booleans()):
+            tasks.append(TaskSpec.uniform(
+                task_id, profit=draw(st.integers(0, 10**6)),
+                weight=draw(st.integers(1, 10**6)), compatible=compatible))
+        else:
+            tasks.append(TaskSpec(
+                task_id,
+                profits={a: draw(st.integers(0, 10**6)) for a in compatible},
+                weights={a: draw(st.integers(1, 10**6)) for a in compatible},
+                compatible=compatible))
+    metadata = draw(st.dictionaries(
+        st.text(), st.integers() | st.text() | st.booleans(), max_size=3))
+    return Instance(agents=tuple(agents), tasks=tuple(tasks),
+                    metadata=metadata)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=instances())
+def test_instances_round_trip_through_json_text(instance):
+    text = json.dumps(fileio.instance_to_dict(instance), sort_keys=True)
+    assert fileio.instance_from_dict(json.loads(text)) == instance
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(-2**63, 2**63),
+       cycles=st.lists(st.tuples(st.frozensets(st.text(), max_size=4),
+                                 st.frozensets(st.text(), max_size=4)),
+                       max_size=6))
+def test_traces_round_trip_through_json_text(seed, cycles):
+    trace = ScenarioTrace(cycles=len(cycles),
+                          available_agents=[a for a, _ in cycles],
+                          available_tasks=[t for _, t in cycles], seed=seed)
+    assert fileio.trace_from_lines(fileio.trace_to_lines(trace)) == trace
+
+
 def test_trace_rejects_inconsistent_files(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"cycles": 2, "seed": 1}\n'
                     '{"cycle": 1, "agents": ["A"], "tasks": ["T"]}\n')
     with pytest.raises(ValueError, match="2 cycles"):
         fileio.load_trace(str(path))
+
+
+def test_trace_syntax_errors_name_the_line():
+    text = ('{"cycles": 2, "seed": 1}\n\n'
+            '{"agents": [], "cycle": 1, "tasks": []}\n'
+            '{"agents": [], "cycle": 2,\n')
+    with pytest.raises(ValueError, match=r"^trace line 4: .*line 1 column"):
+        fileio.trace_from_lines(text)
 
 
 def test_serialization_is_canonical(tmp_path):

@@ -1,0 +1,69 @@
+"""Import hygiene.  The package needs numpy alone: scipy is a test
+dependency (the HiGHS cross-check), and the benchmark under ``perfbench/``
+imports the package, never the other way round.  The benchmark's output
+checks (``perfbench/checks.py``) import nothing from the package, so they
+judge the solver without sharing its code."""
+
+import ast
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+PACKAGE = os.path.join(SRC, "rotagap")
+CHECKS = os.path.join(ROOT, "perfbench", "checks.py")
+
+
+def imported_modules(path: str) -> set[str]:
+    """The absolute module names a file imports, anywhere in it."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def package_files() -> list[str]:
+    return sorted(os.path.join(PACKAGE, name) for name in os.listdir(PACKAGE)
+                  if name.endswith(".py"))
+
+
+@pytest.mark.parametrize("path", package_files(), ids=os.path.basename)
+def test_package_modules_import_no_scipy_or_benchmark_code(path):
+    tops = {name.split(".")[0] for name in imported_modules(path)}
+    assert not tops & {"scipy", "perfbench", "checks"}
+
+
+def test_benchmark_checks_import_nothing_from_the_package():
+    tops = {name.split(".")[0] for name in imported_modules(CHECKS)}
+    assert "rotagap" not in tops
+
+
+def test_package_imports_and_runs_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every import of scipy fail
+    script = textwrap.dedent("""
+        import importlib, pkgutil, sys
+        sys.modules["scipy"] = None
+        import rotagap
+        for module in pkgutil.iter_modules(rotagap.__path__):
+            importlib.import_module(f"rotagap.{module.name}")
+        from rotagap import cli
+        sys.exit(cli.main(sys.argv[1:]))
+    """)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", script, "run", "--scenario", "mcmkp",
+         "--agents", "2", "--tasks", "4", "--cycles", "2",
+         "--strategies", "foa", "--budget", "nodes:100",
+         "-o", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "run" / "summary.csv").exists()

@@ -921,6 +921,44 @@ def test_wall_clock_budget_stops_an_unfinished_tight_search():
     assert result.nodes_explored > 0 and result.objective >= greedy.objective
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 100_000), agents=st.integers(2, 6),
+       tasks=st.integers(4, 24),
+       nodes=st.one_of(st.sampled_from([1, 2, 256, 257]),
+                       st.integers(0, 20_000)))
+def test_integer_foa_shaped_searches_match_the_unit_charged_loop(
+        seed, agents, tasks, nodes):
+    # integer values add exactly, so bounds and leaves tie the incumbent
+    # often, and a tie must neither expand nor improve
+    problem = mcmkp_gap_problem(random.Random(seed), agents, tasks, unit=1.0)
+    assert_matches_the_unit_charged_loop(problem, nodes)
+
+
+def test_every_node_limit_matches_across_backups_after_improving_leaves():
+    # from either start, the leaves at nodes 15 and 70 improve on the
+    # incumbent through a placed task; backing up from each returns to that
+    # task's depth with another agent that has room still untried
+    problem = tight_gap_problem(random.Random(7), 4, 14)
+    greedy = greedy_construct(problem)
+    for nodes in range(1, 601):
+        budget = SolverBudget.nodes(nodes)
+        for start in (Assignment.empty(), greedy):
+            assert branch_and_bound(problem, start, budget) \
+                == reference_branch_and_bound(problem, start, nodes)
+
+
+def test_a_wall_clock_search_stops_where_a_node_limit_would():
+    # unfinished after 3,000,000 nodes; the deadline stops the search on a
+    # batch boundary, and the nodes taken by then as a node limit give the
+    # same answer, node count and flags
+    problem = tight_gap_problem(random.Random(3), 6, 40)
+    for start in (Assignment.empty(), greedy_construct(problem)):
+        result = branch_and_bound(problem, start, SolverBudget.seconds(0.02))
+        assert result.budget_exhausted and not result.proven_optimal
+        assert result == reference_branch_and_bound(problem, start,
+                                                    result.nodes_explored)
+
+
 def first_scan_rows(problem: GapProblem, start: Assignment):
     """Where local search's first scan from ``start`` ends each row of its
     exchange and of its swap neighbourhood, in work units used."""
