@@ -18,7 +18,6 @@ leaves a task's AP unchanged.
 """
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -33,10 +32,6 @@ class AffinityState:
     affinities: np.ndarray        # int64, m x n
     assignment_counts: np.ndarray  # int64, m x n
     cycle: int
-
-    @property
-    def instance(self) -> Instance:
-        return self.mats.instance
 
 
 def init_affinities(instance: Instance) -> AffinityState:
@@ -54,9 +49,10 @@ def update_affinities(state: AffinityState, prev_available: np.ndarray,
                       rows: np.ndarray, cols: np.ndarray) -> AffinityState:
     """Advance the state one cycle, given the previous cycle's available
     compatible pairs (an m x n mask) and its solved assignment as positions:
-    agent row ``rows[k]`` holds task column ``cols[k]``.  Callers holding
-    ``(agent_id, task_id)`` pairs convert them with
-    ``InstanceMatrices.pair_positions``.
+    agent row ``rows[k]`` holds task column ``cols[k]``.  The mask is the
+    one ``InstanceMatrices.available_pairs`` gives for that cycle's
+    availability; positions index ``state.mats.agent_ids`` and
+    ``task_ids``.
 
     Assigned pairs reset to 1; pairs available on both sides but unassigned
     increment by 1; pairs with an unavailable side keep their value;
@@ -87,25 +83,6 @@ def update_affinities(state: AffinityState, prev_available: np.ndarray,
 
     return AffinityState(mats=mats, affinities=affinities,
                          assignment_counts=counts, cycle=state.cycle + 1)
-
-
-def affinity_pressure(state: AffinityState, task: str,
-                      available_compatible_agents: Iterable[str]) -> float:
-    """AP of one task over the given available compatible agents."""
-    mats = state.mats
-    j = mats.task_index[task]
-    agents = list(available_compatible_agents)
-    if not agents:
-        raise ValueError(f"task {task}: no available compatible agents")
-    rows = []
-    for agent_id in agents:
-        i = mats.agent_index[agent_id]
-        if not mats.compat[i, j]:
-            raise ValueError(f"agent {agent_id} is not compatible with task {task}")
-        rows.append(i)
-    c = len(rows)
-    total = int(state.affinities[rows, j].sum())
-    return total / c - (c + 1) / 2
 
 
 def max_affinity_pressure(state: AffinityState,

@@ -113,9 +113,15 @@ def scenario_params(scenario: dict, seed: int, cycles: int | None):
 
 
 def load_files(scenario: dict):
-    """The instance and trace of a ``files`` scenario, checked together."""
-    instance = fileio.load_instance(scenario["instance"])
-    trace = fileio.load_trace(scenario["trace"])
+    """The instance and trace of a ``files`` scenario, checked together;
+    an error in reading either file names its path."""
+    path = scenario["instance"]
+    try:
+        instance = fileio.load_instance(path)
+        path = scenario["trace"]
+        trace = fileio.load_trace(path)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     problems = validate_instance(instance) + validate_trace(trace, instance)
     if problems:
         raise ConfigError("; ".join(problems))
@@ -253,17 +259,9 @@ def execute_run(payload: dict) -> dict:
     doc = fileio.run_report_to_dict(report, scenario=label, seed=seed,
                                     budget_mode=budget.mode, config=config)
     return {
-        "scenario": label,
-        "seed": seed,
-        "strategy_label": strategy.label,
         "stem": f"{label}-{strategy.file_label}-seed{seed}",
         "report": doc,
         "cycle_lines": fileio.cycle_lines(report),
-        "total_profit": report.total_profit,
-        "full_rotations": report.full_rotations,
-        "avg_rotations_per_task": report.avg_rotations_per_task,
-        "cycles": len(report.per_cycle),
-        "budget_mode": budget.mode,
     }
 
 
@@ -334,29 +332,21 @@ def cmd_run(args) -> int:
             result["cycle_lines"])
 
     rows = []
-    fop_totals = {(r["scenario"], r["seed"]): r["total_profit"]
-                  for r in results if r["strategy_label"] == "fop"}
-    for result in sorted(results, key=lambda r: (r["scenario"], r["seed"],
-                                                 strategy_sort_key(r["strategy_label"]))):
-        fop_total = fop_totals.get((result["scenario"], result["seed"]))
+    docs = [result["report"] for result in results]
+    fop_totals = {(d["scenario"], d["seed"]): d["total_profit"]
+                  for d in docs if d["strategy"]["label"] == "fop"}
+    for doc in sorted(docs, key=lambda d: (d["scenario"], d["seed"],
+                                           strategy_sort_key(d["strategy"]["label"]))):
+        label = doc["strategy"]["label"]
+        fop_total = fop_totals.get((doc["scenario"], doc["seed"]))
         if not fop_total:
-            failures.append((result["scenario"], result["seed"],
-                             result["strategy_label"], RuntimeError(
-                                 "no usable fop baseline; cannot compute "
-                                 "profit percentages")))
+            failures.append((doc["scenario"], doc["seed"], label, RuntimeError(
+                "no usable fop baseline; cannot compute profit percentages")))
             continue
-        rows.append({
-            "scenario": result["scenario"],
-            "strategy": result["strategy_label"],
-            "seed": result["seed"],
-            "total_profit": result["total_profit"],
-            "profit_pct_of_fop": repr(engine.profit_pct(result["total_profit"],
-                                                         fop_total)),
-            "full_rotations": result["full_rotations"],
-            "avg_rotations_per_task": repr(result["avg_rotations_per_task"]),
-            "cycles": result["cycles"],
-            "budget_mode": result["budget_mode"],
-        })
+        pct = engine.profit_pct(doc["total_profit"], fop_total)
+        # the report holds every summary column but these two
+        rows.append({**{k: doc.get(k) for k in fileio.SUMMARY_COLUMNS},
+                     "strategy": label, "profit_pct_of_fop": pct})
     if rows and len(rows) == len(results):
         summary_path = os.path.join(output_dir, "summary.csv")
         fileio.atomic_write_text(summary_path, fileio.summary_csv(rows))
@@ -400,8 +390,8 @@ def cmd_report(args) -> int:
         return sum(values) / len(values)
 
     os.makedirs(args.output_dir, exist_ok=True)
-    rotation_lines = ["strategy," + ",".join(scenarios_seen)]
-    profit_lines = ["strategy," + ",".join(scenarios_seen)]
+    rotation_rows = [["strategy", *scenarios_seen]]
+    profit_rows = [["strategy", *scenarios_seen]]
     for strategy in strategies_seen:
         rotation_cells = [strategy]
         profit_cells = [strategy]
@@ -416,23 +406,22 @@ def cmd_report(args) -> int:
             pct = mean([float(r["profit_pct_of_fop"]) for r in group])
             rotation_cells.append(f"{full:.1f} ({avg:.1f})")
             profit_cells.append(f"{pct:.1f}")
-        rotation_lines.append(",".join(f'"{c}"' if "," in c else c
-                                       for c in rotation_cells))
-        profit_lines.append(",".join(profit_cells))
+        rotation_rows.append(rotation_cells)
+        profit_rows.append(profit_cells)
 
-    long_rows = ["scenario,strategy,seed,metric,value"]
+    long_rows = [["scenario", "strategy", "seed", "metric", "value"]]
     metrics = ("total_profit", "profit_pct_of_fop", "full_rotations",
                "avg_rotations_per_task")
     for row in sorted(rows, key=lambda r: (r["scenario"], int(r["seed"]),
                                            strategy_sort_key(r["strategy"]))):
         for metric in metrics:
-            long_rows.append(",".join([row["scenario"], row["strategy"],
-                                       str(row["seed"]), metric, str(row[metric])]))
+            long_rows.append([row["scenario"], row["strategy"], row["seed"],
+                              metric, row[metric]])
 
     outputs = {
-        "rotation_table.csv": "\n".join(rotation_lines) + "\n",
-        "profit_table.csv": "\n".join(profit_lines) + "\n",
-        "long.csv": "\n".join(long_rows) + "\n",
+        "rotation_table.csv": fileio.csv_text(rotation_rows),
+        "profit_table.csv": fileio.csv_text(profit_rows),
+        "long.csv": fileio.csv_text(long_rows),
     }
     for name, text in outputs.items():
         path = os.path.join(args.output_dir, name)

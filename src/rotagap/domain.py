@@ -185,7 +185,6 @@ class InstanceMatrices:
     """
 
     def __init__(self, instance: Instance):
-        self.instance = instance
         self.agent_ids = tuple(instance.agent_ids)
         self.task_ids = tuple(instance.task_ids)
         self.agent_index = {a: i for i, a in enumerate(self.agent_ids)}
@@ -218,47 +217,13 @@ class InstanceMatrices:
         id."""
         return np.fromiter(map(index.__getitem__, ids), dtype=np.intp)
 
-    def pair_positions(self, pairs: Iterable[tuple[str, str]]
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column positions of ``(agent_id, task_id)`` pairs, in
-        iteration order."""
-        agent_ids, task_ids = tuple(zip(*pairs)) or ((), ())
-        return (self.positions(self.agent_index, agent_ids),
-                self.positions(self.task_index, task_ids))
-
-    def agent_row_mask(self, agent_ids: Iterable[str]) -> np.ndarray:
-        mask = np.zeros(self.m, dtype=bool)
-        mask[self.positions(self.agent_index, agent_ids)] = True
-        return mask
-
-    def task_col_mask(self, task_ids: Iterable[str]) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
-        mask[self.positions(self.task_index, task_ids)] = True
-        return mask
-
-
-def worked_example_fixture() -> tuple[Instance, ScenarioTrace]:
-    """Canonical 3-task / 3-agent walkthrough used by the golden tests.
-
-    Tasks T1 (compatible A,B), T2 (A,B,C) and T3 (B,C) with unit weights and
-    unit capacities, over four cycles in which T3 is unavailable in cycle 3
-    and everything else is always available.  The assignment sequence itself
-    is forced by the test harness, not the solver.
-    """
-    agents = tuple(AgentSpec(id=a, capacity=1) for a in ("A", "B", "C"))
-    tasks = (
-        TaskSpec.uniform("T1", profit=1, weight=1, compatible={"A", "B"}),
-        TaskSpec.uniform("T2", profit=1, weight=1, compatible={"A", "B", "C"}),
-        TaskSpec.uniform("T3", profit=1, weight=1, compatible={"B", "C"}),
-    )
-    instance = Instance(agents=agents, tasks=tasks,
-                        metadata={"generator": "worked-example", "seed": 0})
-    all_agents = frozenset("ABC")
-    all_tasks = frozenset({"T1", "T2", "T3"})
-    trace = ScenarioTrace(
-        cycles=4,
-        available_agents=(all_agents,) * 4,
-        available_tasks=(all_tasks, all_tasks, all_tasks - {"T3"}, all_tasks),
-        seed=0,
-    )
-    return instance, trace
+    def available_pairs(self, agent_ids: Iterable[str],
+                        task_ids: Iterable[str]) -> np.ndarray:
+        """The m x n mask of compatible pairs whose agent is in
+        ``agent_ids`` and whose task is in ``task_ids``; ``KeyError`` for
+        an unknown id."""
+        rows = np.zeros(self.m, dtype=bool)
+        rows[self.positions(self.agent_index, agent_ids)] = True
+        cols = np.zeros(self.n, dtype=bool)
+        cols[self.positions(self.task_index, task_ids)] = True
+        return self.compat & rows[:, None] & cols[None, :]

@@ -107,8 +107,7 @@ def run_cycle(instance: Instance, entry: tuple[Iterable[str], Iterable[str]],
     function."""
     available_agents, available_tasks = entry
     mats = state.mats
-    feasible = mats.compat & mats.agent_row_mask(available_agents)[:, None] \
-        & mats.task_col_mask(available_tasks)[None, :]
+    feasible = mats.available_pairs(available_agents, available_tasks)
     profits = _profit_matrix(mats, profit_overrides)
     max_ap = max_affinity_pressure(state, feasible)
     values = compute_values(strategy, profits, state.affinities, feasible,
@@ -185,16 +184,6 @@ def run_scenario(instance: Instance, trace: ScenarioTrace,
         final_counts=state.assignment_counts,
         provenance=provenance,
     )
-
-
-def compare_to_baseline(run: RunReport, baseline: RunReport) -> float:
-    """Profit as a percentage of the baseline run (typically fop).  Both runs
-    must come from the identical instance and trace."""
-    if run.provenance != baseline.provenance:
-        raise ValueError("runs were produced from different instances/traces")
-    if baseline.total_profit <= 0:
-        raise ValueError("baseline profit is zero; percentage undefined")
-    return profit_pct(run.total_profit, baseline.total_profit)
 
 
 def profit_pct(total: int, baseline_total: int) -> float:

@@ -66,28 +66,34 @@ def _field(record, key: str, where: str):
     return record[key]
 
 
-def _int(record, key: str, where: str) -> int:
-    value = _field(record, key, where)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where}: {key!r} is not an integer: "
-                         f"{value!r}") from None
+_KINDS = {int: "an integer", str: "a string", list: "a list",
+          dict: "an object"}
 
 
-def _list(record, key: str, where: str) -> list:
+def _typed(record, key: str, where: str, kind: type):
+    """``record[key]``, which must be a JSON value of type ``kind`` itself:
+    a bool, a float or a numeric string is refused, not coerced."""
     value = _field(record, key, where)
-    if not isinstance(value, list):
-        raise ValueError(f"{where}: {key!r} is not a list: {value!r}")
+    if type(value) is not kind:
+        raise ValueError(f"{where}: {key!r} is not {_KINDS[kind]}: {value!r}")
     return value
+
+
+def _ids(record, key: str, where: str) -> frozenset[str]:
+    """A list field of string ids, as a set."""
+    value = _typed(record, key, where, list)
+    for item in value:
+        if type(item) is not str:
+            raise ValueError(f"{where}: {key!r} holds a non-string id: {item!r}")
+    return frozenset(value)
 
 
 def _expand_map(task: dict, key: str, compatible: Iterable[str],
                 where: str) -> dict[str, int]:
     value = _field(task, key, where)
     if isinstance(value, dict):
-        return {a: _int(value, a, f"{where} {key}") for a in value}
-    return dict.fromkeys(compatible, _int(task, key, where))
+        return {a: _typed(value, a, f"{where} {key}", int) for a in value}
+    return dict.fromkeys(compatible, _typed(task, key, where, int))
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -110,23 +116,24 @@ def instance_from_dict(data: dict) -> Instance:
     """The instance of a document written by :func:`instance_to_dict`;
     raises ``ValueError`` naming the record and field that are malformed."""
     agents = []
-    for k, a in enumerate(_list(data, "agents", "instance")):
+    for k, a in enumerate(_typed(data, "agents", "instance", list)):
         where = f"instance agent {k}"
         agents.append(AgentSpec(
-            id=_field(a, "id", where),
-            capacity=_int(a, "capacity", where)))
+            id=_typed(a, "id", where, str),
+            capacity=_typed(a, "capacity", where, int)))
     tasks = []
-    for k, t in enumerate(_list(data, "tasks", "instance")):
+    for k, t in enumerate(_typed(data, "tasks", "instance", list)):
         where = f"instance task {k}"
-        compatible = frozenset(_list(t, "compatible", where))
+        compatible = _ids(t, "compatible", where)
         tasks.append(TaskSpec(
-            id=_field(t, "id", where),
+            id=_typed(t, "id", where, str),
             compatible=compatible,
             weights=_expand_map(t, "weight", compatible, where),
             profits=_expand_map(t, "profit", compatible, where),
         ))
-    return Instance(agents=tuple(agents), tasks=tuple(tasks),
-                    metadata=data.get("metadata", {}))
+    metadata = _typed(data, "metadata", "instance", dict) \
+        if "metadata" in data else {}
+    return Instance(agents=tuple(agents), tasks=tuple(tasks), metadata=metadata)
 
 
 def save_instance(path: str, instance: Instance) -> None:
@@ -163,19 +170,19 @@ def trace_from_lines(text: str) -> ScenarioTrace:
     if not lines:
         raise ValueError("empty trace file")
     header, records = lines[0], lines[1:]
-    cycles = _int(header, "cycles", "trace header")
-    seed = _int(header, "seed", "trace header")
+    cycles = _typed(header, "cycles", "trace header", int)
+    seed = _typed(header, "seed", "trace header", int)
     if len(records) != cycles:
         raise ValueError(f"trace header says {cycles} cycles, found {len(records)}")
     agents = []
     tasks = []
     for expected, record in enumerate(records, start=1):
         where = f"trace cycle {expected}"
-        cycle = _int(record, "cycle", where)
+        cycle = _typed(record, "cycle", where, int)
         if cycle != expected:
             raise ValueError(f"trace cycles out of order at {cycle}")
-        agents.append(frozenset(_list(record, "agents", where)))
-        tasks.append(frozenset(_list(record, "tasks", where)))
+        agents.append(_ids(record, "agents", where))
+        tasks.append(_ids(record, "tasks", where))
     return ScenarioTrace(cycles=cycles, available_agents=tuple(agents),
                          available_tasks=tuple(tasks), seed=seed)
 
@@ -243,13 +250,16 @@ def cycle_lines(report) -> str:
     return out.getvalue()
 
 
-def summary_csv(rows: list[dict]) -> str:
+def csv_text(rows: Iterable[list]) -> str:
+    """CSV lines, each cell quoted only where it must be."""
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=SUMMARY_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
+
+
+def summary_csv(rows: list[dict]) -> str:
+    return csv_text([SUMMARY_COLUMNS,
+                     *([row[k] for k in SUMMARY_COLUMNS] for row in rows)])
 
 
 def read_summary(path: str) -> list[dict]:

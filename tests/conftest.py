@@ -5,7 +5,7 @@ import pytest
 
 from rotagap import solver
 from rotagap.affinity import update_affinities
-from rotagap.domain import AgentSpec, Instance, TaskSpec
+from rotagap.domain import AgentSpec, Instance, ScenarioTrace, TaskSpec
 from rotagap.solver import GapProblem
 
 
@@ -20,18 +20,38 @@ def make_instance(agents: dict[str, int], tasks: dict[str, tuple[int, int, set[s
     )
 
 
-def available_pairs(mats, agents, tasks) -> np.ndarray:
-    """Mask of the compatible pairs whose agent and task are both available,
-    as ``engine.run_cycle`` builds it."""
-    return mats.compat & mats.agent_row_mask(agents)[:, None] \
-        & mats.task_col_mask(tasks)[None, :]
+def worked_example_fixture() -> tuple[Instance, ScenarioTrace]:
+    """Canonical 3-task / 3-agent walkthrough used by the golden tests.
+
+    Tasks T1 (compatible A,B), T2 (A,B,C) and T3 (B,C) with unit weights and
+    unit capacities, over four cycles in which T3 is unavailable in cycle 3
+    and everything else is always available.  The assignment sequence itself
+    is forced by the test harness, not the solver.
+    """
+    instance = make_instance(
+        {"A": 1, "B": 1, "C": 1},
+        {"T1": (1, 1, {"A", "B"}), "T2": (1, 1, {"A", "B", "C"}),
+         "T3": (1, 1, {"B", "C"})},
+        metadata={"generator": "worked-example", "seed": 0})
+    all_agents = frozenset("ABC")
+    all_tasks = frozenset({"T1", "T2", "T3"})
+    trace = ScenarioTrace(
+        cycles=4,
+        available_agents=(all_agents,) * 4,
+        available_tasks=(all_tasks, all_tasks, all_tasks - {"T3"}, all_tasks),
+        seed=0,
+    )
+    return instance, trace
 
 
 def update_from_pairs(state, available, pairs):
     """``update_affinities`` for a caller holding ``(agent_id, task_id)``
-    pairs, converted with ``InstanceMatrices.pair_positions``."""
+    pairs, converted to row and column positions."""
+    mats = state.mats
+    agent_ids, task_ids = tuple(zip(*pairs)) or ((), ())
     return update_affinities(state, available,
-                             *state.mats.pair_positions(pairs))
+                             mats.positions(mats.agent_index, agent_ids),
+                             mats.positions(mats.task_index, task_ids))
 
 
 def forget_last_solve() -> None:

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotagap.affinity import (affinity_pressure, init_affinities,
-                              max_affinity_pressure)
-from rotagap.domain import worked_example_fixture
+from rotagap.affinity import init_affinities, max_affinity_pressure
 
-from conftest import available_pairs, make_instance, update_from_pairs
+from conftest import make_instance, update_from_pairs, worked_example_fixture
 
 ALL_AGENTS = frozenset("ABC")
 ALL_TASKS = frozenset({"T1", "T2", "T3"})
@@ -48,6 +46,13 @@ WALKTHROUGH = [
 ]
 
 
+def pressure(state, task, agents) -> float:
+    """AP of one task over the given agents (its compatible ones among
+    them): the maximum AP over a mask that holds that task alone."""
+    return max_affinity_pressure(state,
+                                 state.mats.available_pairs(agents, {task}))
+
+
 def replay_walkthrough():
     """Yields (cycle_index, state, expected) while replaying the golden
     assignment sequence through init/update."""
@@ -57,7 +62,7 @@ def replay_walkthrough():
         yield k, state, expected
         if expected["assignment"] is not None:
             state = update_from_pairs(
-                state, available_pairs(state.mats, *trace.entry(k)),
+                state, state.mats.available_pairs(*trace.entry(k)),
                 expected["assignment"])
 
 
@@ -68,8 +73,7 @@ def check_walkthrough_cycle(state, expected) -> None:
             got = state.affinities[mats.agent_index[agent], mats.task_index[task]]
             assert got == value, (task, agent, got, value)
     for task, ap in expected["ap"].items():
-        compat = state.instance.tasks[mats.task_index[task]].compatible
-        got = affinity_pressure(state, task, sorted(compat))
+        got = pressure(state, task, ALL_AGENTS)
         assert math.isclose(got, ap, rel_tol=0, abs_tol=1e-12), (task, got, ap)
         assert round(got, 1) == round(ap, 1)
 
@@ -98,7 +102,7 @@ def test_incompatible_pair_stays_zero_forever():
     state = init_affinities(instance)
     mats = state.mats
     for k, expected in enumerate(WALKTHROUGH[:-1], start=1):
-        state = update_from_pairs(state, available_pairs(mats, *trace.entry(k)),
+        state = update_from_pairs(state, mats.available_pairs(*trace.entry(k)),
                                   expected["assignment"])
         assert state.affinities[mats.agent_index["C"], mats.task_index["T1"]] == 0
         assert state.affinities[mats.agent_index["A"], mats.task_index["T3"]] == 0
@@ -108,11 +112,11 @@ def test_update_rejects_bad_assignments():
     instance, trace = worked_example_fixture()
     state = init_affinities(instance)
     agents, tasks = trace.entry(1)
-    available = available_pairs(state.mats, agents, tasks)
+    available = state.mats.available_pairs(agents, tasks)
     with pytest.raises(ValueError, match="incompatible"):
         update_from_pairs(state, available, [("C", "T1")])
     with pytest.raises(ValueError, match="unavailable"):
-        update_from_pairs(state, available_pairs(state.mats, agents, {"T2"}),
+        update_from_pairs(state, state.mats.available_pairs(agents, {"T2"}),
                           [("A", "T1")])
     with pytest.raises(ValueError, match="more than once"):
         update_from_pairs(state, available, [("A", "T2"), ("B", "T2")])
@@ -139,7 +143,7 @@ def test_update_rejects_bad_assignments():
 def test_update_names_the_first_offending_pair(agents, tasks, pairs, message):
     instance, _ = worked_example_fixture()
     state = init_affinities(instance)
-    available = available_pairs(state.mats, set(agents), tasks)
+    available = state.mats.available_pairs(set(agents), tasks)
     with pytest.raises(ValueError) as info:
         update_from_pairs(state, available, pairs)
     assert str(info.value) == message
@@ -150,9 +154,11 @@ def test_affinity_pressure_examples():
         {"A": 1, "B": 1, "C": 1},
         {"T1": (1, 1, {"A", "B", "C"}), "T2": (1, 1, {"A", "B"})})
     state = init_affinities(instance)
-    assert affinity_pressure(state, "T1", ["A", "B", "C"]) == -1.0
+    assert pressure(state, "T1", ["A", "B", "C"]) == -1.0
     state.affinities[state.mats.agent_index["A"], state.mats.task_index["T2"]] = 3
-    assert affinity_pressure(state, "T2", ["A", "B"]) == 0.5
+    assert pressure(state, "T2", ["A", "B"]) == 0.5
+    # only the given agents count: C's affinity to T1 is left out
+    assert pressure(state, "T1", ["A", "B"]) == -0.5
 
 
 @pytest.mark.parametrize("n_agents", [1, 2, 3, 5, 8])
@@ -162,20 +168,11 @@ def test_ideal_affinities_give_exactly_zero_pressure(n_agents):
     state = init_affinities(instance)
     for i, agent in enumerate(sorted(agents)):
         state.affinities[state.mats.agent_index[agent], 0] = i + 1
-    assert affinity_pressure(state, "T1", sorted(agents)) == 0.0
-
-
-def test_affinity_pressure_errors():
-    instance, _ = worked_example_fixture()
-    state = init_affinities(instance)
-    with pytest.raises(ValueError, match="no available compatible"):
-        affinity_pressure(state, "T1", [])
-    with pytest.raises(ValueError, match="not compatible"):
-        affinity_pressure(state, "T1", ["C"])
+    assert pressure(state, "T1", agents) == 0.0
 
 
 def max_ap(state, agents, tasks) -> float:
-    return max_affinity_pressure(state, available_pairs(state.mats, agents, tasks))
+    return max_affinity_pressure(state, state.mats.available_pairs(agents, tasks))
 
 
 def test_max_affinity_pressure_walkthrough_values():
@@ -197,7 +194,7 @@ def test_max_affinity_pressure_skips_and_degenerate_cases():
     assert max_ap(state2, {"B"}, {"T1"}) == 0.0
     # single task, single agent, just assigned: 1/1 - (1+1)/2 = 0
     one = init_affinities(make_instance({"A": 1}, {"T1": (1, 1, {"A"})}))
-    one = update_from_pairs(one, available_pairs(one.mats, {"A"}, {"T1"}),
+    one = update_from_pairs(one, one.mats.available_pairs({"A"}, {"T1"}),
                             [("A", "T1")])
     assert max_ap(one, {"A"}, {"T1"}) == 0.0
 
@@ -205,8 +202,7 @@ def test_max_affinity_pressure_skips_and_degenerate_cases():
 def test_removing_a_task_leaves_other_pressures_unchanged():
     states = {k: state for k, state, _ in replay_walkthrough()}
     state = states[2]
-    with_t3 = {t: affinity_pressure(state, t, sorted(state.instance.tasks[
-        state.mats.task_index[t]].compatible)) for t in ("T1", "T2")}
+    with_t3 = {t: pressure(state, t, ALL_AGENTS) for t in ("T1", "T2")}
     # dropping T3 from availability cannot change T1/T2 pressures
     assert max_ap(state, ALL_AGENTS, {"T1", "T2"}) == max(with_t3.values())
 
@@ -232,7 +228,7 @@ def run_max_affinity_harness(instance, cycles: int):
 def check_perfect_rotation(instance, cycles: int) -> None:
     for k, state in enumerate(run_max_affinity_harness(instance, cycles), start=1):
         for task in instance.tasks:
-            ap = affinity_pressure(state, task.id, sorted(task.compatible))
+            ap = pressure(state, task.id, task.compatible)
             c = len(task.compatible)
             if k < c:
                 assert ap < 0, (task.id, k, ap)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import json
 import os
 import shutil
@@ -8,8 +9,11 @@ import pytest
 
 from rotagap import fileio, scenarios
 from rotagap.cli import main, parse_strategies
-from rotagap.domain import AgentSpec, Instance, TaskSpec
+from rotagap.domain import AgentSpec, Instance, ScenarioTrace, TaskSpec
+from rotagap.engine import run_scenario
 from rotagap.scenarios import GenerationError
+from rotagap.solver import SolverBudget
+from rotagap.strategies import StrategyConfig
 
 
 def run_cli(*argv) -> int:
@@ -223,6 +227,29 @@ MALFORMED_FILES = [
     ("trace", set_in((3, "tasks"), None), "trace cycle 3: missing 'tasks'"),
     ("trace", set_in((1,), ["A01"]),
      "trace cycle 1: expected an object, got list"),
+    # numbers are JSON integers and ids are strings, never coerced
+    ("instance", set_in(("agents", 0, "capacity"), 10.9),
+     "instance agent 0: 'capacity' is not an integer: 10.9"),
+    ("instance", set_in(("tasks", 1, "weight"), "7"),
+     "instance task 1: 'weight' is not an integer: '7'"),
+    ("instance", set_in(("tasks", 2, "profit"), True),
+     "instance task 2: 'profit' is not an integer: True"),
+    ("instance", set_in(("tasks", 0, "profit"), {"A02": 2.0}),
+     "instance task 0 profit: 'A02' is not an integer: 2.0"),
+    ("instance", set_in(("agents", 1, "id"), 5),
+     "instance agent 1: 'id' is not a string: 5"),
+    ("instance", set_in(("tasks", 2, "id"), ["T03"]),
+     "instance task 2: 'id' is not a string: ['T03']"),
+    ("instance", set_in(("tasks", 0, "compatible"), ["A02", 2]),
+     "instance task 0: 'compatible' holds a non-string id: 2"),
+    ("instance", set_in(("metadata",), "mcmkp"),
+     "instance: 'metadata' is not an object: 'mcmkp'"),
+    ("trace", set_in((0, "cycles"), 4.0),
+     "trace header: 'cycles' is not an integer: 4.0"),
+    ("trace", set_in((4, "cycle"), False),
+     "trace cycle 4: 'cycle' is not an integer: False"),
+    ("trace", set_in((2, "tasks"), ["T01", ["T02"]]),
+     "trace cycle 2: 'tasks' holds a non-string id: ['T02']"),
 ]
 
 
@@ -254,8 +281,26 @@ def test_malformed_files_name_the_record_and_field(tmp_path, capsys, kind,
     assert run_cli("run", "--instance", paths["instance"],
                    "--trace", paths["trace"], "--strategies", "foa",
                    "--budget", "nodes:10", "-o", str(out)) == 2
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert capsys.readouterr().err.startswith(f"error: {paths[kind]}: {message}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["instance", "trace"])
+def test_unparsable_file_is_named(tmp_path, capsys, kind):
+    gen = tmp_path / "gen"
+    assert run_cli("generate", "--scenario", "mcmkp", "--agents", "2",
+                   "--tasks", "3", "--cycles", "4", "--seed", "1",
+                   "-o", str(gen)) == 0
+    stem = gen / "mcmkp-2x3-uncorrelated-seed1"
+    paths = {"instance": f"{stem}.instance.json",
+             "trace": f"{stem}.trace.jsonl"}
+    with open(paths[kind], "r+", encoding="utf-8") as fh:
+        fh.truncate(12)  # mid-record: the parser expects a value
+    capsys.readouterr()
+    assert run_cli("run", "--instance", paths["instance"],
+                   "--trace", paths["trace"], "--strategies", "foa",
+                   "--budget", "nodes:10", "-o", str(tmp_path / "run")) == 2
+    assert capsys.readouterr().err.startswith(f"error: {paths[kind]}: ")
 
 
 def test_pc_values_that_overflow_are_refused(tmp_path):
@@ -368,6 +413,43 @@ def test_report_tables(tmp_path):
     assert len(long_rows) == 1 + 16
 
 
+def test_report_tables_quote_scenario_labels(tmp_path):
+    # a files scenario's label comes from its generator metadata, which
+    # may hold commas and quotes
+    instance = Instance(
+        agents=(AgentSpec("A", 2), AgentSpec("B", 2)),
+        tasks=(TaskSpec.uniform("T1", profit=3, weight=1, compatible={"A", "B"}),
+               TaskSpec.uniform("T2", profit=5, weight=2, compatible={"B"})),
+        metadata={"generator": 'lab, "v2"', "seed": 1})
+    trace = ScenarioTrace(cycles=3, available_agents=(frozenset("AB"),) * 3,
+                          available_tasks=(frozenset({"T1", "T2"}),) * 3, seed=1)
+    fileio.save_instance(str(tmp_path / "x.instance.json"), instance)
+    fileio.save_trace(str(tmp_path / "x.trace.jsonl"), trace)
+    out = tmp_path / "run"
+    assert run_cli("run", "--instance", str(tmp_path / "x.instance.json"),
+                   "--trace", str(tmp_path / "x.trace.jsonl"),
+                   "--strategies", "foa,os:2", "--budget", "nodes:100",
+                   "-o", str(out)) == 0
+    tables = tmp_path / "tables"
+    assert run_cli("report", "--summary", str(out / "summary.csv"),
+                   "-o", str(tables)) == 0
+
+    def read(name):
+        with open(tables / name, encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))
+
+    label = 'lab, "v2"-2x2'
+    for name in ("rotation_table.csv", "profit_table.csv"):
+        table = read(name)
+        assert table[0] == ["strategy", label]
+        assert [row[0] for row in table[1:]] == ["foa", "os/2", "fop"]
+        assert all(len(row) == 2 for row in table)
+    assert read("profit_table.csv")[-1] == ["fop", "100.0"]
+    long_rows = read("long.csv")
+    assert len(long_rows) == 1 + 3 * 4
+    assert all(len(row) == 5 and row[0] == label for row in long_rows[1:])
+
+
 def test_report_requires_fop_baseline(tmp_path):
     rows = [{
         "scenario": "x", "strategy": "foa", "seed": 1, "total_profit": 10,
@@ -436,6 +518,24 @@ def count_seeds(monkeypatch, name, fail_seed=None):
 
     monkeypatch.setattr(scenarios, name, counted)
     return calls
+
+
+def test_static_priorities_keep_the_instance_profits(tmp_path):
+    out = tmp_path / "static"
+    assert run_cli(*TCSA_RUN, "--seeds", "3", "--static-priorities",
+                   "-o", str(out)) == 0
+    params = scenarios.TcsaParams(agents=6, tasks=20, cycles=8, seed=3)
+    instance = scenarios.generate_tcsa(params)
+    trace = scenarios.generate_trace_episodic(instance, params)
+    for spec in ("pc", "fop"):
+        stem = f"tcsa-6x20-{spec}-seed3"
+        report = json.loads((out / f"{stem}.report.json").read_text())
+        assert report["provenance"]["priorities"] == "static"
+        written = [json.loads(line)["profit"] for line in
+                   (out / f"{stem}.cycles.jsonl").read_text().splitlines()]
+        expected = run_scenario(instance, trace, StrategyConfig.parse(spec),
+                                SolverBudget.parse("nodes:500"))
+        assert written == [c.profit for c in expected.per_cycle]
 
 
 def test_run_builds_each_seeds_scenario_once(tmp_path, monkeypatch):

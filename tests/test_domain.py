@@ -1,10 +1,9 @@
 import pytest
 
 from rotagap.domain import (AgentSpec, Instance, InstanceMatrices, ScenarioTrace,
-                            TaskSpec, validate_instance, validate_trace,
-                            worked_example_fixture)
+                            TaskSpec, validate_instance, validate_trace)
 
-from conftest import make_instance
+from conftest import make_instance, worked_example_fixture
 
 
 def test_well_formed_instance_has_no_violations():
@@ -92,8 +91,12 @@ def test_matrices_follow_list_order():
     assert mats.compat.tolist() == [[True, True], [False, True]]
     assert mats.profits[0, 0] == 5 and mats.weights[0, 0] == 3
     assert mats.profits[1, 1] == 9 and mats.weights[1, 1] == 1
-    assert mats.agent_row_mask({"A"}).tolist() == [False, True]
-    assert mats.task_col_mask({"T2"}).tolist() == [True, False]
+    assert mats.available_pairs({"A"}, {"T1", "T2"}).tolist() \
+        == [[False, False], [False, True]]
+    assert mats.available_pairs({"A", "B"}, {"T2"}).tolist() \
+        == [[True, False], [False, False]]
+    with pytest.raises(KeyError):
+        mats.available_pairs({"C"}, {"T1"})
 
 
 def test_domain_types_are_immutable():

@@ -3,10 +3,9 @@ import pytest
 
 from rotagap import engine, solver
 from rotagap.affinity import init_affinities
-from rotagap.domain import (InstanceMatrices, ScenarioTrace,
-                            worked_example_fixture)
-from rotagap.engine import (_profit_matrix, compare_to_baseline,
-                            rotation_metrics, run_cycle, run_scenario)
+from rotagap.domain import InstanceMatrices, ScenarioTrace
+from rotagap.engine import (_profit_matrix, profit_pct, rotation_metrics,
+                            run_cycle, run_scenario)
 from rotagap.scenarios import (McmkpParams, TcsaParams, generate_mcmkp,
                                generate_tcsa, generate_trace_bernoulli,
                                generate_trace_episodic,
@@ -14,8 +13,8 @@ from rotagap.scenarios import (McmkpParams, TcsaParams, generate_mcmkp,
 from rotagap.solver import Assignment, SolverBudget
 from rotagap.strategies import StrategyConfig
 
-from conftest import (available_pairs, forget_last_solve, make_instance,
-                      update_from_pairs)
+from conftest import (forget_last_solve, make_instance, update_from_pairs,
+                      worked_example_fixture)
 
 BUDGET = SolverBudget.nodes(5000)
 FOP = StrategyConfig(kind="fop")
@@ -174,25 +173,9 @@ def test_fop_ignores_affinity_perturbations():
 
 def test_compare_to_baseline():
     report = fixture_run(FOP)
-    assert compare_to_baseline(report, report) == 100.0
+    assert profit_pct(report.total_profit, report.total_profit) == 100.0
     other = fixture_run(FOA)
-    assert compare_to_baseline(other, report) <= 100.0
-
-
-def test_compare_to_baseline_rejects_mismatched_provenance():
-    a = fixture_run(FOP, cycles=4)
-    b = fixture_run(FOP, cycles=3)
-    with pytest.raises(ValueError, match="different"):
-        compare_to_baseline(a, b)
-
-
-def test_compare_to_baseline_rejects_zero_profit():
-    instance = make_instance({"A": 1}, {"T1": (5, 3, {"A"})})
-    trace = ScenarioTrace(cycles=1, available_agents=(frozenset({"A"}),),
-                          available_tasks=(frozenset({"T1"}),), seed=0)
-    report = run_scenario(instance, trace, FOP, BUDGET)
-    with pytest.raises(ValueError, match="zero"):
-        compare_to_baseline(report, report)
+    assert profit_pct(other.total_profit, report.total_profit) <= 100.0
 
 
 def test_tcsa_priority_hook_changes_profit_stream():
@@ -224,7 +207,7 @@ def test_run_cycle_positions_agree_with_pairs():
             int(profits[mats.agent_index[a], mats.task_index[t]])
             for a, t in assignment.pairs)
         assert report.assigned_count == len(assignment.pairs)
-        expected = update_from_pairs(state, available_pairs(mats, *entry),
+        expected = update_from_pairs(state, mats.available_pairs(*entry),
                                      assignment.pairs)
         assert np.array_equal(next_state.affinities, expected.affinities)
         assert np.array_equal(next_state.assignment_counts,

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rotagap import fileio
-from rotagap.domain import (AgentSpec, Instance, ScenarioTrace, TaskSpec,
-                            worked_example_fixture)
+from rotagap.domain import AgentSpec, Instance, ScenarioTrace, TaskSpec
 from rotagap.scenarios import (McmkpParams, TcsaParams, generate_mcmkp,
                                generate_tcsa, generate_trace_bernoulli,
                                generate_trace_episodic)
+
+from conftest import worked_example_fixture
 
 
 def test_instance_round_trip_worked_example():

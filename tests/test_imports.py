@@ -12,6 +12,8 @@ import textwrap
 
 import pytest
 
+import rotagap
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 PACKAGE = os.path.join(SRC, "rotagap")
@@ -45,6 +47,44 @@ def test_package_modules_import_no_scipy_or_benchmark_code(path):
 def test_benchmark_checks_import_nothing_from_the_package():
     tops = {name.split(".")[0] for name in imported_modules(CHECKS)}
     assert "rotagap" not in tops
+
+
+def names_read(path: str) -> set[str]:
+    """The names a file reads, bare or as an attribute, other than those
+    read only inside the function or class of the same name."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    found = set()
+
+    def visit(node, inside: frozenset):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and name not in inside:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_public_name_is_used():
+    """Each name the package exports is read by the package itself (its
+    re-export in ``__init__`` aside) or by the benchmark; a name that only
+    tests read belongs in the tests."""
+    bench = os.path.join(ROOT, "perfbench")
+    paths = [p for p in package_files() if os.path.basename(p) != "__init__.py"]
+    paths += sorted(os.path.join(bench, name) for name in os.listdir(bench)
+                    if name.endswith(".py"))
+    used = set().union(*map(names_read, paths))
+    assert sorted(set(rotagap.__all__) - used) == []
 
 
 def test_package_imports_and_runs_without_scipy(tmp_path):

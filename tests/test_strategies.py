@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from rotagap.affinity import init_affinities, max_affinity_pressure
-from rotagap.domain import worked_example_fixture
 from rotagap.solver import GapProblem, brute_force_oracle
 from rotagap.strategies import (ConfigError, StrategyConfig, compute_values,
                                 os_values, pc_values, wpp_values)
 
-from conftest import available_pairs, make_instance, update_from_pairs
+from conftest import make_instance, update_from_pairs, worked_example_fixture
 
 
 def full_mask(shape):
@@ -18,7 +17,7 @@ def full_mask(shape):
 
 def values_for(config, state, agents, tasks):
     """compute_values for the given availability, as run_cycle calls it."""
-    mask = available_pairs(state.mats, agents, tasks)
+    mask = state.mats.available_pairs(agents, tasks)
     return compute_values(config, state.mats.profits, state.affinities, mask,
                           max_affinity_pressure(state, mask))
 
@@ -110,7 +109,7 @@ def test_pc_arithmetic():
 def test_pc_special_cases_match_fixed_objectives(walkthrough_state):
     instance, state = walkthrough_state
     agents, tasks = "ABC", instance.task_ids
-    state = update_from_pairs(state, available_pairs(state.mats, agents, tasks),
+    state = update_from_pairs(state, state.mats.available_pairs(agents, tasks),
                               [("A", "T1"), ("B", "T2")])
     fop = values_for(StrategyConfig(kind="fop"), state, agents, tasks)
     foa = values_for(StrategyConfig(kind="foa"), state, agents, tasks)
@@ -152,7 +151,7 @@ def test_os_dichotomy_equals_fop_or_foa(walkthrough_state):
         pairs = [(rng.choice(sorted(t.compatible)), t.id)
                  for t in instance.tasks if rng.random() < 0.7]
         state = update_from_pairs(
-            state, available_pairs(state.mats, agents, tasks), pairs)
+            state, state.mats.available_pairs(agents, tasks), pairs)
 
 
 def test_wpp_ideal_rotation_reduces_to_normalized_profits():
