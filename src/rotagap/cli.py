@@ -212,7 +212,12 @@ def resolve_config(raw: dict) -> dict:
     seeds = list(dict.fromkeys(int(s) for s in raw.get("seeds") or []))
     if scenario.get("name") == "files":
         instance, trace = load_files(scenario)
-        seeds = seeds or [int(instance.metadata.get("seed", 0))]
+        if not seeds:
+            seed = instance.metadata.get("seed", 0)
+            if type(seed) is not int:  # as the loaders: no coercion
+                raise ConfigError(f"{scenario['instance']}: metadata 'seed' "
+                                  f"is not an integer: {seed!r}")
+            seeds = [seed]
         top = max((p for task in instance.tasks
                    for p in task.profits.values()), default=0)
         if instance.metadata.get("generator") == "tcsa":  # may redraw

@@ -4,13 +4,16 @@ Everything is structured text: instances and reports are compact JSON
 documents with sorted keys, traces and per-cycle series are JSON lines,
 tabular summaries are CSV with a fixed, documented header.  Serialization
 is canonical, so identical data yields byte-identical files; writes go
-through a temp file and an atomic rename.
+through a temp file and an atomic rename, and a failed write removes its
+temp file.  Only :func:`sha256_file`, which ``rotagap generate`` alone
+calls, imports ``hashlib``: it loads OpenSSL, which a run never uses.
 """
 
+import contextlib
 import csv
-import hashlib
 import io
 import json
+import math
 import os
 from typing import Iterable
 
@@ -21,6 +24,10 @@ SUMMARY_COLUMNS = [
     "scenario", "strategy", "seed", "total_profit", "profit_pct_of_fop",
     "full_rotations", "avg_rotations_per_task", "cycles", "budget_mode",
 ]
+# the summary columns that hold numbers, and the type each must parse as
+_SUMMARY_NUMBERS = {"seed": int, "total_profit": int, "full_rotations": int,
+                    "cycles": int, "profit_pct_of_fop": float,
+                    "avg_rotations_per_task": float}
 
 REPORT_SCHEMA = "rotagap.report.v2"
 
@@ -33,12 +40,18 @@ def _dump_json(obj) -> str:
 
 def atomic_write_text(path: str, text: str) -> None:
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def sha256_file(path: str) -> str:
+    import hashlib  # here, so that only ``rotagap generate`` loads OpenSSL
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -66,8 +79,8 @@ def _field(record, key: str, where: str):
     return record[key]
 
 
-_KINDS = {int: "an integer", str: "a string", list: "a list",
-          dict: "an object"}
+_KINDS = {int: "an integer", float: "a finite number",
+          str: "a string", list: "a list", dict: "an object"}
 
 
 def _typed(record, key: str, where: str, kind: type):
@@ -263,10 +276,24 @@ def summary_csv(rows: list[dict]) -> str:
 
 
 def read_summary(path: str) -> list[dict]:
-    """Read a summary CSV, enforcing the documented column set."""
+    """Read a summary CSV, enforcing the documented column set and that
+    each numeric cell parses as a finite number of its column's type; the
+    cells are kept as the text read."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != SUMMARY_COLUMNS:
             raise ValueError(
                 f"{path}: unexpected summary columns {reader.fieldnames}")
-        return list(reader)
+        rows = []
+        for row in reader:
+            for column, kind in _SUMMARY_NUMBERS.items():
+                try:
+                    value = kind(row[column])
+                    if value != value or value in (math.inf, -math.inf):
+                        raise ValueError
+                except (TypeError, ValueError):  # None: the row is short
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: {column!r} is not "
+                        f"{_KINDS[kind]}: {row[column]!r}") from None
+            rows.append(row)
+        return rows

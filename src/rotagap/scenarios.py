@@ -4,7 +4,10 @@ traces that go with them.
 
 All randomness is derived from explicit seeds through a stable 64-bit mixing
 function (:func:`derive_seed`), so identical parameters produce bit-identical
-instances and traces on every platform.
+instances and traces on every platform.  Its blake2b is CPython's built-in
+``_blake2`` (``hashlib.blake2b`` is that function), since ``import hashlib``
+also loads OpenSSL: a one-worker ``rotagap run`` loads no OpenSSL-backed
+module, and ``rotagap generate`` is the only command that imports ``hashlib``.
 
 A draw made in bulk (:func:`_randints`, used by the per-cycle tcsa priority
 redraw) takes exactly the values, and leaves the generator in exactly the
@@ -13,13 +16,17 @@ single draws give the same streams.
 """
 
 import functools
-import hashlib
 import random
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .domain import AgentSpec, Instance, ScenarioTrace, TaskSpec
+
+try:
+    from _blake2 import blake2b
+except ImportError:  # a build without CPython's own blake2
+    from hashlib import blake2b
 
 BENCHMARK_MCMKP_SIZES = ((30, 75), (15, 45), (12, 48))
 CORRELATIONS = ("uncorrelated", "weakly_correlated")
@@ -42,7 +49,7 @@ def derive_seed(root: int, *parts) -> int:
     reproducible across platforms and independent between labels.
     """
     text = "|".join([str(int(root))] + [str(p) for p in parts])
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 

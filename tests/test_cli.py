@@ -137,6 +137,30 @@ def test_run_file_mode_uses_instance_seed(tmp_path):
     assert {r["seed"] for r in rows} == {"9"}
 
 
+@pytest.mark.parametrize("seed", ["abc", 2.7, True, None])
+def test_files_scenario_seed_must_be_an_integer(tmp_path, capsys, seed):
+    instance = Instance(
+        agents=(AgentSpec("A", 2),),
+        tasks=(TaskSpec.uniform("T1", profit=3, weight=1, compatible={"A"}),
+               TaskSpec.uniform("T2", profit=5, weight=2, compatible={"A"})),
+        metadata={"seed": seed})
+    trace = ScenarioTrace(cycles=2, available_agents=(frozenset("A"),) * 2,
+                          available_tasks=(frozenset({"T1", "T2"}),) * 2, seed=1)
+    path = str(tmp_path / "x.instance.json")
+    fileio.save_instance(path, instance)
+    fileio.save_trace(str(tmp_path / "x.trace.jsonl"), trace)
+    argv = ["run", "--instance", path, "--trace", str(tmp_path / "x.trace.jsonl"),
+            "--strategies", "foa", "--budget", "nodes:10"]
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run_cli(*argv, "-o", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: metadata 'seed' is not an integer: {seed!r}\n")
+    assert not out.exists()
+    # seeds given on the command line leave the metadata seed unread
+    assert run_cli(*argv, "--seeds", "3", "-o", str(out)) == 0
+
+
 def test_run_config_errors(tmp_path):
     assert run_cli("run", "--strategies", "fop", "--budget", "nodes:10",
                    "-o", str(tmp_path)) == 2  # no scenario or files
@@ -459,6 +483,42 @@ def test_report_requires_fop_baseline(tmp_path):
     path = tmp_path / "summary.csv"
     path.write_text(fileio.summary_csv(rows))
     assert run_cli("report", "--summary", str(path), "-o", str(tmp_path / "t")) == 4
+
+
+@pytest.mark.parametrize("column,value,kind", [
+    ("profit_pct_of_fop", "abc", "a finite number"),
+    ("avg_rotations_per_task", "", "a finite number"),
+    ("profit_pct_of_fop", "nan", "a finite number"),
+    ("avg_rotations_per_task", "-inf", "a finite number"),
+    ("seed", "1.5", "an integer"),
+    ("total_profit", "ten", "an integer"),
+    ("full_rotations", "2.0", "an integer"),
+    ("cycles", "4x", "an integer"),
+])
+def test_report_refuses_non_numeric_cells(tmp_path, capsys, column, value,
+                                          kind):
+    rows = [{
+        "scenario": "x", "strategy": strategy, "seed": 1, "total_profit": 10,
+        "profit_pct_of_fop": "90.0", "full_rotations": 1,
+        "avg_rotations_per_task": "1.5", "cycles": 4, "budget_mode": "node_limit",
+    } for strategy in ("foa", "fop")]
+    rows[1][column] = value
+    path = tmp_path / "summary.csv"
+    path.write_text(fileio.summary_csv(rows))
+    capsys.readouterr()
+    assert run_cli("report", "--summary", str(path), "-o", str(tmp_path / "t")) == 4
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 3: {column!r} is not {kind}: {value!r}\n")
+    assert not (tmp_path / "t").exists()
+
+
+def test_report_refuses_a_short_row(tmp_path, capsys):
+    path = tmp_path / "summary.csv"
+    path.write_text(",".join(fileio.SUMMARY_COLUMNS) + "\nx,fop,1,10\n")
+    capsys.readouterr()
+    assert run_cli("report", "--summary", str(path), "-o", str(tmp_path / "t")) == 4
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 2: 'full_rotations' is not an integer: None\n")
 
 
 def test_report_rejects_schema_mismatch(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,6 +138,23 @@ def test_summary_csv_round_trip(tmp_path):
     back = fileio.read_summary(str(path))
     assert back[0]["strategy"] == "os/10"
     assert back[0]["profit_pct_of_fop"] == "92.5"
+
+
+@pytest.mark.parametrize("fail", ["write", "rename"])
+def test_failed_atomic_write_leaves_no_temp_file(tmp_path, monkeypatch, fail):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    if fail == "rename":
+        def refuse(src, dst):
+            raise OSError("rename refused")
+        monkeypatch.setattr(fileio.os, "replace", refuse)
+        error, text = OSError, "new\n"
+    else:  # a lone surrogate cannot be encoded, so the write fails midway
+        error, text = UnicodeEncodeError, "new\ud800\n"
+    with pytest.raises(error):
+        fileio.atomic_write_text(str(path), text)
+    assert sorted(os.listdir(tmp_path)) == ["out.json"]
+    assert path.read_text() == "old\n"
 
 
 def test_read_summary_enforces_schema(tmp_path):

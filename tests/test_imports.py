@@ -2,9 +2,14 @@
 dependency (the HiGHS cross-check), and the benchmark under ``perfbench/``
 imports the package, never the other way round.  The benchmark's output
 checks (``perfbench/checks.py``) import nothing from the package, so they
-judge the solver without sharing its code."""
+judge the solver without sharing its code.  A one-worker ``rotagap run``
+loads no OpenSSL-backed module (``hashlib`` loads ``libcrypto``, a tenth
+of a run's resident memory), and ``rotagap generate`` is the only command
+that imports ``hashlib``."""
 
 import ast
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -107,3 +112,49 @@ def test_package_imports_and_runs_without_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "run" / "summary.csv").exists()
+
+
+# runs one command, then prints the OpenSSL-backed modules it left loaded
+CLI_THEN_MODULES = textwrap.dedent("""
+    import json, sys
+    from rotagap import cli
+    code = cli.main(sys.argv[1:])
+    loaded = {"hashlib", "_hashlib", "ssl", "_ssl", "hmac"} & set(sys.modules)
+    print(json.dumps(sorted(loaded)))
+    sys.exit(code)
+""")
+
+
+def cli_then_modules(*argv) -> tuple[list[str], list[str]]:
+    """The lines ``rotagap`` printed, and the OpenSSL-backed modules loaded
+    after it ran in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", CLI_THEN_MODULES, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    *printed, loaded = done.stdout.splitlines()
+    return printed, json.loads(loaded)
+
+
+@pytest.mark.parametrize("scenario", [
+    ["--scenario", "mcmkp", "--agents", "2", "--tasks", "4", "--cycles", "2"],
+    ["--scenario", "tcsa", "--agents", "4", "--tasks", "12", "--cycles", "3"],
+], ids=["mcmkp", "tcsa"])
+def test_one_worker_run_loads_no_openssl(tmp_path, scenario):
+    out = tmp_path / "run"
+    printed, loaded = cli_then_modules(
+        "run", *scenario, "--strategies", "foa,pc", "--budget", "nodes:100",
+        "--workers", "1", "-o", str(out))
+    assert printed == [str(out / "summary.csv")]
+    assert loaded == []
+
+
+def test_generate_prints_the_sha256_of_each_file(tmp_path):
+    printed, _ = cli_then_modules(
+        "generate", "--scenario", "mcmkp", "--agents", "2", "--tasks", "4",
+        "--cycles", "2", "--seed", "3", "-o", str(tmp_path))
+    assert len(printed) == 2
+    for line in printed:
+        digest, path = line.split("  ", 1)
+        with open(path, "rb") as fh:
+            assert digest == hashlib.sha256(fh.read()).hexdigest()

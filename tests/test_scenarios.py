@@ -1,7 +1,9 @@
+import hashlib
 import pickle
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rotagap.domain import validate_instance, validate_trace
 from rotagap.scenarios import (GenerationError, McmkpParams, TcsaParams,
@@ -24,6 +26,15 @@ def test_derive_seed_is_stable_and_label_sensitive():
     assert derive_seed(7, "a", 1) != derive_seed(7, "a", 2)
     # frozen value guards the mixing function against accidental change
     assert derive_seed(0, "mcmkp", "weights") == 7350250543036703128
+
+
+@given(root=st.integers(min_value=-2**80, max_value=2**80),
+       parts=st.lists(st.one_of(st.text(), st.integers()), max_size=4))
+def test_derive_seed_is_hashlib_blake2b_of_its_text(root, parts):
+    # derive_seed takes blake2b from _blake2, not hashlib: the same function
+    text = "|".join([str(root)] + [str(p) for p in parts]).encode("utf-8")
+    digest = hashlib.blake2b(text, digest_size=8).digest()
+    assert derive_seed(root, *parts) == int.from_bytes(digest, "little")
 
 
 @pytest.mark.parametrize("m,n", [(30, 75), (15, 45), (12, 48), (2, 5)])
