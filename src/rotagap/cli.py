@@ -65,17 +65,32 @@ def scenario_fields(cls) -> list[dataclasses.Field]:
     return [f for f in dataclasses.fields(cls) if f.name not in ("seed", "cycles")]
 
 
+def scenario_flags() -> list[str]:
+    """The scenario flags as argument names: the scenario, its cycle count
+    and each generator parameter."""
+    params = {f.name for cls in GENERATOR_PARAMS.values()
+              for f in scenario_fields(cls)}
+    return ["scenario", "cycles", *sorted(params)]
+
+
+def refuse_flags(args, names: list[str], where: str) -> None:
+    """Refuse the first flag of ``names`` given on the command line, which
+    ``where`` would ignore; a flag left out is None, or False if it takes
+    no value."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value is not False:
+            raise ConfigError(
+                f"--{name.replace('_', '-')} does not apply {where}")
+
+
 def scenario_from_args(args) -> dict:
     """The scenario section of a run config from the scenario flags; a flag
     left unset takes its generator parameter's default."""
     fields = scenario_fields(GENERATOR_PARAMS[args.scenario])
-    names = {f.name for f in fields}
-    stray = sorted(f.name for cls in GENERATOR_PARAMS.values()
-                   for f in scenario_fields(cls)
-                   if f.name not in names and getattr(args, f.name) is not None)
-    if stray:
-        raise ConfigError(f"--{stray[0].replace('_', '-')} does not apply "
-                          f"to the {args.scenario} scenario")
+    names = {"scenario", "cycles", *(f.name for f in fields)}
+    refuse_flags(args, [n for n in scenario_flags() if n not in names],
+                 f"to the {args.scenario} scenario")
     scenario = {"name": args.scenario}
     for f in fields:
         value = getattr(args, f.name)
@@ -174,6 +189,7 @@ def config_from_args(args) -> dict:
     if args.instance or args.trace:
         if not (args.instance and args.trace):
             raise ConfigError("--instance and --trace must be given together")
+        refuse_flags(args, scenario_flags(), "with --instance/--trace")
         scenario = {"name": "files", "instance": args.instance,
                     "trace": args.trace}
     elif args.scenario:
@@ -183,11 +199,11 @@ def config_from_args(args) -> dict:
     return {
         "scenario": scenario,
         "strategies": args.strategies or [],
-        "budget": args.budget,
+        "budget": "nodes:20000" if args.budget is None else args.budget,
         "cycles": args.cycles,
         "seeds": [s for chunk in args.seeds or [] for s in chunk.split(",")],
         "output_dir": args.output_dir,
-        "workers": args.workers,
+        "workers": 1 if args.workers is None else args.workers,
         "static_priorities": args.static_priorities,
     }
 
@@ -284,6 +300,9 @@ def run_here(fn, *args) -> concurrent.futures.Future:
 def cmd_run(args) -> int:
     try:
         if args.config:
+            refuse_flags(args, [*scenario_flags(), "instance", "trace",
+                                "strategies", "budget", "seeds", "workers",
+                                "static_priorities"], "with --config")
             with open(args.config, encoding="utf-8") as fh:
                 raw = json.load(fh)
             raw["output_dir"] = args.output_dir or raw.get("output_dir")
@@ -471,11 +490,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", help="trace file (with --instance)")
     run.add_argument("--strategies", action="append", default=None,
                      help="comma-separated specs: fop,foa,os:10,pc,pc:2:0.5,wpp")
-    run.add_argument("--budget", default="nodes:20000",
-                     help="nodes:<int> or seconds:<float> per cycle")
+    run.add_argument("--budget",
+                     help="nodes:<int> or seconds:<float> per cycle "
+                     "(default nodes:20000)")
     run.add_argument("--seeds", action="append", default=None,
                      help="comma-separated integer seeds")
-    run.add_argument("--workers", type=int, default=1)
+    run.add_argument("--workers", type=int, help="(default 1)")
     run.add_argument("--static-priorities", action="store_true",
                      help="disable per-cycle tcsa priority redraws")
     run.add_argument("-o", "--output-dir", default=None)

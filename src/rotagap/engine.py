@@ -130,9 +130,6 @@ def run_cycle(instance: Instance, entry: tuple[Iterable[str], Iterable[str]],
     log.info("cycle %d strategy=%s assigned=%d profit=%d max_ap=%.3f",
              report.cycle, strategy.label, report.assigned_count,
              report.profit, report.max_ap)
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("cycle %d post-update max_ap=%.3f", report.cycle,
-                  max_affinity_pressure(next_state, feasible))
     return assignment, next_state, report
 
 

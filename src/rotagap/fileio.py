@@ -222,18 +222,12 @@ def scenario_label(instance: Instance) -> str:
 def run_report_to_dict(report, *, scenario: str, seed: int, budget_mode: str,
                        config: dict) -> dict:
     """Summary document for one run; the per-cycle series goes to a separate
-    JSON-lines file."""
+    JSON-lines file.  The strategy is its config's fields and its label."""
     strategy: StrategyConfig = report.strategy
     return {
         "schema": REPORT_SCHEMA,
         "scenario": scenario,
-        "strategy": {
-            "kind": strategy.kind,
-            "label": strategy.label,
-            "gamma": strategy.gamma,
-            "alpha": strategy.alpha,
-            "beta": strategy.beta,
-        },
+        "strategy": {**vars(strategy), "label": strategy.label},
         "seed": seed,
         "budget_mode": budget_mode,
         "cycles": len(report.per_cycle),
@@ -247,20 +241,9 @@ def run_report_to_dict(report, *, scenario: str, seed: int, budget_mode: str,
 
 
 def cycle_lines(report) -> str:
-    out = io.StringIO()
-    for c in report.per_cycle:
-        record = {
-            "cycle": c.cycle,
-            "profit": c.profit,
-            "objective": c.objective,
-            "max_ap": c.max_ap,
-            "assigned_count": c.assigned_count,
-            "budget_exhausted": c.budget_exhausted,
-            "proven_optimal": c.proven_optimal,
-            "nodes_explored": c.nodes_explored,
-        }
-        out.write(json.dumps(record, sort_keys=True) + "\n")
-    return out.getvalue()
+    """One JSON line per cycle, holding its ``CycleReport``'s fields."""
+    return "".join(json.dumps(vars(c), sort_keys=True) + "\n"
+                   for c in report.per_cycle)
 
 
 def csv_text(rows: Iterable[list]) -> str:

@@ -28,7 +28,6 @@ try:
 except ImportError:  # a build without CPython's own blake2
     from hashlib import blake2b
 
-BENCHMARK_MCMKP_SIZES = ((30, 75), (15, 45), (12, 48))
 CORRELATIONS = ("uncorrelated", "weakly_correlated")
 
 _WEIGHT_LO, _WEIGHT_HI = 10, 1000
@@ -73,9 +72,9 @@ def _task_id(j: int, n: int) -> str:
 
 @dataclass(frozen=True)
 class McmkpParams:
-    """Multi-cycle multiple-knapsack generator parameters.  The benchmark
-    grid uses (agents, tasks) in BENCHMARK_MCMKP_SIZES with availabilities 0.75
-    or 1.0; arbitrary sizes are permitted for custom runs."""
+    """Multi-cycle multiple-knapsack generator parameters.  The paper's grid
+    uses (agents, tasks) of (30, 75), (15, 45) and (12, 48) with
+    availabilities 0.75 or 1.0; any size is permitted for custom runs."""
 
     agents: int
     tasks: int
@@ -131,8 +130,9 @@ class TcsaParams:
             raise GenerationError("compat_fraction must be in (0, 1]")
         for name, f in (("agent_unavail_fraction", self.agent_unavail_fraction),
                         ("task_unavail_fraction", self.task_unavail_fraction)):
-            if not (0.0 <= f <= 1.0):
-                raise GenerationError(f"{name} must be in [0, 1], got {f}")
+            # a fraction of 1 has no episode entry probability
+            if not (0.0 <= f < 1.0):
+                raise GenerationError(f"{name} must be in [0, 1), got {f}")
         for name, (lo, hi) in (("runtime_range", self.runtime_range),
                                ("unavail_duration_range", self.unavail_duration_range)):
             if lo < 1 or hi < lo:

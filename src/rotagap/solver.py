@@ -22,19 +22,20 @@ different agents (charged before its mask is read).  Local search charges
 each neighbourhood in bulk, with one charge and exactly that per-move
 accounting, then evaluates the granted moves in numpy blocks; rows of a
 neighbourhood whose gain bound cannot beat the best move so far are not
-evaluated.  A deadline is checked once per neighbourhood.  Branch-and-bound
-takes nodes from the clock in batches of at most 256 (never more than a node
-limit has left), keeps one unit per node it visits and hands back what it
-did not use.  Where no agent has room for a node's task, leaving it out is
-the only child and nothing changes, so the search steps over the run of such
-nodes to the first that is a leaf, fails the bound or has room, and charges
-the run in one step; a budget that ends inside a run stops the search there
-with its incumbent.  Each child is tried where it is chosen: a placement
-whose walk reaches no node to expand is undone on the spot, and the search
-backs up through a stack of its placed tasks.  ``nodes_explored`` and the
-truncation point are those of charging node by node.  In ``node_limit`` mode
-identical inputs therefore yield identical assignments; ``wall_clock`` mode
-trades that determinism for a real-time contract.
+evaluated.  Branch-and-bound takes nodes from the clock in batches of at
+most 256 (never more than a node limit has left), keeps one unit per node
+it visits and hands back what it did not use.  A deadline is read on every
+charge: once per neighbourhood and once per batch.  Where no agent has
+room for a node's task, leaving it out is the only child and nothing
+changes, so the search steps over the run of such nodes to the first that
+is a leaf, fails the bound or has room, and charges the run in one step; a
+budget that ends inside a run stops the search there with its incumbent.
+Each child is tried where it is chosen: a placement whose walk reaches no
+node to expand is undone on the spot, and the search backs up through a
+stack of its placed tasks.  ``nodes_explored`` and the truncation point are
+those of charging node by node.  Under a node limit identical inputs
+therefore yield identical assignments; a wall-clock budget trades that
+determinism for a real-time contract.
 
 :func:`solve` keeps the answer of its last node-budget call.  When the next
 call has an equal budget, the same ids and equal capacities, mask, values
@@ -76,33 +77,34 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverBudget:
-    """Work limit for one solve: a node count or a wall-clock deadline."""
+    """Work limit for one solve: a node count or a wall-clock deadline,
+    exactly one of the two."""
 
-    mode: str  # "node_limit" | "wall_clock"
     node_limit: int | None = None
     wall_clock_seconds: float | None = None
 
     def __post_init__(self):
-        if self.mode == "node_limit":
-            if self.node_limit is None or self.node_limit < 0 \
-                    or self.wall_clock_seconds is not None:
-                raise ValueError("node_limit mode needs node_limit >= 0 only")
-        elif self.mode == "wall_clock":
-            if self.wall_clock_seconds is None \
-                    or not 0 < self.wall_clock_seconds < math.inf \
-                    or self.node_limit is not None:
-                raise ValueError("wall_clock mode needs finite "
-                                 "wall_clock_seconds > 0 only")
-        else:
-            raise ValueError(f"unknown budget mode {self.mode!r}")
+        if (self.node_limit is None) == (self.wall_clock_seconds is None):
+            raise ValueError("a budget needs node_limit or "
+                             "wall_clock_seconds, not both or neither")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError("node_limit must be >= 0")
+        if self.wall_clock_seconds is not None \
+                and not 0 < self.wall_clock_seconds < math.inf:
+            raise ValueError("wall_clock_seconds must be finite and > 0")
+
+    @property
+    def mode(self) -> str:
+        """``"node_limit"`` or ``"wall_clock"``: which limit is given."""
+        return "node_limit" if self.node_limit is not None else "wall_clock"
 
     @classmethod
     def nodes(cls, n: int) -> "SolverBudget":
-        return cls(mode="node_limit", node_limit=n)
+        return cls(node_limit=n)
 
     @classmethod
     def seconds(cls, s: float) -> "SolverBudget":
-        return cls(mode="wall_clock", wall_clock_seconds=s)
+        return cls(wall_clock_seconds=s)
 
     @classmethod
     def parse(cls, text: str) -> "SolverBudget":
@@ -121,20 +123,17 @@ class SolverBudget:
     @property
     def spec(self) -> str:
         """The text :meth:`parse` reads back to an equal budget."""
-        if self.mode == "node_limit":
+        if self.node_limit is not None:
             return f"nodes:{self.node_limit}"
         return f"seconds:{spec_number(self.wall_clock_seconds)}"
-
-    def start(self) -> "_BudgetClock":
-        return _BudgetClock(self)
 
 
 class _BudgetClock:
     """Mutable work counter shared by the phases of one solve."""
 
-    __slots__ = ("limit", "deadline", "used", "exhausted", "_countdown")
+    __slots__ = ("limit", "deadline", "used", "exhausted")
 
-    _TIME_CHECK_INTERVAL = 256
+    _BATCH = 256  # most units :meth:`charge_batch` takes at once
 
     def __init__(self, budget: SolverBudget):
         self.limit = budget.node_limit
@@ -143,38 +142,34 @@ class _BudgetClock:
             self.deadline = time.monotonic() + budget.wall_clock_seconds
         self.used = 0
         self.exhausted = False
-        self._countdown = 1
 
     def charge(self, k: int = 1) -> int:
         """Consume up to ``k`` work units; returns how many were granted.
 
         A node limit grants ``min(k, remaining)`` and marks the clock
         exhausted when that is fewer than ``k``, exactly where charging unit
-        by unit would first have failed.  A deadline is checked about every
-        ``_TIME_CHECK_INTERVAL`` units and grants nothing once passed.
+        by unit would first have failed.  A deadline is read on every
+        charge, and once it has passed the charge grants nothing.  Callers
+        charge coarsely, so that is once per local-search neighbourhood and
+        once per branch-and-bound batch.
         """
         if self.exhausted:
             return 0
         if self.limit is not None and self.used + k > self.limit:
             k = self.limit - self.used
             self.exhausted = True
-        elif self.deadline is not None:
-            self._countdown -= k
-            if self._countdown <= 0:
-                self._countdown = self._TIME_CHECK_INTERVAL
-                if time.monotonic() >= self.deadline:
-                    self.exhausted = True
-                    return 0
+        elif self.deadline is not None and time.monotonic() >= self.deadline:
+            self.exhausted = True
+            return 0
         self.used += k
         return k
 
     def charge_batch(self) -> int:
         """Take units in advance for a caller that spends one per step and
-        hands the rest back with :meth:`refund`: up to
-        ``_TIME_CHECK_INTERVAL``, never more than a node limit has left, so
-        a batch grants 0 and sets ``exhausted`` only where charging unit by
-        unit would."""
-        k = self._TIME_CHECK_INTERVAL
+        hands the rest back with :meth:`refund`: up to ``_BATCH``, never
+        more than a node limit has left, so a batch grants 0 and sets
+        ``exhausted`` only where charging unit by unit would."""
+        k = self._BATCH
         if self.limit is not None:
             k = max(1, min(k, self.limit - self.used))
         return self.charge(k)
@@ -252,11 +247,6 @@ class Assignment:
         self.budget_exhausted = budget_exhausted
         self.positions = positions
         self._ids = ids
-
-    @classmethod
-    def empty(cls) -> "Assignment":
-        return cls(pairs=frozenset(), objective=0.0, proven_optimal=False,
-                   nodes_explored=0, budget_exhausted=False)
 
     @property
     def pairs(self) -> frozenset[tuple[str, str]]:
@@ -513,11 +503,10 @@ def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
     row by row), each move's gain, whether it keeps the mask and every
     capacity, and its two arguments, ``x`` by row and ``y`` by column.  For
     a neighbourhood that fits in one block ``rows`` is the slice of all its
-    rows; otherwise ``r`` is an ascending index array and ``rows()`` gives,
-    per row, its number of charged cells and its width in cells, and a
-    function ``bounds(k)`` that gives, for each of the first ``k`` rows, a
-    bound that none of its gains exceeds.  Insert and shift are one row
-    each.
+    rows; otherwise ``r`` is an ascending index array and ``rows`` is three
+    arrays over the rows: each row's number of charged cells, its width in
+    cells, and a bound that none of its gains exceeds.  Insert and shift
+    are one row each.
     """
     values, weights, feasible = work.values, work.weights, work.feasible
     agent, task = work.cand_agent, work.cand_task
@@ -547,15 +536,11 @@ def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
             return (feas[i], vals[i] - v_own[r, None],
                     wts[i] <= slack[r, None], held[r], free)
 
-        def exchange_rows():
-            # exact: a gain is one subtraction, and rounding is monotone;
-            # values are >= 0, so the 0.0 off the mask never raises the
-            # maximum of a row that has charged cells
-            return (feas.sum(1)[own], np.full(h, f),
-                    lambda k: vals.max(1)[own[:k]] - v_own[:k])
-
-        yield ("exchange", exchange,
-               slice(None) if h * f <= _BLOCK else exchange_rows)
+        # the bound is exact: a gain is one subtraction, and rounding is
+        # monotone; values are >= 0, so the 0.0 off the mask never raises
+        # the maximum of a row that has charged cells
+        yield ("exchange", exchange, slice(None) if h * f <= _BLOCK else (
+            feas.sum(1)[own], np.full(h, f), vals.max(1)[own] - v_own))
 
     # swap: assigned j1 before j2 trade agents; each pair on different
     # agents, charged before the mask is read
@@ -575,36 +560,28 @@ def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
             return ((pos[lo:] > rc) & (i1[:, None] != i2), gain, ok, held[r],
                     held[lo:])
 
-        def swap_rows():
-            # row s charges the later held tasks on other agents: all later
-            # ones but those that follow it in its agent's run of `order`
-            order = np.argsort(own, kind="stable")
-            later = np.empty(h, dtype=np.int64)
-            later[order] = np.cumsum(np.bincount(own))[own[order]] - pos
-            # a gain (values[own[t], j1] + values[own[s], j2]) - v_own[s] -
-            # v_own[t] is at most best_value[j1] - v_own[s] plus the largest
-            # values[own[s], j2] - v_own[t] over the later t that can keep
-            # the mask on another agent: a suffix maximum per agent.  The
-            # gain and the bound add the same values in different orders;
-            # together they round by less than 7 ulps of the largest value,
-            # which the margin covers.
-            def bound(k):
-                # row s < k takes the suffix maximum from column s + 1: the
-                # maximum over the columns from k on, accumulated back to 1
-                second = np.where(feas, vals - v_own, -np.inf)
-                second[own, pos] = -np.inf
-                tail = second[:, k:].max(1, initial=-np.inf)
-                suffix = np.maximum.accumulate(
-                    np.column_stack((tail, second[:, k - 1:0:-1])),
-                    axis=1)[:, ::-1]
-                margin = 16 * np.finfo(float).eps * values.max()
-                return (work.best_value[held[:k]] - v_own[:k]) \
-                    + suffix[own[:k], pos[:k]] + margin
-
-            return (h - pos - later)[:-1], h - 1 - pos[:-1], bound
-
-        yield ("swap", swap,
-               slice(0, h - 1) if (h - 1) * (h - 1) <= _BLOCK else swap_rows)
+        if (h - 1) * (h - 1) <= _BLOCK:
+            yield "swap", swap, slice(0, h - 1)
+            return
+        # row s charges the later held tasks on other agents: all later
+        # ones but those that follow it in its agent's run of `order`
+        order = np.argsort(own, kind="stable")
+        later = np.empty(h, dtype=np.int64)
+        later[order] = np.cumsum(np.bincount(own))[own[order]] - pos
+        # a gain (values[own[t], j1] + values[own[s], j2]) - v_own[s] -
+        # v_own[t] is at most best_value[j1] - v_own[s] plus the largest
+        # values[own[s], j2] - v_own[t] over the later t that can keep the
+        # mask on another agent: a suffix maximum per agent, which row s
+        # takes from column s + 1.  The gain and the bound add the same
+        # values in different orders; together they round by less than 7
+        # ulps of the largest value, which the margin covers.
+        second = np.where(feas, vals - v_own, -np.inf)
+        second[own, pos] = -np.inf
+        suffix = np.maximum.accumulate(second[:, :0:-1], axis=1)[:, ::-1]
+        margin = 16 * np.finfo(float).eps * values.max()
+        bound = (work.best_value[held[:-1]] - v_own[:-1]) \
+            + suffix[own[:-1], pos[:-1]] + margin
+        yield "swap", swap, ((h - pos - later)[:-1], h - 1 - pos[:-1], bound)
 
 
 def _best_cell(best: float, drop: int, charged, gain, ok, x, y):
@@ -640,14 +617,13 @@ def _scan(clock: _BudgetClock, best: float, block, rows):
         granted = clock.charge(total)
         best, move = _best_cell(best, total - granted, charged, gain, ok, x, y)
         return best, move, granted < total
-    counts, width, bounds = rows()
+    counts, width, bound = rows
     ends = np.cumsum(counts)
     total = int(ends[-1])
     granted = clock.charge(total)
     full = int(np.searchsorted(ends, granted, "right"))
     part = granted - (int(ends[full - 1]) if full else 0)  # of row `full`
-    bound = bounds(full + (part > 0)) if granted else np.empty(0)
-    live = np.flatnonzero(bound > best)
+    live = np.flatnonzero(bound[:full + (part > 0) if granted else 0] > best)
     move = None
     while len(live):
         k = max(1, _BLOCK // int(width[live[0]]))
@@ -719,7 +695,7 @@ def local_search_improve(problem: GapProblem, start: Assignment,
     work = _Work(problem)
     assigned = work.from_assignment(start)
     _verify(problem, *_positions(assigned))
-    clock = budget.start()
+    clock = _BudgetClock(budget)
     assigned = _local_search(work, assigned, clock)
     return work.to_assignment(assigned, proven=False, nodes=clock.used,
                               exhausted=clock.exhausted)
@@ -768,9 +744,20 @@ def _branch_and_bound(work: _Work, incumbent: np.ndarray,
     its nodes in one step, and when the budget ends among them the search
     stops with the incumbent it has, so the nodes visited, ``clock.used``
     and the point of truncation are those of charging node by node.
+
+    A leaf improves on the incumbent by its sum in depth order, which can
+    round above the incumbent's objective while its own objective, summed
+    in task order, rounds below it.  The incumbent is then the answer.
     """
     if not clock.charge():  # the root, charged before any set-up
-        return incumbent.copy(), False
+        return incumbent, False
+
+    def answer(best: np.ndarray, completed: bool):
+        if best is not incumbent \
+                and work.objective(best) < work.objective(incumbent):
+            best = incumbent
+        return best, completed
+
     n = work.n
     task_ids = work.problem.task_ids
     best_value = work.best_value.tolist()
@@ -789,7 +776,7 @@ def _branch_and_bound(work: _Work, incumbent: np.ndarray,
     minw_at = [min((wt for _, wt in pairs), default=math.inf)
                for pairs in pairs_at] + [-math.inf]
 
-    best = incumbent.copy()
+    best = incumbent
     best_val = work.objective(incumbent)
     rem = list(work.caps)
     val = 0.0
@@ -830,7 +817,7 @@ def _branch_and_bound(work: _Work, incumbent: np.ndarray,
         while left < 0:
             granted = clock.charge_batch()
             if not granted:
-                return best, False
+                return answer(best, False)
             left += granted
         if expand:
             if i is not None:
@@ -851,7 +838,7 @@ def _branch_and_bound(work: _Work, incumbent: np.ndarray,
         # back up to the deepest placed task and take its next child
         if not placed:
             clock.refund(left)
-            return best, True
+            return answer(best, True)
         d, k = placed.pop()
         pairs = pairs_at[d]
         i, wt = pairs[k]
@@ -869,7 +856,7 @@ def branch_and_bound(problem: GapProblem, incumbent: Assignment,
     work = _Work(problem)
     start = work.from_assignment(incumbent)
     _verify(problem, *_positions(start))
-    clock = budget.start()
+    clock = _BudgetClock(budget)
     best, completed = _branch_and_bound(work, start, clock)
     return work.to_assignment(best, proven=completed, nodes=clock.used,
                               exhausted=clock.exhausted)
@@ -913,7 +900,7 @@ def solve(problem: GapProblem, budget: SolverBudget) -> Assignment:
         _verify(problem, *result.positions)
         return result
     work = _Work(problem)
-    clock = budget.start()
+    clock = _BudgetClock(budget)
     assigned = _greedy(work)
     _verify(problem, *_positions(assigned))
     assigned = _local_search(work, assigned, clock)
@@ -921,7 +908,7 @@ def solve(problem: GapProblem, budget: SolverBudget) -> Assignment:
     best, completed = _branch_and_bound(work, assigned, clock)
     result = work.to_assignment(best, proven=completed, nodes=clock.used,
                                 exhausted=clock.exhausted)
-    if budget.mode == "node_limit":
+    if budget.node_limit is not None:
         _last_solve = (budget, ids,
                        tuple(a.copy() for a in _arrays(problem)), result)
     return result

@@ -6,7 +6,7 @@ import pytest
 from rotagap import solver
 from rotagap.affinity import update_affinities
 from rotagap.domain import AgentSpec, Instance, ScenarioTrace, TaskSpec
-from rotagap.solver import GapProblem
+from rotagap.solver import Assignment, GapProblem
 
 
 def make_instance(agents: dict[str, int], tasks: dict[str, tuple[int, int, set[str]]],
@@ -52,6 +52,12 @@ def update_from_pairs(state, available, pairs):
     return update_affinities(state, available,
                              mats.positions(mats.agent_index, agent_ids),
                              mats.positions(mats.task_index, task_ids))
+
+
+def empty_assignment() -> Assignment:
+    """The assignment of no task, as a start for the improving phases."""
+    return Assignment(pairs=frozenset(), objective=0.0, proven_optimal=False,
+                      nodes_explored=0, budget_exhausted=False)
 
 
 def forget_last_solve() -> None:

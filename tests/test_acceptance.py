@@ -19,11 +19,11 @@ from rotagap import fileio
 from rotagap.cli import main as cli_main
 from rotagap.scenarios import (McmkpParams, TcsaParams, generate_mcmkp,
                                generate_tcsa, generate_trace_episodic)
-from rotagap.solver import (Assignment, SolverBudget, branch_and_bound,
+from rotagap.solver import (SolverBudget, branch_and_bound,
                             brute_force_oracle, greedy_construct,
                             local_search_improve)
 
-from conftest import random_gap_problem
+from conftest import empty_assignment, random_gap_problem
 from test_affinity import (check_perfect_rotation, check_walkthrough_cycle,
                            random_compat_instance, replay_walkthrough)
 from test_scenarios import episodes, total_weight
@@ -98,7 +98,7 @@ def test_criterion_3_oracle_equivalence_and_heuristic_quality():
         for seed in range(200):
             problem = random_gap_problem(random.Random(seed))
             oracle = brute_force_oracle(problem)
-            exact = branch_and_bound(problem, Assignment.empty(), ample)
+            exact = branch_and_bound(problem, empty_assignment(), ample)
             assert exact.proven_optimal
             assert exact.objective == oracle.objective
             heuristic = local_search_improve(problem, greedy_construct(problem),

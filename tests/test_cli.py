@@ -350,7 +350,53 @@ def test_run_defaults_to_a_node_budget(tmp_path):
     out = tmp_path / "run"
     assert run_cli("run", "--scenario", "mcmkp", "--agents", "2", "--tasks", "4",
                    "--cycles", "2", "-o", str(out)) == 0
-    assert json.loads((out / "config.json").read_text())["budget"] == "nodes:20000"
+    config = json.loads((out / "config.json").read_text())
+    assert (config["budget"], config["workers"]) == ("nodes:20000", 1)
+
+
+def test_ignored_flags_are_refused(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    assert run_cli("generate", "--scenario", "mcmkp", "--agents", "3",
+                   "--tasks", "6", "--seed", "1", "-o", str(gen)) == 0
+    stem = gen / "mcmkp-3x6-uncorrelated-seed1"
+    files = ["--instance", f"{stem}.instance.json",
+             "--trace", f"{stem}.trace.jsonl"]
+    assert run_cli("run", *files, "--strategies", "foa", "--budget",
+                   "nodes:10", "-o", str(tmp_path / "done")) == 0
+    config = ["--config", str(tmp_path / "done" / "config.json")]
+    cases = [  # (argv, the flag named)
+        ([*files, "--cycles", "2"], "--cycles"),
+        ([*files, "--agents", "3"], "--agents"),
+        ([*files, "--scenario", "mcmkp"], "--scenario"),
+        ([*files, "--capacity-minutes", "0"], "--capacity-minutes"),
+        ([*config, "--budget", "nodes:7", "--strategies", "pc"],
+         "--strategies"),
+        ([*config, "--budget", "nodes:7"], "--budget"),
+        ([*config, "--workers", "2"], "--workers"),
+        ([*config, "--seeds", "4"], "--seeds"),
+        ([*config, "--static-priorities"], "--static-priorities"),
+        ([*config, *files], "--instance"),
+        ([*config, "--cycles", "0"], "--cycles"),
+    ]
+    capsys.readouterr()
+    for argv, flag in cases:
+        out = tmp_path / "run"
+        assert run_cli("run", *argv, "-o", str(out)) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: {flag} "), argv
+        assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("flag", ["--agent-unavail-fraction",
+                                  "--task-unavail-fraction"])
+def test_tcsa_unavailability_of_one_is_refused(tmp_path, capsys, flag):
+    # a fraction of 1 has no episode entry probability: left to the jobs,
+    # every one would fail
+    out = tmp_path / "run"
+    assert run_cli("run", "--scenario", "tcsa", "--agents", "3", "--tasks",
+                   "6", "--cycles", "2", flag, "1.0", "--strategies", "pc",
+                   "--budget", "nodes:10", "-o", str(out)) == 2
+    assert "must be in [0, 1), got 1.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_worker_pool_is_no_larger_than_the_grid(tmp_path, monkeypatch):

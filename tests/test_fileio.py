@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from rotagap import fileio
 from rotagap.domain import AgentSpec, Instance, ScenarioTrace, TaskSpec
+from rotagap.engine import run_scenario
 from rotagap.scenarios import (McmkpParams, TcsaParams, generate_mcmkp,
                                generate_tcsa, generate_trace_bernoulli,
                                generate_trace_episodic)
+from rotagap.solver import SolverBudget
+from rotagap.strategies import StrategyConfig
 
 from conftest import worked_example_fixture
 
@@ -170,3 +174,22 @@ def test_scenario_label():
     assert fileio.scenario_label(instance) == "mcmkp-12x48-weakly_correlated"
     tcsa = generate_tcsa(TcsaParams(agents=5, tasks=9, seed=1))
     assert fileio.scenario_label(tcsa) == "tcsa-5x9"
+
+
+@pytest.mark.parametrize("spec", ["fop", "os:10", "pc:2:0.5"])
+def test_records_hold_the_report_fields(spec):
+    # a field added to CycleReport or StrategyConfig reaches the files
+    # without being listed again
+    instance, trace = worked_example_fixture()
+    strategy = StrategyConfig.parse(spec)
+    report = run_scenario(instance, trace, strategy, SolverBudget.nodes(50))
+    lines = fileio.cycle_lines(report).splitlines()
+    assert len(lines) == trace.cycles
+    for line, cycle in zip(lines, report.per_cycle):
+        assert json.loads(line) == dataclasses.asdict(cycle)
+    doc = fileio.run_report_to_dict(report, scenario="worked", seed=0,
+                                    budget_mode="node_limit", config={})
+    assert doc["strategy"] == {**dataclasses.asdict(strategy),
+                               "label": strategy.label}
+    assert set(doc["strategy"]) \
+        == {f.name for f in dataclasses.fields(StrategyConfig)} | {"label"}
