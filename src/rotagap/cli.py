@@ -32,6 +32,9 @@ EXIT_RUN = 3
 EXIT_REPORT = 4
 
 GENERATOR_PARAMS = {"mcmkp": McmkpParams, "tcsa": TcsaParams}
+# the fields of a run config, as config.json records them
+RUN_CONFIG_FIELDS = ("scenario", "strategies", "budget", "cycles", "seeds",
+                     "output_dir", "workers", "static_priorities")
 
 
 def parse_strategies(specs: list[str]) -> list[StrategyConfig]:
@@ -100,9 +103,34 @@ def scenario_from_args(args) -> dict:
     return scenario
 
 
+def typed(record: dict, key: str, where: str, kind: type):
+    """``record[key]``, refused unless it is a value of type ``kind`` as
+    the file loaders read it (:func:`fileio._typed`): nothing is coerced.
+    A range (``tuple[int, int]``) is a list of two integers."""
+    if kind != tuple[int, int]:
+        return fileio._typed(record, key, where, kind)
+    value = record[key]
+    if type(value) not in (list, tuple) or len(value) != 2 \
+            or any(type(x) is not int for x in value):
+        raise ConfigError(
+            f"{where}: {key!r} is not a list of two integers: {value!r}")
+    return tuple(value)
+
+
+def typed_list(record: dict, key: str, kind: type) -> list:
+    """The config list ``record[key]``, each of whose items must be of
+    type ``kind`` itself."""
+    items = fileio._typed(record, key, "config", list)
+    for item in items:
+        if type(item) is not kind:
+            raise ConfigError(f"config: {key!r} holds {item!r}, which is "
+                              f"not {fileio._KINDS[kind]}")
+    return items
+
+
 def scenario_params(scenario: dict, seed: int, cycles: int | None):
-    """The generator parameters of a mcmkp or tcsa scenario for one seed,
-    each value coerced with its field's type."""
+    """The generator parameters of a mcmkp or tcsa scenario for one seed;
+    each value must have its field's type (:func:`typed`)."""
     name = scenario.get("name")
     cls = GENERATOR_PARAMS.get(name)
     if cls is None:
@@ -116,12 +144,8 @@ def scenario_params(scenario: dict, seed: int, cycles: int | None):
                if k not in given and f.default is dataclasses.MISSING]
     if missing:
         raise ConfigError(f"the {name} scenario needs {' and '.join(missing)}")
-    values = {}
-    for key, value in given.items():
-        try:
-            values[key] = fields[key].type(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad {name} scenario {key} {value!r}: {exc}") from exc
+    values = {key: typed(scenario, key, f"{name} scenario", fields[key].type)
+              for key in given}
     if cycles is not None and cls is TcsaParams:
         values["cycles"] = cycles
     return cls(**values, seed=seed)
@@ -130,10 +154,10 @@ def scenario_params(scenario: dict, seed: int, cycles: int | None):
 def load_files(scenario: dict):
     """The instance and trace of a ``files`` scenario, checked together;
     an error in reading either file names its path."""
-    path = scenario["instance"]
+    path = typed(scenario, "instance", "files scenario", str)
     try:
         instance = fileio.load_instance(path)
-        path = scenario["trace"]
+        path = typed(scenario, "trace", "files scenario", str)
         trace = fileio.load_trace(path)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -170,7 +194,7 @@ def cmd_generate(args) -> int:
         instance, trace, _, label = materialize_scenario(
             scenario_from_args(args), args.seed, args.cycles,
             static_priorities=True)
-    except (ConfigError, GenerationError) as exc:
+    except (ValueError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     os.makedirs(args.output_dir, exist_ok=True)
@@ -201,7 +225,7 @@ def config_from_args(args) -> dict:
         "strategies": args.strategies or [],
         "budget": "nodes:20000" if args.budget is None else args.budget,
         "cycles": args.cycles,
-        "seeds": [s for chunk in args.seeds or [] for s in chunk.split(",")],
+        "seeds": [int(s) for chunk in args.seeds or [] for s in chunk.split(",")],
         "output_dir": args.output_dir,
         "workers": 1 if args.workers is None else args.workers,
         "static_priorities": args.static_priorities,
@@ -215,17 +239,21 @@ def resolve_config(raw: dict) -> dict:
     or its files, are checked here too, and so is each strategy's value
     range over them, so that a bad input is refused before any job
     starts."""
+    unknown = sorted(set(raw) - set(RUN_CONFIG_FIELDS))
+    if unknown:
+        raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
     scenario = raw["scenario"]
     if not isinstance(scenario, dict):
         raise ConfigError(f"scenario must be an object, got {scenario!r}")
-    strategies = parse_strategies(raw["strategies"])
-    budget = SolverBudget.parse(raw["budget"])
+    strategies = parse_strategies(typed_list(raw, "strategies", str))
+    budget = SolverBudget.parse(typed(raw, "budget", "config", str))
     cycles = raw.get("cycles")
     if cycles is not None:
-        cycles = int(cycles)
+        cycles = typed(raw, "cycles", "config", int)
         if cycles < 1:
             raise ConfigError(f"cycles must be >= 1, got {cycles}")
-    seeds = list(dict.fromkeys(int(s) for s in raw.get("seeds") or []))
+    seeds = [] if raw.get("seeds") is None else \
+        list(dict.fromkeys(typed_list(raw, "seeds", int)))
     if scenario.get("name") == "files":
         instance, trace = load_files(scenario)
         if not seeds:
@@ -249,9 +277,11 @@ def resolve_config(raw: dict) -> dict:
         extent = (params.max_profit, run_cycles, params.tasks)
     for strategy in strategies:
         strategy.check_values_finite(*extent)
-    workers = int(raw.get("workers", 1))
+    workers = typed(raw, "workers", "config", int) if "workers" in raw else 1
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    static = typed(raw, "static_priorities", "config", bool) \
+        if "static_priorities" in raw else False
     if not raw.get("output_dir"):
         raise ConfigError("an output directory is required")
     return {
@@ -260,9 +290,9 @@ def resolve_config(raw: dict) -> dict:
         "budget": budget.spec,
         "cycles": cycles,
         "seeds": seeds or [0],
-        "output_dir": raw["output_dir"],
+        "output_dir": typed(raw, "output_dir", "config", str),
         "workers": workers,
-        "static_priorities": bool(raw.get("static_priorities", False)),
+        "static_priorities": static,
     }
 
 

@@ -10,8 +10,9 @@ Conventions used throughout the package:
     generators draw agent-independent values.
 """
 
+from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import compress
 
 import numpy as np
 
@@ -82,24 +83,123 @@ class Instance:
         return [t.id for t in self.tasks]
 
 
+class IdSet(Set):
+    """A read-only set of ids: those of the tuple ``ids`` whose position is
+    true in the boolean ``mask``, with ``index`` mapping each id to its
+    position.  It tests membership, iterates (in ``ids`` order), counts,
+    compares equal, subtracts and hashes as the frozenset of the same ids
+    does; a set operation returns a frozenset."""
+
+    __slots__ = ("ids", "index", "mask")
+
+    def __init__(self, ids: tuple[str, ...], index: Mapping[str, int],
+                 mask: np.ndarray):
+        self.ids = ids
+        self.index = index
+        self.mask = mask
+
+    def __contains__(self, item) -> bool:
+        position = self.index.get(item)
+        return position is not None and bool(self.mask[position])
+
+    def __iter__(self):
+        return compress(self.ids, self.mask.tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.mask))
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
+
+    def __repr__(self) -> str:
+        return f"IdSet({set(self)!r})"
+
+    @classmethod
+    def _from_iterable(cls, items) -> frozenset:
+        return frozenset(items)
+
+
+class IdSets(Sequence):
+    """An immutable sequence of id sets over one tuple of ``ids``, held as
+    one row of bits per set; item ``k`` is an :class:`IdSet` view of row
+    ``k``, and a slice is a tuple of views.  ``masks`` is a boolean array
+    with one row per set and one column per id."""
+
+    def __init__(self, ids: Iterable[str], masks: np.ndarray):
+        self.ids = tuple(ids)
+        self.index = {x: i for i, x in enumerate(self.ids)}
+        self.bits = np.packbits(np.asarray(masks, dtype=bool), axis=1)
+        self.bits.flags.writeable = False
+
+    @classmethod
+    def of(cls, sets: Iterable[Iterable[str]]) -> "IdSets":
+        """The sets ``sets``, each an iterable of ids, over all their ids in
+        sorted order."""
+        if isinstance(sets, IdSets):
+            return sets
+        sets = [list(s) for s in sets]
+        ids = sorted(set().union(*sets))
+        index = {x: i for i, x in enumerate(ids)}
+        masks = np.zeros((len(sets), len(ids)), dtype=bool)
+        rows = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+        masks[rows, [index[x] for s in sets for x in s]] = True
+        return cls(ids, masks)
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        mask = np.unpackbits(self.bits[k], count=len(self.ids)).view(bool)
+        mask.flags.writeable = False
+        return IdSet(self.ids, self.index, mask)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IdSets):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def over(self, ids: tuple[str, ...]) -> "IdSets":
+        """The same sets over ``ids``, which must hold each id that is in
+        one of them (``KeyError`` otherwise); itself when ``ids`` equals
+        its own."""
+        if ids == self.ids:
+            return self
+        old = np.unpackbits(self.bits, axis=1, count=len(self.ids)).view(bool)
+        used = np.flatnonzero(old.any(axis=0))
+        index = {x: i for i, x in enumerate(ids)}
+        masks = np.zeros((len(self), len(ids)), dtype=bool)
+        masks[:, [index[self.ids[i]] for i in used.tolist()]] = old[:, used]
+        return IdSets(ids, masks)
+
+
 @dataclass(frozen=True)
 class ScenarioTrace:
     """Pre-generated per-cycle availability, replayed identically across
-    strategies so that availability never depends on the strategy under test."""
+    strategies so that availability never depends on the strategy under test.
+
+    ``available_agents`` and ``available_tasks`` hold one id set per cycle
+    as :class:`IdSets`: one tuple of ids and a row of bits per cycle.  Any
+    other sequence of id sets given for them is converted.
+    """
 
     cycles: int
-    available_agents: tuple[frozenset[str], ...]
-    available_tasks: tuple[frozenset[str], ...]
+    available_agents: IdSets
+    available_tasks: IdSets
     seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "available_agents",
-                           tuple(frozenset(s) for s in self.available_agents))
+                           IdSets.of(self.available_agents))
         object.__setattr__(self, "available_tasks",
-                           tuple(frozenset(s) for s in self.available_tasks))
+                           IdSets.of(self.available_tasks))
 
-    def entry(self, cycle: int) -> tuple[frozenset[str], frozenset[str]]:
-        """Availability sets for 1-based cycle index."""
+    def entry(self, cycle: int) -> tuple[IdSet, IdSet]:
+        """Availability sets for 1-based cycle index, as read-only views."""
         return self.available_agents[cycle - 1], self.available_tasks[cycle - 1]
 
 
@@ -221,9 +321,17 @@ class InstanceMatrices:
                         task_ids: Iterable[str]) -> np.ndarray:
         """The m x n mask of compatible pairs whose agent is in
         ``agent_ids`` and whose task is in ``task_ids``; ``KeyError`` for
-        an unknown id."""
-        rows = np.zeros(self.m, dtype=bool)
-        rows[self.positions(self.agent_index, agent_ids)] = True
-        cols = np.zeros(self.n, dtype=bool)
-        cols[self.positions(self.task_index, task_ids)] = True
+        an unknown id.  An :class:`IdSet` over this instance's own id tuple
+        gives its mask as it is, with no id looked up."""
+        rows = self._mask(agent_ids, self.agent_ids, self.agent_index)
+        cols = self._mask(task_ids, self.task_ids, self.task_index)
         return self.compat & rows[:, None] & cols[None, :]
+
+    @classmethod
+    def _mask(cls, ids: Iterable[str], order: tuple[str, ...],
+              index: Mapping[str, int]) -> np.ndarray:
+        if isinstance(ids, IdSet) and ids.ids == order:
+            return ids.mask
+        mask = np.zeros(len(order), dtype=bool)
+        mask[cls.positions(index, ids)] = True
+        return mask

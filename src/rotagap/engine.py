@@ -154,10 +154,14 @@ def run_scenario(instance: Instance, trace: ScenarioTrace,
     affinity state.  The strategy is fixed for the entire run."""
     state = init_affinities(instance)
     mats = state.mats
+    # the trace's sets over the instance's id order, so that each cycle's
+    # mask is built from positions alone
+    agents = trace.available_agents.over(mats.agent_ids)
+    tasks = trace.available_tasks.over(mats.task_ids)
     reports: list[CycleReport] = []
     total_profit = 0
     for k in range(1, trace.cycles + 1):
-        entry = trace.entry(k)
+        entry = agents[k - 1], tasks[k - 1]
         overrides = priority_hook(k) if priority_hook is not None else None
         _, state, report = run_cycle(instance, entry, state, strategy, budget,
                                      profit_overrides=overrides)

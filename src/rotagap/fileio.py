@@ -79,26 +79,29 @@ def _field(record, key: str, where: str):
     return record[key]
 
 
-_KINDS = {int: "an integer", float: "a finite number",
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
           str: "a string", list: "a list", dict: "an object"}
 
 
 def _typed(record, key: str, where: str, kind: type):
     """``record[key]``, which must be a JSON value of type ``kind`` itself:
-    a bool, a float or a numeric string is refused, not coerced."""
+    a bool, a float or a numeric string is refused, not coerced.  A float
+    must be finite; an integer that a float holds exactly is read as one."""
     value = _field(record, key, where)
-    if type(value) is not kind:
+    if kind is float and type(value) is int and abs(value) <= 2**53:
+        value = float(value)
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
         raise ValueError(f"{where}: {key!r} is not {_KINDS[kind]}: {value!r}")
     return value
 
 
-def _ids(record, key: str, where: str) -> frozenset[str]:
-    """A list field of string ids, as a set."""
+def _ids(record, key: str, where: str) -> list[str]:
+    """A list field of string ids."""
     value = _typed(record, key, where, list)
     for item in value:
         if type(item) is not str:
             raise ValueError(f"{where}: {key!r} holds a non-string id: {item!r}")
-    return frozenset(value)
+    return value
 
 
 def _expand_map(task: dict, key: str, compatible: Iterable[str],
@@ -137,7 +140,7 @@ def instance_from_dict(data: dict) -> Instance:
     tasks = []
     for k, t in enumerate(_typed(data, "tasks", "instance", list)):
         where = f"instance task {k}"
-        compatible = _ids(t, "compatible", where)
+        compatible = frozenset(_ids(t, "compatible", where))
         tasks.append(TaskSpec(
             id=_typed(t, "id", where, str),
             compatible=compatible,
@@ -196,8 +199,8 @@ def trace_from_lines(text: str) -> ScenarioTrace:
             raise ValueError(f"trace cycles out of order at {cycle}")
         agents.append(_ids(record, "agents", where))
         tasks.append(_ids(record, "tasks", where))
-    return ScenarioTrace(cycles=cycles, available_agents=tuple(agents),
-                         available_tasks=tuple(tasks), seed=seed)
+    return ScenarioTrace(cycles=cycles, available_agents=agents,
+                         available_tasks=tasks, seed=seed)
 
 
 def save_trace(path: str, trace: ScenarioTrace) -> None:

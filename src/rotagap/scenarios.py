@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .domain import AgentSpec, Instance, ScenarioTrace, TaskSpec
+from .domain import AgentSpec, IdSets, Instance, ScenarioTrace, TaskSpec
 
 try:
     from _blake2 import blake2b
@@ -318,20 +318,23 @@ def generate_trace_bernoulli(instance: Instance, cycles: int | None,
     if cycles < 1:
         raise GenerationError("cycles must be >= 1")
     rng = random.Random(derive_seed(seed, "trace", "bernoulli"))
-    agents_per_cycle = []
-    tasks_per_cycle = []
+    m, width = len(agent_ids), len(agent_ids) + len(task_ids)
+    draws = []  # per cycle, the agents' draws and then the tasks'
     for _ in range(cycles):
         for _attempt in range(1000):
-            agents = frozenset(a for a in agent_ids if rng.random() < agent_p)
-            tasks = frozenset(t for t in task_ids if rng.random() < task_p)
-            if agents and tasks:
+            row = [rng.random() for _ in range(width)]
+            # p <= 1, so an empty side never counts as available
+            if min(row[:m], default=1.0) < agent_p \
+                    and min(row[m:], default=1.0) < task_p:
                 break
         else:
             raise GenerationError("could not draw a non-empty availability cycle")
-        agents_per_cycle.append(agents)
-        tasks_per_cycle.append(tasks)
-    return ScenarioTrace(cycles=cycles, available_agents=tuple(agents_per_cycle),
-                         available_tasks=tuple(tasks_per_cycle), seed=seed)
+        draws.append(row)
+    masks = np.array(draws) < np.array([agent_p] * m + [task_p] * len(task_ids))
+    return ScenarioTrace(cycles=cycles,
+                         available_agents=IdSets(agent_ids, masks[:, :m]),
+                         available_tasks=IdSets(task_ids, masks[:, m:]),
+                         seed=seed)
 
 
 def episode_entry_probability(unavail_fraction: float, mean_duration: float) -> float:
@@ -349,19 +352,19 @@ def episode_entry_probability(unavail_fraction: float, mean_duration: float) -> 
     return unavail_fraction / (mean_duration * (1.0 - unavail_fraction))
 
 
-def _episodic_series(rng: random.Random, cycles: int, q: float,
-                     dur_lo: int, dur_hi: int) -> list[bool]:
-    out = []
-    remaining = 0
-    for _ in range(cycles):
-        if remaining > 0:
-            out.append(False)
-            remaining -= 1
-            continue
-        out.append(True)
-        if q > 0.0 and rng.random() < q:
-            remaining = rng.randint(dur_lo, dur_hi)
-    return out
+def _episodic_series(rng: random.Random, available: np.ndarray, q: float,
+                     dur_lo: int, dur_hi: int) -> None:
+    """Clear the cycles of ``available``, one entity's availability per
+    cycle and all true on entry, that its episodes take.  Each available
+    cycle draws whether an episode starts; one that starts draws its length
+    and takes the cycles after this one."""
+    k = 0
+    while q > 0.0 and k < len(available):
+        if rng.random() < q:
+            duration = rng.randint(dur_lo, dur_hi)
+            available[k + 1:k + 1 + duration] = False
+            k += duration
+        k += 1
 
 
 def generate_trace_episodic(instance: Instance, params: TcsaParams) -> ScenarioTrace:
@@ -374,30 +377,26 @@ def generate_trace_episodic(instance: Instance, params: TcsaParams) -> ScenarioT
     mean_dur = (dur_lo + dur_hi) / 2.0
     q_agent = episode_entry_probability(params.agent_unavail_fraction, mean_dur)
     q_task = episode_entry_probability(params.task_unavail_fraction, mean_dur)
-    agent_ids = instance.agent_ids
-    task_ids = instance.task_ids
     cycles = params.cycles
 
+    rng = random.Random()
+
+    def series(kind: str, ids: list[str], q: float, attempt: int) -> np.ndarray:
+        """One column per entity of ``ids``, each drawn from its own seed
+        (reseeding one generator is a little faster than making one)."""
+        available = np.ones((cycles, len(ids)), dtype=bool)
+        for column, x in zip(available.T, ids):
+            rng.seed(derive_seed(params.seed, "trace", kind, x, attempt))
+            _episodic_series(rng, column, q, dur_lo, dur_hi)
+        return available
+
     for attempt in range(100):
-        agent_series = {
-            a: _episodic_series(
-                random.Random(derive_seed(params.seed, "trace", "agent", a, attempt)),
-                cycles, q_agent, dur_lo, dur_hi)
-            for a in agent_ids
-        }
-        task_series = {
-            t: _episodic_series(
-                random.Random(derive_seed(params.seed, "trace", "task", t, attempt)),
-                cycles, q_task, dur_lo, dur_hi)
-            for t in task_ids
-        }
-        agents_per_cycle = tuple(
-            frozenset(a for a in agent_ids if agent_series[a][k])
-            for k in range(cycles))
-        tasks_per_cycle = tuple(
-            frozenset(t for t in task_ids if task_series[t][k])
-            for k in range(cycles))
-        if all(agents_per_cycle[k] and tasks_per_cycle[k] for k in range(cycles)):
-            return ScenarioTrace(cycles=cycles, available_agents=agents_per_cycle,
-                                 available_tasks=tasks_per_cycle, seed=params.seed)
+        agents = series("agent", instance.agent_ids, q_agent, attempt)
+        tasks = series("task", instance.task_ids, q_task, attempt)
+        if agents.any(axis=1).all() and tasks.any(axis=1).all():
+            return ScenarioTrace(
+                cycles=cycles,
+                available_agents=IdSets(instance.agent_ids, agents),
+                available_tasks=IdSets(instance.task_ids, tasks),
+                seed=params.seed)
     raise GenerationError("episodic trace generation kept producing empty cycles")

@@ -111,6 +111,21 @@ def test_run_from_embedded_config_reproduces_reports(tmp_path):
     assert dir_digest(str(out)) == before
 
 
+def test_tcsa_config_with_ranges_reproduces_reports(tmp_path):
+    out = tmp_path / "a"
+    assert run_cli("run", "--scenario", "tcsa", "--agents", "3", "--tasks", "8",
+                   "--cycles", "4", "--runtime-range", "2", "9",
+                   "--compat-fraction", "0.5", "--seeds", "3,4",
+                   "--strategies", "pc", "--budget", "nodes:500",
+                   "-o", str(out)) == 0
+    before = dir_digest(str(out))
+    config = json.loads((out / "config.json").read_text())
+    assert config["scenario"]["runtime_range"] == [2, 9]
+    assert config["scenario"]["unavail_duration_range"] == [3, 7]
+    assert run_cli("run", "--config", str(out / "config.json")) == 0
+    assert dir_digest(str(out)) == before
+
+
 def test_run_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "det"
     argv = ["run", "--scenario", "tcsa", "--agents", "4", "--tasks", "8",
@@ -211,6 +226,74 @@ def test_run_config_errors(tmp_path):
             "static_priorities": False}))
         assert run_cli("run", "--config", str(config)) == 2, name
         assert not out.exists(), name
+
+
+CONFIG = {"scenario": {"name": "mcmkp", "agents": 2, "tasks": 4},
+          "strategies": ["fop"], "budget": "nodes:10", "cycles": 2,
+          "seeds": [1], "workers": 1, "static_priorities": False}
+SCENARIOS = {"mcmkp": CONFIG["scenario"],
+             "tcsa": {"name": "tcsa", "agents": 3, "tasks": 6}}
+# (where: the config itself or a scenario, key, a value of the wrong type)
+UNCOERCED = [
+    ("config", "cycles", 2.9), ("config", "cycles", "2"),
+    ("config", "workers", True), ("config", "workers", 1.0),
+    ("config", "static_priorities", "no"), ("config", "static_priorities", 0),
+    ("config", "seeds", ["1"]), ("config", "seeds", [1.5]),
+    ("config", "seeds", [True]), ("config", "seeds", 1),
+    ("config", "strategies", "fop"), ("config", "strategies", [1]),
+    ("config", "budget", 10), ("config", "output_dir", 7),
+    ("mcmkp", "agents", 2.7), ("mcmkp", "tasks", "4"),
+    ("mcmkp", "agent_availability", "0.5"),
+    ("mcmkp", "agent_availability", True), ("mcmkp", "correlation", 1),
+    ("tcsa", "capacity_minutes", 90.0), ("tcsa", "compat_fraction", False),
+    ("tcsa", "runtime_range", [1, 2.5]), ("tcsa", "runtime_range", "1-21"),
+    ("tcsa", "runtime_range", [1, 2, 3]),
+    ("tcsa", "unavail_duration_range", [True, 3]),
+]
+
+
+@pytest.mark.parametrize("where,key,value", UNCOERCED,
+                         ids=[f"{w}-{k}-{v!r}" for w, k, v in UNCOERCED])
+def test_config_values_are_refused_not_coerced(tmp_path, capsys, where, key,
+                                               value):
+    out = tmp_path / "out"
+    config = {**CONFIG, "output_dir": str(out)}
+    if where == "config":
+        config[key] = value
+    else:
+        config["scenario"] = {**SCENARIOS[where], key: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run_cli("run", "--config", str(path)) == 2
+    assert f"{key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_with_an_unknown_field_is_refused(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    # misspelled, so the run would redraw priorities
+    path.write_text(json.dumps({**CONFIG, "output_dir": str(out),
+                                "static_priority": True}))
+    capsys.readouterr()
+    assert run_cli("run", "--config", str(path)) == 2
+    assert capsys.readouterr().err == \
+        "error: unknown config field(s): static_priority\n"
+    assert not out.exists()
+
+
+def test_config_reads_floats_written_as_integers(tmp_path):
+    runs = {}
+    for name, availability in [("float", 1.0), ("int", 1)]:
+        config = {**CONFIG, "output_dir": str(tmp_path / name),
+                  "scenario": {**CONFIG["scenario"],
+                               "agent_availability": availability}}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("run", "--config", str(path)) == 0, name
+        runs[name] = (tmp_path / name / "summary.csv").read_text()
+    assert runs["int"] == runs["float"]
 
 
 def set_in(path: tuple, value):

@@ -1,7 +1,12 @@
-import pytest
+import pickle
 
-from rotagap.domain import (AgentSpec, Instance, InstanceMatrices, ScenarioTrace,
-                            TaskSpec, validate_instance, validate_trace)
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rotagap.domain import (AgentSpec, IdSet, IdSets, Instance,
+                            InstanceMatrices, ScenarioTrace, TaskSpec,
+                            validate_instance, validate_trace)
 
 from conftest import make_instance, worked_example_fixture
 
@@ -105,3 +110,80 @@ def test_domain_types_are_immutable():
         instance.agents = ()
     with pytest.raises(AttributeError):
         instance.tasks[0].id = "X"
+
+
+IDS = st.text(max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(universe=st.lists(IDS, unique=True, max_size=8), data=st.data())
+def test_id_set_views_behave_as_the_frozensets_they_replace(universe, data):
+    flags = data.draw(st.lists(st.booleans(), min_size=len(universe),
+                               max_size=len(universe)))
+    members = frozenset(x for x, flag in zip(universe, flags) if flag)
+    others = data.draw(st.lists(
+        st.frozensets(st.sampled_from([*universe, "?"]) | IDS, max_size=6),
+        max_size=3))
+    strangers = data.draw(st.lists(IDS, max_size=4))
+    view = IdSets(universe, [flags])[0]
+    assert isinstance(view, IdSet)
+    # membership, for ids of the universe or not, and for non-strings
+    for probe in [*universe, *strangers, 1, 0, None, 2.5, b"A", ("A",), True]:
+        assert (probe in view) == (probe in members), probe
+    with pytest.raises(TypeError):
+        ["A"] in view  # noqa: B015 - unhashable, as for a frozenset
+    # iteration as a set, each member once, and the length
+    assert sorted(view) == sorted(members)
+    assert len(view) == len(members)
+    assert view == members and members == view
+    assert view == set(members) and set(members) == view
+    assert not (view != members) and not (members != view)
+    assert view != list(members)
+    for other in others:
+        for kind in (frozenset, set):
+            assert (view == kind(other)) == (members == other)
+            assert (kind(other) == view) == (members == other)
+            assert (view != kind(other)) == (members != other)
+            assert (kind(other) != view) == (members != other)
+            assert view - kind(other) == members - other
+            assert kind(other) - view == other - members
+    assert hash(view) == hash(members)
+    copy = pickle.loads(pickle.dumps(view))
+    assert isinstance(copy, IdSet) and copy == members
+    assert hash(copy) == hash(members)
+
+
+def test_id_set_views_are_read_only():
+    view = IdSets(("A", "B"), [[True, False]])[0]
+    with pytest.raises(ValueError):
+        view.mask[1] = True
+    with pytest.raises(AttributeError):
+        view.add("B")
+    assert view == {"A"}
+
+
+def test_id_sets_move_to_another_id_order():
+    sets = IdSets.of([{"B"}, {"A", "C"}, set()])
+    assert sets.ids == ("A", "B", "C")
+    order = ("C", "X", "B", "A")
+    moved = sets.over(order)
+    assert moved.ids == order and moved == sets
+    assert [m.mask.tolist() for m in moved] == [
+        [False, False, True, False], [True, False, False, True],
+        [False] * 4]
+    assert sets.over(("A", "B", "C")) is sets
+    # an id that is in no set need not be in the new order
+    assert list(IdSets(("A", "Z"), [[True, False]]).over(("A",))) == [{"A"}]
+    with pytest.raises(KeyError, match="C"):
+        sets.over(("A", "B"))
+
+
+def test_available_pairs_takes_a_view_in_instance_order_as_it_is():
+    instance, trace = worked_example_fixture()
+    mats = InstanceMatrices(instance)
+    agents, tasks = trace.entry(3)
+    expected = mats.available_pairs(set(agents), set(tasks))
+    assert np.array_equal(mats.available_pairs(agents, tasks), expected)
+    moved = trace.available_tasks.over(mats.task_ids[::-1])[2]
+    assert moved.ids != mats.task_ids
+    assert np.array_equal(mats.available_pairs(agents, moved), expected)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rotagap import engine, solver
+from rotagap import engine, fileio, solver
 from rotagap.affinity import init_affinities
 from rotagap.domain import InstanceMatrices, ScenarioTrace
 from rotagap.engine import (_profit_matrix, profit_pct, rotation_metrics,
@@ -263,3 +263,23 @@ def test_repeated_cycles_reuse_one_search(monkeypatch):
     assert len(builds) == 1 + trace.cycles
     assert searched.per_cycle == reused.per_cycle
     assert np.array_equal(searched.final_counts, reused.final_counts)
+
+
+def test_a_run_reads_the_trace_sets_in_any_id_order():
+    """The same sets over another id order, or over only the ids they name
+    (as a trace read from a file holds them), give the same run."""
+    instance = generate_mcmkp(McmkpParams(agents=4, tasks=9, seed=4))
+    trace = generate_trace_bernoulli(instance, 10, 0.3, 0.1, seed=4)
+    loaded = fileio.trace_from_lines(fileio.trace_to_lines(trace))
+    assert len(loaded.available_tasks.ids) < len(instance.tasks)
+    shuffled = ScenarioTrace(
+        cycles=trace.cycles, seed=trace.seed,
+        available_agents=trace.available_agents.over(
+            tuple(reversed(instance.agent_ids))),
+        available_tasks=trace.available_tasks.over(
+            ("T99", *reversed(instance.task_ids))))
+    runs = [run_scenario(instance, t, StrategyConfig(kind="pc"), BUDGET)
+            for t in (trace, loaded, shuffled)]
+    for run in runs[1:]:
+        assert run.per_cycle == runs[0].per_cycle
+        assert np.array_equal(run.final_counts, runs[0].final_counts)

@@ -55,6 +55,25 @@ def test_trace_round_trip(tmp_path):
     assert json.loads(first_line) == {"cycles": 20, "seed": 17}
 
 
+@pytest.mark.parametrize("make", [
+    lambda: generate_trace_episodic(
+        generate_tcsa(TcsaParams(agents=6, tasks=40, cycles=30, seed=3)),
+        TcsaParams(agents=6, tasks=40, cycles=30, seed=3)),
+    lambda: generate_trace_bernoulli(
+        generate_mcmkp(McmkpParams(agents=4, tasks=9, seed=4)), 10, 0.3, 0.1,
+        seed=4)], ids=["episodic", "bernoulli"])
+def test_trace_text_round_trips_byte_for_byte(make):
+    text = fileio.trace_to_lines(make())
+    again = fileio.trace_from_lines(text)
+    assert fileio.trace_to_lines(again) == text
+    # the sets read back from the text are those the generator drew, over
+    # only the ids the text names
+    assert again == make()
+    assert set(again.available_tasks.ids) == {
+        t for record in map(json.loads, text.splitlines()[1:])
+        for t in record["tasks"]}
+
+
 @st.composite
 def instances(draw) -> Instance:
     """Instances with arbitrary ids and metadata whose tasks carry uniform

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from rotagap.domain import validate_instance, validate_trace
+from rotagap.domain import ScenarioTrace, validate_instance, validate_trace
 from rotagap.scenarios import (GenerationError, McmkpParams, TcsaParams,
                                _mcmkp_capacities, _randints, derive_seed,
                                episode_entry_probability,
@@ -275,3 +275,85 @@ def test_episodic_determinism():
     instance = generate_tcsa(params)
     assert generate_trace_episodic(instance, params) \
         == generate_trace_episodic(instance, params)
+
+
+def bernoulli_loop(instance, cycles, agent_p, task_p, seed) -> ScenarioTrace:
+    """``generate_trace_bernoulli`` as one draw per entity and cycle, into
+    sets of ids."""
+    rng = random.Random(derive_seed(seed, "trace", "bernoulli"))
+    agents_per_cycle, tasks_per_cycle = [], []
+    for _ in range(cycles):
+        while True:
+            agents = {a for a in instance.agent_ids if rng.random() < agent_p}
+            tasks = {t for t in instance.task_ids if rng.random() < task_p}
+            if agents and tasks:
+                break
+        agents_per_cycle.append(agents)
+        tasks_per_cycle.append(tasks)
+    return ScenarioTrace(cycles=cycles, available_agents=agents_per_cycle,
+                         available_tasks=tasks_per_cycle, seed=seed)
+
+
+def episodic_loop(instance, params) -> ScenarioTrace:
+    """``generate_trace_episodic`` as one step per entity and cycle, into
+    sets of ids."""
+    lo, hi = params.unavail_duration_range
+    q = {kind: episode_entry_probability(fraction, (lo + hi) / 2.0)
+         for kind, fraction in (("agent", params.agent_unavail_fraction),
+                                ("task", params.task_unavail_fraction))}
+
+    def series(kind, x, attempt):
+        rng = random.Random(derive_seed(params.seed, "trace", kind, x, attempt))
+        out, remaining = [], 0
+        for _ in range(params.cycles):
+            out.append(remaining == 0)
+            if remaining:
+                remaining -= 1
+            elif q[kind] > 0.0 and rng.random() < q[kind]:
+                remaining = rng.randint(lo, hi)
+        return out
+
+    for attempt in range(100):
+        sets = {}
+        for kind, ids in (("agent", instance.agent_ids),
+                          ("task", instance.task_ids)):
+            on = {x: series(kind, x, attempt) for x in ids}
+            sets[kind] = [{x for x in ids if on[x][k]}
+                          for k in range(params.cycles)]
+        if all(sets["agent"]) and all(sets["task"]):
+            return ScenarioTrace(cycles=params.cycles,
+                                 available_agents=sets["agent"],
+                                 available_tasks=sets["task"],
+                                 seed=params.seed)
+    raise GenerationError("no attempt without an empty cycle")
+
+
+@pytest.mark.parametrize("agents,tasks,p,seed", [
+    (12, 48, 1.0, 1), (12, 48, 0.75, 2), (2, 3, 0.3, 3), (5, 2, 0.2, 4)])
+def test_bernoulli_trace_matches_a_draw_loop(agents, tasks, p, seed):
+    instance = generate_mcmkp(McmkpParams(agents=agents, tasks=tasks, seed=seed))
+    trace = generate_trace_bernoulli(instance, 40, p, p, seed=seed)
+    assert trace == bernoulli_loop(instance, 40, p, p, seed)
+
+
+@pytest.mark.parametrize("params", [
+    TcsaParams(agents=6, tasks=30, cycles=60, seed=1),
+    # redrawn whole: attempts 0-2 each have an empty cycle
+    TcsaParams(agents=2, tasks=4, cycles=30, agent_unavail_fraction=0.4,
+               task_unavail_fraction=0.3, seed=0),
+    TcsaParams(agents=3, tasks=4, cycles=30, agent_unavail_fraction=0.0,
+               unavail_duration_range=(1, 1), seed=6)])
+def test_episodic_trace_matches_a_step_loop(params):
+    instance = generate_tcsa(params)
+    assert generate_trace_episodic(instance, params) \
+        == episodic_loop(instance, params)
+
+
+def test_tcsa_trace_pickles_small():
+    """A paper-scale trace (20 x 750, 365 cycles) pickles, as a job carries
+    it to a worker, in well under the 1.25 MB that one set of id strings
+    per cycle and side took."""
+    params = TcsaParams(seed=1)
+    trace = generate_trace_episodic(generate_tcsa(params), params)
+    assert trace.cycles == 365
+    assert len(pickle.dumps(trace)) < 300_000
