@@ -22,6 +22,7 @@ import sys
 
 from . import engine, fileio, scenarios
 from .domain import validate_instance, validate_trace
+from .fileio import typed
 from .scenarios import GenerationError, McmkpParams, TcsaParams
 from .solver import SolverBudget
 from .strategies import ConfigError, StrategyConfig
@@ -68,12 +69,16 @@ def scenario_fields(cls) -> list[dataclasses.Field]:
     return [f for f in dataclasses.fields(cls) if f.name not in ("seed", "cycles")]
 
 
+def scenario_types() -> dict[str, type]:
+    """The type of each generator parameter a scenario flag sets."""
+    return {f.name: f.type for cls in GENERATOR_PARAMS.values()
+            for f in scenario_fields(cls)}
+
+
 def scenario_flags() -> list[str]:
     """The scenario flags as argument names: the scenario, its cycle count
     and each generator parameter."""
-    params = {f.name for cls in GENERATOR_PARAMS.values()
-              for f in scenario_fields(cls)}
-    return ["scenario", "cycles", *sorted(params)]
+    return ["scenario", "cycles", *sorted(scenario_types())]
 
 
 def refuse_flags(args, names: list[str], where: str) -> None:
@@ -103,35 +108,10 @@ def scenario_from_args(args) -> dict:
     return scenario
 
 
-def typed(record: dict, key: str, where: str, kind: type):
-    """``record[key]``, refused unless it is a value of type ``kind`` as
-    the file loaders read it (:func:`fileio._typed`): nothing is coerced.
-    A range (``tuple[int, int]``) is a list of two integers."""
-    if kind != tuple[int, int]:
-        return fileio._typed(record, key, where, kind)
-    value = record[key]
-    if type(value) not in (list, tuple) or len(value) != 2 \
-            or any(type(x) is not int for x in value):
-        raise ConfigError(
-            f"{where}: {key!r} is not a list of two integers: {value!r}")
-    return tuple(value)
-
-
-def typed_list(record: dict, key: str, kind: type) -> list:
-    """The config list ``record[key]``, each of whose items must be of
-    type ``kind`` itself."""
-    items = fileio._typed(record, key, "config", list)
-    for item in items:
-        if type(item) is not kind:
-            raise ConfigError(f"config: {key!r} holds {item!r}, which is "
-                              f"not {fileio._KINDS[kind]}")
-    return items
-
-
 def scenario_params(scenario: dict, seed: int, cycles: int | None):
     """The generator parameters of a mcmkp or tcsa scenario for one seed;
     each value must have its field's type (:func:`typed`)."""
-    name = scenario.get("name")
+    name = typed(scenario, "name", "config scenario", str)
     cls = GENERATOR_PARAMS.get(name)
     if cls is None:
         raise ConfigError(f"unknown scenario {name!r}")
@@ -155,9 +135,10 @@ def load_files(scenario: dict):
     """The instance and trace of a ``files`` scenario, checked together;
     an error in reading either file names its path."""
     path = typed(scenario, "instance", "files scenario", str)
+    trace_path = typed(scenario, "trace", "files scenario", str)
     try:
         instance = fileio.load_instance(path)
-        path = typed(scenario, "trace", "files scenario", str)
+        path = trace_path
         trace = fileio.load_trace(path)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -168,10 +149,11 @@ def load_files(scenario: dict):
 
 
 def materialize_scenario(scenario: dict, seed: int, cycles: int | None,
-                         static_priorities: bool):
-    """Build (instance, trace, priority_hook, label) for one seed."""
+                         static_priorities: bool, files=None):
+    """Build (instance, trace, priority_hook, label) for one seed; a files
+    scenario runs on ``files``, the (instance, trace) it named."""
     if scenario.get("name") == "files":
-        instance, trace = load_files(scenario)
+        instance, trace = files
         redraw = instance.metadata.get("generator") == "tcsa"
     else:
         params = scenario_params(scenario, seed, cycles)
@@ -232,20 +214,19 @@ def config_from_args(args) -> dict:
     }
 
 
-def resolve_config(raw: dict) -> dict:
+def resolve_config(raw: dict) -> tuple[dict, tuple | None]:
     """Check a raw run config and return it resolved, as ``config.json``
     records it: canonical strategy and budget specs, seeds filled in and
     each listed once, in the order first given.  The scenario's parameters,
     or its files, are checked here too, and so is each strategy's value
     range over them, so that a bad input is refused before any job
-    starts."""
+    starts.  A files scenario's (instance, trace), read once here, comes
+    with it; a generated scenario has None."""
     unknown = sorted(set(raw) - set(RUN_CONFIG_FIELDS))
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
-    scenario = raw["scenario"]
-    if not isinstance(scenario, dict):
-        raise ConfigError(f"scenario must be an object, got {scenario!r}")
-    strategies = parse_strategies(typed_list(raw, "strategies", str))
+    scenario = typed(raw, "scenario", "config", dict)
+    strategies = parse_strategies(typed(raw, "strategies", "config", list[str]))
     budget = SolverBudget.parse(typed(raw, "budget", "config", str))
     cycles = raw.get("cycles")
     if cycles is not None:
@@ -253,9 +234,10 @@ def resolve_config(raw: dict) -> dict:
         if cycles < 1:
             raise ConfigError(f"cycles must be >= 1, got {cycles}")
     seeds = [] if raw.get("seeds") is None else \
-        list(dict.fromkeys(typed_list(raw, "seeds", int)))
+        list(dict.fromkeys(typed(raw, "seeds", "config", list[int])))
+    files = None
     if scenario.get("name") == "files":
-        instance, trace = load_files(scenario)
+        instance, trace = files = load_files(scenario)
         if not seeds:
             seed = instance.metadata.get("seed", 0)
             if type(seed) is not int:  # as the loaders: no coercion
@@ -293,7 +275,7 @@ def resolve_config(raw: dict) -> dict:
         "output_dir": typed(raw, "output_dir", "config", str),
         "workers": workers,
         "static_priorities": static,
-    }
+    }, files
 
 
 def execute_run(payload: dict) -> dict:
@@ -335,10 +317,13 @@ def cmd_run(args) -> int:
                                 "static_priorities"], "with --config")
             with open(args.config, encoding="utf-8") as fh:
                 raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ConfigError(f"{args.config}: expected an object, "
+                                  f"got {type(raw).__name__}")
             raw["output_dir"] = args.output_dir or raw.get("output_dir")
         else:
             raw = config_from_args(args)
-        config = resolve_config(raw)
+        config, files = resolve_config(raw)
     except (ValueError, TypeError, GenerationError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -346,7 +331,7 @@ def cmd_run(args) -> int:
     output_dir = config["output_dir"]
     os.makedirs(output_dir, exist_ok=True)
     fileio.atomic_write_text(os.path.join(output_dir, "config.json"),
-                             fileio._dump_json(config))
+                             fileio.dump_json(config))
 
     # Seed by seed, each seed's scenario is built once, here, and handed to
     # its jobs; a failed build fails every job of its seed.  One pool task
@@ -360,7 +345,8 @@ def cmd_run(args) -> int:
         submit = run_here if pool is None else pool.submit
         for seed in config["seeds"]:
             built = run_here(materialize_scenario, config["scenario"], seed,
-                             config["cycles"], config["static_priorities"])
+                             config["cycles"], config["static_priorities"],
+                             files)
             if built.exception() is not None:
                 jobs.extend((seed, spec, built) for spec in strategies)
                 continue
@@ -380,7 +366,7 @@ def cmd_run(args) -> int:
 
     for result in results:
         report_path = os.path.join(output_dir, f"{result['stem']}.report.json")
-        fileio.atomic_write_text(report_path, fileio._dump_json(result["report"]))
+        fileio.atomic_write_text(report_path, fileio.dump_json(result["report"]))
         fileio.atomic_write_text(
             os.path.join(output_dir, f"{result['stem']}.cycles.jsonl"),
             result["cycle_lines"])
@@ -411,7 +397,7 @@ def cmd_run(args) -> int:
     if failures:
         doc = [{"scenario": where, "seed": seed, "strategy": strategy,
                 "error": str(exc)} for where, seed, strategy, exc in failures]
-        fileio.atomic_write_text(failures_path, fileio._dump_json(doc))
+        fileio.atomic_write_text(failures_path, fileio.dump_json(doc))
     elif os.path.exists(failures_path):
         os.remove(failures_path)
     for where, seed, strategy, exc in failures:
@@ -493,18 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_scenario_args(p, for_run: bool):
         p.add_argument("--scenario", choices=list(GENERATOR_PARAMS),
                        required=not for_run)
-        p.add_argument("--agents", type=int)
-        p.add_argument("--tasks", type=int)
-        p.add_argument("--correlation", choices=list(scenarios.CORRELATIONS))
-        p.add_argument("--agent-availability", type=float)
-        p.add_argument("--task-availability", type=float)
-        p.add_argument("--capacity-minutes", type=int)
-        p.add_argument("--compat-fraction", type=float)
-        p.add_argument("--runtime-range", type=int, nargs=2, metavar=("LO", "HI"))
-        p.add_argument("--agent-unavail-fraction", type=float)
-        p.add_argument("--task-unavail-fraction", type=float)
-        p.add_argument("--unavail-duration-range", type=int, nargs=2,
-                       metavar=("LO", "HI"))
+        for name, kind in scenario_types().items():
+            flag = f"--{name.replace('_', '-')}"
+            if kind == tuple[int, int]:
+                p.add_argument(flag, type=int, nargs=2, metavar=("LO", "HI"))
+            else:
+                p.add_argument(flag, type=kind)
         p.add_argument("--cycles", type=int,
                        help="override the scenario's cycle count")
 

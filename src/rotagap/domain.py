@@ -260,20 +260,24 @@ def validate_trace(trace: ScenarioTrace, instance: Instance) -> list[str]:
         if len(entries) != trace.cycles:
             problems.append(
                 f"trace: {len(entries)} {name} entries for {trace.cycles} cycles")
-    known_agents = set(instance.agent_ids)
-    known_tasks = set(instance.task_ids)
-    for k, (agents, tasks) in enumerate(
-            zip(trace.available_agents, trace.available_tasks), start=1):
-        if not agents:
-            problems.append(f"trace cycle {k}: no available agents")
-        if not tasks:
-            problems.append(f"trace cycle {k}: no available tasks")
-        bad_a = sorted(agents - known_agents)
-        bad_t = sorted(tasks - known_tasks)
-        if bad_a:
-            problems.append(f"trace cycle {k}: unknown agent ids {bad_a}")
-        if bad_t:
-            problems.append(f"trace cycle {k}: unknown task ids {bad_t}")
+    # (cycle, rank within the cycle, message); each side's unknown ids are
+    # found once, as columns of its bit rows
+    found = []
+    cycles = min(len(trace.available_agents), len(trace.available_tasks))
+    for rank, (side, sets, known) in enumerate((
+            ("agent", trace.available_agents, set(instance.agent_ids)),
+            ("task", trace.available_tasks, set(instance.task_ids)))):
+        masks = np.unpackbits(sets.bits[:cycles], axis=1,
+                              count=len(sets.ids)).view(bool)
+        for k in np.flatnonzero(~masks.any(axis=1)).tolist():
+            found.append((k + 1, rank, f"trace cycle {k + 1}: no available {side}s"))
+        unknown = sorted((x, p) for p, x in enumerate(sets.ids) if x not in known)
+        hits = masks[:, [p for _, p in unknown]]
+        for k in np.flatnonzero(hits.any(axis=1)).tolist():
+            ids = list(compress([x for x, _ in unknown], hits[k].tolist()))
+            found.append((k + 1, 2 + rank,
+                          f"trace cycle {k + 1}: unknown {side} ids {ids}"))
+    problems += [message for _, _, message in sorted(found)]
     return problems
 
 

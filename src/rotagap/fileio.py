@@ -15,7 +15,7 @@ import io
 import json
 import math
 import os
-from typing import Iterable
+from typing import Iterable, get_args, get_origin
 
 from .domain import AgentSpec, Instance, ScenarioTrace, TaskSpec
 from .strategies import StrategyConfig
@@ -32,7 +32,7 @@ _SUMMARY_NUMBERS = {"seed": int, "total_profit": int, "full_rotations": int,
 REPORT_SCHEMA = "rotagap.report.v2"
 
 
-def _dump_json(obj) -> str:
+def dump_json(obj) -> str:
     """One JSON document on one line, keys sorted.  Without ``indent``,
     ``json.dumps`` uses its C encoder."""
     return json.dumps(obj, sort_keys=True) + "\n"
@@ -68,9 +68,9 @@ def _compact_map(mapping: dict[str, int]) -> int | dict[str, int]:
 
 
 def _field(record, key: str, where: str):
-    """``record[key]`` of a record read from a file; a ``ValueError`` that
-    names the record (``where``) and the field when ``record`` is not an
-    object or has no such field."""
+    """``record[key]`` of a JSON record; a ``ValueError`` that names the
+    record (``where``) and the field when ``record`` is not an object or
+    has no such field."""
     if not isinstance(record, dict):
         raise ValueError(f"{where}: expected an object, "
                          f"got {type(record).__name__}")
@@ -81,26 +81,30 @@ def _field(record, key: str, where: str):
 
 _KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
           str: "a string", list: "a list", dict: "an object"}
+# what a list item of each type is called when it has another type
+_ITEMS = {str: "a non-string id", int: "a non-integer"}
 
 
-def _typed(record, key: str, where: str, kind: type):
+def typed(record, key: str, where: str, kind):
     """``record[key]``, which must be a JSON value of type ``kind`` itself:
     a bool, a float or a numeric string is refused, not coerced.  A float
-    must be finite; an integer that a float holds exactly is read as one."""
+    must be finite; an integer that a float holds exactly is read as one.
+    ``list[T]`` is a list of ``T``; a range, ``tuple[int, int]``, is a list
+    or tuple of two integers, returned as a tuple."""
     value = _field(record, key, where)
-    if kind is float and type(value) is int and abs(value) <= 2**53:
+    if kind == tuple[int, int]:
+        if type(value) in (list, tuple) and list(map(type, value)) == [int, int]:
+            return tuple(value)
+        raise ValueError(
+            f"{where}: {key!r} is not a list of two integers: {value!r}")
+    base, items = get_origin(kind) or kind, get_args(kind)
+    if base is float and type(value) is int and abs(value) <= 2**53:
         value = float(value)
-    if type(value) is not kind or (kind is float and not math.isfinite(value)):
-        raise ValueError(f"{where}: {key!r} is not {_KINDS[kind]}: {value!r}")
-    return value
-
-
-def _ids(record, key: str, where: str) -> list[str]:
-    """A list field of string ids."""
-    value = _typed(record, key, where, list)
-    for item in value:
-        if type(item) is not str:
-            raise ValueError(f"{where}: {key!r} holds a non-string id: {item!r}")
+    if type(value) is not base or (base is float and not math.isfinite(value)):
+        raise ValueError(f"{where}: {key!r} is not {_KINDS[base]}: {value!r}")
+    for item in value if items else ():
+        if type(item) is not items[0]:
+            raise ValueError(f"{where}: {key!r} holds {_ITEMS[items[0]]}: {item!r}")
     return value
 
 
@@ -108,8 +112,8 @@ def _expand_map(task: dict, key: str, compatible: Iterable[str],
                 where: str) -> dict[str, int]:
     value = _field(task, key, where)
     if isinstance(value, dict):
-        return {a: _typed(value, a, f"{where} {key}", int) for a in value}
-    return dict.fromkeys(compatible, _typed(task, key, where, int))
+        return {a: typed(value, a, f"{where} {key}", int) for a in value}
+    return dict.fromkeys(compatible, typed(task, key, where, int))
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -132,28 +136,28 @@ def instance_from_dict(data: dict) -> Instance:
     """The instance of a document written by :func:`instance_to_dict`;
     raises ``ValueError`` naming the record and field that are malformed."""
     agents = []
-    for k, a in enumerate(_typed(data, "agents", "instance", list)):
+    for k, a in enumerate(typed(data, "agents", "instance", list)):
         where = f"instance agent {k}"
         agents.append(AgentSpec(
-            id=_typed(a, "id", where, str),
-            capacity=_typed(a, "capacity", where, int)))
+            id=typed(a, "id", where, str),
+            capacity=typed(a, "capacity", where, int)))
     tasks = []
-    for k, t in enumerate(_typed(data, "tasks", "instance", list)):
+    for k, t in enumerate(typed(data, "tasks", "instance", list)):
         where = f"instance task {k}"
-        compatible = frozenset(_ids(t, "compatible", where))
+        compatible = frozenset(typed(t, "compatible", where, list[str]))
         tasks.append(TaskSpec(
-            id=_typed(t, "id", where, str),
+            id=typed(t, "id", where, str),
             compatible=compatible,
             weights=_expand_map(t, "weight", compatible, where),
             profits=_expand_map(t, "profit", compatible, where),
         ))
-    metadata = _typed(data, "metadata", "instance", dict) \
+    metadata = typed(data, "metadata", "instance", dict) \
         if "metadata" in data else {}
     return Instance(agents=tuple(agents), tasks=tuple(tasks), metadata=metadata)
 
 
 def save_instance(path: str, instance: Instance) -> None:
-    atomic_write_text(path, _dump_json(instance_to_dict(instance)))
+    atomic_write_text(path, dump_json(instance_to_dict(instance)))
 
 
 def load_instance(path: str) -> Instance:
@@ -186,19 +190,19 @@ def trace_from_lines(text: str) -> ScenarioTrace:
     if not lines:
         raise ValueError("empty trace file")
     header, records = lines[0], lines[1:]
-    cycles = _typed(header, "cycles", "trace header", int)
-    seed = _typed(header, "seed", "trace header", int)
+    cycles = typed(header, "cycles", "trace header", int)
+    seed = typed(header, "seed", "trace header", int)
     if len(records) != cycles:
         raise ValueError(f"trace header says {cycles} cycles, found {len(records)}")
     agents = []
     tasks = []
     for expected, record in enumerate(records, start=1):
         where = f"trace cycle {expected}"
-        cycle = _typed(record, "cycle", where, int)
+        cycle = typed(record, "cycle", where, int)
         if cycle != expected:
             raise ValueError(f"trace cycles out of order at {cycle}")
-        agents.append(_ids(record, "agents", where))
-        tasks.append(_ids(record, "tasks", where))
+        agents.append(typed(record, "agents", where, list[str]))
+        tasks.append(typed(record, "tasks", where, list[str]))
     return ScenarioTrace(cycles=cycles, available_agents=agents,
                          available_tasks=tasks, seed=seed)
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -8,7 +9,8 @@ from collections import Counter
 import pytest
 
 from rotagap import fileio, scenarios
-from rotagap.cli import main, parse_strategies
+from rotagap.cli import (GENERATOR_PARAMS, main, parse_strategies,
+                         scenario_fields)
 from rotagap.domain import AgentSpec, Instance, ScenarioTrace, TaskSpec
 from rotagap.engine import run_scenario
 from rotagap.scenarios import GenerationError
@@ -176,7 +178,7 @@ def test_files_scenario_seed_must_be_an_integer(tmp_path, capsys, seed):
     assert run_cli(*argv, "--seeds", "3", "-o", str(out)) == 0
 
 
-def test_run_config_errors(tmp_path):
+def test_run_config_errors(tmp_path, capsys):
     assert run_cli("run", "--strategies", "fop", "--budget", "nodes:10",
                    "-o", str(tmp_path)) == 2  # no scenario or files
     assert run_cli("run", "--scenario", "mcmkp", "--agents", "4", "--tasks", "8",
@@ -217,15 +219,27 @@ def test_run_config_errors(tmp_path):
     for name, scenario in [
             ("misspelled", {"name": "mcmkp", "agents": 2, "tasks": 4,
                             "agent_availabilty": 0.5}),
-            ("not-an-object", "mcmkp")]:
+            ("not-an-object", "mcmkp"),
+            ("no-name", {"agents": 2, "tasks": 4}),
+            ("trace-path", {"name": "files", "instance": str(tmp_path),
+                            "trace": 5})]:
         config = tmp_path / f"{name}.json"
         out = tmp_path / f"from-{name}"
         config.write_text(json.dumps({
             "scenario": scenario, "strategies": ["fop"], "budget": "nodes:10",
             "cycles": 2, "seeds": [1], "output_dir": str(out), "workers": 1,
             "static_priorities": False}))
+        capsys.readouterr()
         assert run_cli("run", "--config", str(config)) == 2, name
         assert not out.exists(), name
+        assert capsys.readouterr().err == {
+            "misspelled": "error: unknown mcmkp scenario field(s): "
+                          "agent_availabilty\n",
+            "not-an-object": "error: config: 'scenario' is not an object: "
+                             "'mcmkp'\n",
+            "no-name": "error: config scenario: missing 'name'\n",
+            "trace-path": "error: files scenario: 'trace' is not a string: 5\n",
+        }[name]
 
 
 CONFIG = {"scenario": {"name": "mcmkp", "agents": 2, "tasks": 4},
@@ -268,6 +282,21 @@ def test_config_values_are_refused_not_coerced(tmp_path, capsys, where, key,
     assert run_cli("run", "--config", str(path)) == 2
     assert f"{key!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text,kind", [("[1, 2]", "list"), ('"x"', "str"),
+                                       ("3", "int"), ("null", "NoneType")])
+@pytest.mark.parametrize("output", [False, True], ids=["no-o", "o"])
+def test_config_that_is_not_an_object_is_refused(tmp_path, capsys, text, kind,
+                                                 output):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    capsys.readouterr()
+    argv = ["run", "--config", str(path)]
+    assert run_cli(*argv, *(["-o", str(tmp_path / "out")] if output else [])) == 2
+    assert capsys.readouterr().err == \
+        f"error: {path}: expected an object, got {kind}\n"
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_config_with_an_unknown_field_is_refused(tmp_path, capsys):
@@ -826,6 +855,72 @@ def test_repeated_seeds_run_once(tmp_path):
         assert {n: fileio.sha256_file(str(out / n)) for n in written} \
             == written, name
         assert sorted(os.listdir(out)) == sorted(os.listdir(once)), name
+
+
+def test_files_run_reads_each_file_once(tmp_path, monkeypatch):
+    gen = tmp_path / "gen"
+    assert run_cli("generate", "--scenario", "mcmkp", "--agents", "4",
+                   "--tasks", "8", "--cycles", "6", "--seed", "9",
+                   "-o", str(gen)) == 0
+    calls = Counter()
+    for name in ("load_instance", "load_trace"):
+        def counted(path, real=getattr(fileio, name), name=name):
+            calls[name] += 1
+            return real(path)
+        monkeypatch.setattr(fileio, name, counted)
+    stem = str(gen / "mcmkp-4x8-uncorrelated-seed9")
+    out = tmp_path / "run"
+    assert run_cli("run", "--instance", stem + ".instance.json",
+                   "--trace", stem + ".trace.jsonl", "--seeds", "1,2,3",
+                   "--strategies", "foa", "--budget", "nodes:100",
+                   "-o", str(out)) == 0
+    # read at config time, then handed to every seed
+    assert calls == {"load_instance": 1, "load_trace": 1}
+    assert len(fileio.read_summary(str(out / "summary.csv"))) == 6
+
+
+# a value other than its default for every generator parameter a scenario
+# config sets
+FLAG_VALUES = {
+    "mcmkp": {"agents": 2, "tasks": 4, "correlation": "weakly_correlated",
+              "agent_availability": 0.9, "task_availability": 0.8},
+    "tcsa": {"agents": 3, "tasks": 6, "capacity_minutes": 90,
+             "compat_fraction": 0.5, "runtime_range": [2, 9],
+             "agent_unavail_fraction": 0.2, "task_unavail_fraction": 0.05,
+             "unavail_duration_range": [2, 4]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAG_VALUES))
+def test_every_generator_parameter_has_a_flag(tmp_path, name):
+    values = FLAG_VALUES[name]
+    fields = scenario_fields(GENERATOR_PARAMS[name])
+    assert [f.name for f in fields] == list(values)
+    argv = []
+    for f in fields:
+        value = values[f.name]
+        if f.default is not dataclasses.MISSING:
+            assert value != json.loads(json.dumps(f.default)), f.name
+        argv += [f"--{f.name.replace('_', '-')}",
+                 *map(str, value if isinstance(value, list) else [value])]
+    out = tmp_path / "run"
+    assert run_cli("run", "--scenario", name, *argv, "--cycles", "2",
+                   "--strategies", "fop", "--budget", "nodes:10",
+                   "-o", str(out)) == 0
+    config = json.loads((out / "config.json").read_text())
+    assert config["scenario"] == {"name": name, **values}
+
+
+@pytest.mark.parametrize("command", [["generate", "--seed", "1"],
+                                     ["run", "--strategies", "fop"]])
+def test_unknown_correlation_is_refused(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli(*command, "--scenario", "mcmkp", "--agents", "2",
+                   "--tasks", "4", "--correlation", "bogus",
+                   "-o", str(out)) == 2
+    assert "unknown correlation 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_refuses_mcmkp_with_one_task(tmp_path, capsys):

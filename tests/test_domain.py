@@ -85,6 +85,36 @@ def test_trace_validation_reports_problems():
     assert "TX" in joined
 
 
+def test_trace_validation_lists_every_problem_in_order():
+    instance, _ = worked_example_fixture()
+    agents = [{"A", "Z", "Y"}, set(), {"Z"}, set()]
+    tasks = [{"TX", "T1", "TW"}, {"T2"}, set(), set()]
+    expected = [
+        "trace cycle 1: unknown agent ids ['Y', 'Z']",
+        "trace cycle 1: unknown task ids ['TW', 'TX']",
+        "trace cycle 2: no available agents",
+        "trace cycle 3: no available tasks",
+        "trace cycle 3: unknown agent ids ['Z']",
+        "trace cycle 4: no available agents",
+        "trace cycle 4: no available tasks",
+    ]
+    trace = ScenarioTrace(cycles=4, available_agents=agents,
+                          available_tasks=tasks, seed=0)
+    assert validate_trace(trace, instance) == expected
+    # the same sets over ids in another order, or over ids no cycle holds
+    ids = ("Z", "C", "Y", "Q", "B", "A")
+    masks = np.array([[x in s for x in ids] for s in agents])
+    trace = ScenarioTrace(cycles=4, available_agents=IdSets(ids, masks),
+                          available_tasks=tasks, seed=0)
+    assert validate_trace(trace, instance) == expected
+    # entries missing for the last cycles: those cycles are not checked
+    short = ScenarioTrace(cycles=5, available_agents=agents,
+                          available_tasks=tasks[:3], seed=0)
+    assert validate_trace(short, instance) == [
+        "trace: 4 agents entries for 5 cycles",
+        "trace: 3 tasks entries for 5 cycles", *expected[:5]]
+
+
 def test_matrices_follow_list_order():
     instance = make_instance(
         {"B": 4, "A": 2},
@@ -187,3 +217,36 @@ def test_available_pairs_takes_a_view_in_instance_order_as_it_is():
     moved = trace.available_tasks.over(mats.task_ids[::-1])[2]
     assert moved.ids != mats.task_ids
     assert np.array_equal(mats.available_pairs(agents, moved), expected)
+
+
+def trace_problems_by_loop(trace, instance) -> list[str]:
+    """The per-cycle problems :func:`validate_trace` reports, found one
+    cycle at a time with set differences: the reference it must match."""
+    problems = []
+    for k, (agents, tasks) in enumerate(
+            zip(trace.available_agents, trace.available_tasks), start=1):
+        problems += [f"trace cycle {k}: no available agents"] * (not agents)
+        problems += [f"trace cycle {k}: no available tasks"] * (not tasks)
+        for side, ids, known in (("agent", agents, instance.agent_ids),
+                                 ("task", tasks, instance.task_ids)):
+            unknown = sorted(set(ids) - set(known))
+            if unknown:
+                problems.append(f"trace cycle {k}: unknown {side} ids {unknown}")
+    return problems
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), agents=st.lists(IDS, unique=True, max_size=4),
+       tasks=st.lists(IDS, unique=True, max_size=4))
+def test_trace_validation_matches_a_loop_over_cycles(data, agents, tasks):
+    instance = make_instance(dict.fromkeys(agents, 1),
+                             dict.fromkeys(tasks, (1, 1, set(agents))))
+    cycles = data.draw(st.integers(0, 5))
+    ids = st.sampled_from([*agents, *tasks, "?"]) | IDS
+    sides = [data.draw(st.lists(st.frozensets(ids, max_size=5),
+                                min_size=cycles, max_size=cycles))
+             for _ in range(2)]
+    trace = ScenarioTrace(cycles=cycles, available_agents=sides[0],
+                          available_tasks=sides[1], seed=0)
+    assert validate_trace(trace, instance)[int(cycles < 1):] \
+        == trace_problems_by_loop(trace, instance)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 
 import pytest
@@ -133,6 +134,38 @@ def test_trace_syntax_errors_name_the_line():
             '{"agents": [], "cycle": 2,\n')
     with pytest.raises(ValueError, match=r"^trace line 4: .*line 1 column"):
         fileio.trace_from_lines(text)
+
+
+REFUSED = [
+    (list[int], [1, True]), (list[int], [1.5]), (list[int], ["1"]),
+    (tuple[int, int], [1, 2, 3]), (tuple[int, int], [1, 2.5]),
+    (tuple[int, int], "1-21"),
+    (float, math.inf), (float, math.nan), (float, True),
+]
+
+
+@pytest.mark.parametrize("kind,value", REFUSED,
+                         ids=[f"{k}-{v!r}" for k, v in REFUSED])
+def test_typed_refuses_values_of_another_type(kind, value):
+    with pytest.raises(ValueError, match=r"^record: 'key' (is not|holds) "):
+        fileio.typed({"key": value}, "key", "record", kind)
+
+
+@pytest.mark.parametrize("kind,value,read", [
+    (float, 1, 1.0), (float, -2.5, -2.5), (int, 3, 3),
+    (tuple[int, int], (2, 9), (2, 9)), (tuple[int, int], [2, 9], (2, 9)),
+    (list[int], [3, 1], [3, 1]), (list[str], [], []),
+])
+def test_typed_reads_values_of_its_type(kind, value, read):
+    got = fileio.typed({"key": value}, "key", "record", kind)
+    assert got == read and type(got) is type(read)
+
+
+def test_typed_names_a_missing_field_or_a_record_of_another_type():
+    with pytest.raises(ValueError, match=r"^config: missing 'seeds'$"):
+        fileio.typed({}, "seeds", "config", list[int])
+    with pytest.raises(ValueError, match=r"^config: expected an object, got list$"):
+        fileio.typed([1], "seeds", "config", list[int])
 
 
 def test_serialization_is_canonical(tmp_path):

@@ -54,6 +54,28 @@ def test_benchmark_checks_import_nothing_from_the_package():
     assert "rotagap" not in tops
 
 
+def private_names_read(path: str) -> set[str]:
+    """The underscore-prefixed names of other package modules that a file
+    reads, as ``module._name`` or through ``from .module import _name``."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    modules = {os.path.basename(p)[:-3] for p in package_files()}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules and node.attr.startswith("_"):
+            found.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.level > 0:
+            found.update(f"{node.module}.{alias.name}" for alias in node.names
+                         if alias.name.startswith("_"))
+    return found
+
+
+@pytest.mark.parametrize("path", package_files(), ids=os.path.basename)
+def test_package_modules_read_no_private_name_of_another(path):
+    assert sorted(private_names_read(path)) == []
+
+
 def names_read(path: str) -> set[str]:
     """The names a file reads, bare or as an attribute, other than those
     read only inside the function or class of the same name."""
