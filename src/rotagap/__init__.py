@@ -19,7 +19,7 @@ from .solver import (Assignment, GapProblem, SolverBudget, SolverError,
                      branch_and_bound, brute_force_oracle, greedy_construct,
                      local_search_improve, solve)
 from .strategies import (ConfigError, StrategyConfig, compute_values,
-                         os_values, pc_values, wpp_values)
+                         pc_values, wpp_values)
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,7 @@ __all__ = [
     "generate_mcmkp", "generate_tcsa", "generate_trace_bernoulli",
     "generate_trace_episodic", "greedy_construct", "init_affinities",
     "local_search_improve", "make_tcsa_priority_hook", "max_affinity_pressure",
-    "os_values", "pc_values", "rotation_metrics", "run_cycle", "run_scenario",
+    "pc_values", "rotation_metrics", "run_cycle", "run_scenario",
     "solve", "update_affinities", "validate_instance", "validate_trace",
     "wpp_values",
 ]

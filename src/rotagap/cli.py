@@ -25,7 +25,7 @@ from .domain import validate_instance, validate_trace
 from .fileio import typed
 from .scenarios import GenerationError, McmkpParams, TcsaParams
 from .solver import SolverBudget
-from .strategies import ConfigError, StrategyConfig
+from .strategies import STRATEGY_KINDS, ConfigError, StrategyConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,10 +50,18 @@ def parse_strategies(specs: list[str]) -> list[StrategyConfig]:
     return unique
 
 
+def seed_list(text: str) -> list[int]:
+    """The integers of one comma-separated ``--seeds`` value."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError as exc:  # argparse names the flag
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def strategy_sort_key(label: str):
-    """Canonical table order: foa, os by rising gamma, pc, wpp, fop."""
+    """Canonical table order: ``STRATEGY_KINDS``, os by rising gamma."""
     kind = label.split("/", 1)[0]
-    rank = {"foa": 0, "os": 1, "pc": 2, "wpp": 3, "fop": 4}.get(kind, 5)
+    rank = (*STRATEGY_KINDS, kind).index(kind)  # an unknown kind last
     gamma = 0.0
     if kind == "os" and "/" in label:
         try:
@@ -132,12 +140,13 @@ def scenario_params(scenario: dict, seed: int, cycles: int | None):
 
 
 def load_files(scenario: dict):
-    """The instance and trace of a ``files`` scenario, checked together;
-    an error in reading either file names its path."""
+    """The instance and trace of a ``files`` scenario, checked together
+    and with the output file names; an error names the file's path."""
     path = typed(scenario, "instance", "files scenario", str)
     trace_path = typed(scenario, "trace", "files scenario", str)
     try:
         instance = fileio.load_instance(path)
+        fileio.scenario_label(instance)
         path = trace_path
         trace = fileio.load_trace(path)
     except ValueError as exc:
@@ -207,7 +216,7 @@ def config_from_args(args) -> dict:
         "strategies": args.strategies or [],
         "budget": "nodes:20000" if args.budget is None else args.budget,
         "cycles": args.cycles,
-        "seeds": [int(s) for chunk in args.seeds or [] for s in chunk.split(",")],
+        "seeds": [s for chunk in args.seeds or [] for s in chunk],
         "output_dir": args.output_dir,
         "workers": 1 if args.workers is None else args.workers,
         "static_priorities": args.static_priorities,
@@ -251,7 +260,6 @@ def resolve_config(raw: dict) -> tuple[dict, tuple | None]:
         extent = (top, trace.cycles, len(instance.tasks))
     else:
         params = scenario_params(scenario, 0, cycles)
-        params.validate()
         if isinstance(params, TcsaParams):
             run_cycles = params.cycles
         else:
@@ -503,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--budget",
                      help="nodes:<int> or seconds:<float> per cycle "
                      "(default nodes:20000)")
-    run.add_argument("--seeds", action="append", default=None,
+    run.add_argument("--seeds", action="append", type=seed_list,
                      help="comma-separated integer seeds")
     run.add_argument("--workers", type=int, help="(default 1)")
     run.add_argument("--static-priorities", action="store_true",

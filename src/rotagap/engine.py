@@ -73,8 +73,8 @@ def build_gap_problem(mats: InstanceMatrices, values: np.ndarray,
 
 def _profit_matrix(mats: InstanceMatrices,
                    overrides: Mapping[str, int] | None) -> np.ndarray:
-    """The instance profits with each overridden task's profit set on its
-    compatible agents; ``ValueError`` names an unknown task or a negative
+    """The instance profits with each overridden task's profit set in its
+    whole column; ``ValueError`` names an unknown task or a negative
     profit."""
     if not overrides:
         return mats.profits
@@ -89,11 +89,9 @@ def _profit_matrix(mats: InstanceMatrices,
         k = int(np.argmax(negative))
         raise ValueError(f"profit override for task {list(overrides)[k]} "
                          f"is negative: {values[k]}")
-    row = np.zeros(mats.n, dtype=np.int64)
-    row[cols] = values
-    overridden = np.zeros(mats.n, dtype=bool)
-    overridden[cols] = True
-    return np.where(overridden, mats.compat * row, mats.profits)
+    profits = mats.profits.copy()
+    profits[:, cols] = values
+    return profits
 
 
 def run_cycle(instance: Instance, entry: tuple[Iterable[str], Iterable[str]],

@@ -217,12 +217,18 @@ def load_trace(path: str) -> ScenarioTrace:
 
 
 def scenario_label(instance: Instance) -> str:
+    """The scenario part of a run's output file names, from the instance's
+    metadata; ``ValueError`` when the metadata cannot give one."""
     meta = instance.metadata
     generator = meta.get("generator", "custom")
     label = f"{generator}-{len(instance.agents)}x{len(instance.tasks)}"
-    correlation = meta.get("params", {}).get("correlation")
+    params = typed(meta, "params", "metadata", dict) if "params" in meta else {}
+    correlation = params.get("correlation")
     if correlation:
         label += f"-{correlation}"
+    if "/" in label or "\0" in label:
+        raise ValueError(f"metadata gives the scenario label {label!r}, "
+                         f"which cannot be part of a file name")
     return label
 
 

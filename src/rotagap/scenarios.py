@@ -74,7 +74,8 @@ def _task_id(j: int, n: int) -> str:
 class McmkpParams:
     """Multi-cycle multiple-knapsack generator parameters.  The paper's grid
     uses (agents, tasks) of (30, 75), (15, 45) and (12, 48) with
-    availabilities 0.75 or 1.0; any size is permitted for custom runs."""
+    availabilities 0.75 or 1.0; custom runs may take any size with at least
+    three tasks."""
 
     agents: int
     tasks: int
@@ -83,11 +84,11 @@ class McmkpParams:
     task_availability: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
-        # the capacities hold half the total weight in all, so a lone task
-        # could never fit
-        if self.agents < 1 or self.tasks < 2:
-            raise GenerationError("need at least one agent and two tasks")
+    def __post_init__(self) -> None:
+        if self.agents < 1 or self.tasks < 3:
+            raise GenerationError(
+                "need at least one agent and three tasks: the capacities hold "
+                "half the total weight, which the heavier of two tasks exceeds")
         if self.correlation not in CORRELATIONS:
             raise GenerationError(f"unknown correlation {self.correlation!r}")
         for name, p in (("agent_availability", self.agent_availability),
@@ -121,7 +122,7 @@ class TcsaParams:
     cycles: int = 365
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.agents < 1 or self.tasks < 1:
             raise GenerationError("need at least one agent and one task")
         if self.capacity_minutes < 1:
@@ -160,17 +161,11 @@ def _mcmkp_capacities(shares: list[float], weights: list[int], m: int) -> list[i
     """
     total = sum(weights)
     half = total // 2
-    if m == 1:
-        return [half]
     caps = [int(s * total / m) for s in shares]
-    ceiling = half - max(weights)
+    ceiling = max(half - max(weights), 0)
     drawn = sum(caps)
     if drawn > ceiling:
-        if not drawn:
-            raise GenerationError(
-                f"every drawn capacity rounds to 0 and the heaviest task "
-                f"({max(weights)}) outweighs half the total weight ({half})")
-        caps = [c * max(ceiling, 0) // drawn for c in caps]
+        caps = [c * ceiling // drawn for c in caps]
     return caps + [half - sum(caps)]
 
 
@@ -184,7 +179,6 @@ def generate_mcmkp(params: McmkpParams) -> Instance:
     (bounded retries) and capacities are recomputed, preserving the
     half-of-total-demand identity exactly.
     """
-    params.validate()
     m, n = params.agents, params.tasks
     w_rng = random.Random(derive_seed(params.seed, "mcmkp", "weights"))
     c_rng = random.Random(derive_seed(params.seed, "mcmkp", "capacity"))
@@ -234,7 +228,6 @@ def generate_tcsa(params: TcsaParams) -> Instance:
     runtimes identical across agents, fixed-size random compatible sets, and
     initial priorities U[10, 1000] (redrawn per cycle by the engine hook
     unless static priorities are requested)."""
-    params.validate()
     m, n = params.agents, params.tasks
     r_rng = random.Random(derive_seed(params.seed, "tcsa", "runtimes"))
     c_rng = random.Random(derive_seed(params.seed, "tcsa", "compat"))
@@ -371,8 +364,9 @@ def generate_trace_episodic(instance: Instance, params: TcsaParams) -> ScenarioT
     """Two-state availability per entity: an available entity enters an
     unavailability episode of U{3..7} cycles (configurable) with the entry
     probability that yields the target long-run unavailable fraction.  The
-    whole trace is redrawn in the rare case a cycle ends up empty."""
-    params.validate()
+    whole trace is redrawn, up to 100 times, while a cycle has every agent
+    or every task away; if the last draw still does, each such cycle ``k``
+    (0-based) gets entity ``k mod count`` of that side back."""
     dur_lo, dur_hi = params.unavail_duration_range
     mean_dur = (dur_lo + dur_hi) / 2.0
     q_agent = episode_entry_probability(params.agent_unavail_fraction, mean_dur)
@@ -394,9 +388,12 @@ def generate_trace_episodic(instance: Instance, params: TcsaParams) -> ScenarioT
         agents = series("agent", instance.agent_ids, q_agent, attempt)
         tasks = series("task", instance.task_ids, q_task, attempt)
         if agents.any(axis=1).all() and tasks.any(axis=1).all():
-            return ScenarioTrace(
-                cycles=cycles,
-                available_agents=IdSets(instance.agent_ids, agents),
-                available_tasks=IdSets(instance.task_ids, tasks),
-                seed=params.seed)
-    raise GenerationError("episodic trace generation kept producing empty cycles")
+            break
+    else:
+        for side in (agents, tasks):
+            empty = np.flatnonzero(~side.any(axis=1))
+            side[empty, empty % side.shape[1]] = True
+    return ScenarioTrace(cycles=cycles,
+                         available_agents=IdSets(instance.agent_ids, agents),
+                         available_tasks=IdSets(instance.task_ids, tasks),
+                         seed=params.seed)

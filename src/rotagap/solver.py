@@ -664,25 +664,20 @@ def _local_search(work: _Work, assigned: np.ndarray,
                 break
 
         if move is not None:
+            # each task the move reassigns, with its new agent (-1: none)
             kind, x, y = move
-            if kind == "insert":
-                assigned[x] = y
-                rem[y] -= weights[y, x]
-            elif kind == "shift":
-                i0 = assigned[x]
-                rem[i0] += weights[i0, x]
-                assigned[x] = y
-                rem[y] -= weights[y, x]
+            if kind in ("insert", "shift"):
+                moved = [(x, y)]
             elif kind == "exchange":
-                i0 = assigned[x]
-                rem[i0] += weights[i0, x] - weights[i0, y]
-                assigned[x] = -1
-                assigned[y] = i0
+                moved = [(x, -1), (y, assigned[x])]
             else:  # swap
-                i1, i2 = assigned[x], assigned[y]
-                rem[i1] += weights[i1, x] - weights[i1, y]
-                rem[i2] += weights[i2, y] - weights[i2, x]
-                assigned[x], assigned[y] = i2, i1
+                moved = [(x, assigned[y]), (y, assigned[x])]
+            for j, i in moved:
+                if assigned[j] >= 0:
+                    rem[assigned[j]] += weights[assigned[j], j]
+                if i >= 0:
+                    rem[i] -= weights[i, j]
+                assigned[j] = i
         if cut or move is None:
             return assigned
 
@@ -876,8 +871,7 @@ _last_solve: tuple | None = None
 
 
 def _arrays(problem: GapProblem) -> tuple[np.ndarray, ...]:
-    # values first: between cycles they change most often, and they are zero
-    # off the mask as the engine builds them, so a new mask changes them too
+    # values first: between cycles they change most often
     return (problem.values, problem.feasible_pairs, problem.weights,
             problem.agent_capacities)
 

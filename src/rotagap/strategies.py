@@ -25,7 +25,8 @@ import numpy as np
 from .affinity import max_affinity_pressure  # noqa: F401
 from .domain import spec_number
 
-STRATEGY_KINDS = ("fop", "foa", "os", "pc", "wpp")
+# in the order of the report tables
+STRATEGY_KINDS = ("foa", "os", "pc", "wpp", "fop")
 
 
 class ConfigError(ValueError):
@@ -121,21 +122,12 @@ class StrategyConfig:
         return config
 
 
-def os_values(gamma: float, profits: np.ndarray, affinities: np.ndarray,
-              mask: np.ndarray, max_ap: float) -> np.ndarray:
-    """Objective switch: the profit matrix while ``gamma > max_ap``, the
-    affinity matrix otherwise."""
-    source = profits if gamma > max_ap else affinities
-    return np.where(mask, source, 0).astype(np.float64)
-
-
 def pc_values(alpha: float, beta: float, profits: np.ndarray,
-              affinities: np.ndarray, mask: np.ndarray) -> np.ndarray:
+              affinities: np.ndarray) -> np.ndarray:
     """Product combination ``p**alpha * a**beta`` elementwise; 0**0 == 1 so
     the fop/foa special cases hold entrywise."""
-    v = np.power(profits.astype(np.float64), alpha) \
+    return np.power(profits.astype(np.float64), alpha) \
         * np.power(affinities.astype(np.float64), beta)
-    return np.where(mask, v, 0.0)
 
 
 def wpp_values(profits: np.ndarray, affinities: np.ndarray,
@@ -148,9 +140,9 @@ def wpp_values(profits: np.ndarray, affinities: np.ndarray,
 
     over the same agents, and the value is
     ``lambda_j * p/max_p + (1 - lambda_j) * a/max_a`` with global maxima over
-    all available pairs.  lambda is used unclamped, so early cycles (all
-    affinities 1) can push entries negative; those are clamped to 0 to keep
-    the solver's non-negativity contract.
+    all available pairs, the one use of ``mask``.  lambda is used unclamped,
+    so early cycles (all affinities 1) can push entries negative; those are
+    clamped to 0 to keep the solver's non-negativity contract.
     """
     if not mask.any():
         return np.zeros_like(profits, dtype=np.float64)
@@ -165,7 +157,7 @@ def wpp_values(profits: np.ndarray, affinities: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.where(sums > 0, (counts * (counts + 1) / 2.0) / sums, 0.0)
     v = lam[None, :] * (profits / max_p) + (1.0 - lam[None, :]) * (affinities / max_a)
-    return np.where(mask, np.maximum(v, 0.0), 0.0)
+    return np.maximum(v, 0.0)
 
 
 def compute_values(config: StrategyConfig, profits: np.ndarray,
@@ -174,17 +166,16 @@ def compute_values(config: StrategyConfig, profits: np.ndarray,
     """Dispatch to the configured strategy for one cycle.
 
     ``profits`` and ``affinities`` are the cycle's m x n matrices, ``mask``
-    its available compatible pairs and ``max_ap`` its maximum affinity
-    pressure (read by ``os`` only).  The result is the float64 m x n value
-    matrix, zero off ``mask``; ``GapProblem`` checks that its values on the
-    available pairs are finite and non-negative.
+    its available compatible pairs (read by ``wpp`` only) and ``max_ap`` its
+    maximum affinity pressure (read by ``os`` only).  The result is the
+    float64 m x n value matrix, the formula on every pair; ``GapProblem``
+    checks it, and the solver reads it, on the available pairs alone.
     """
-    if config.kind == "fop":
-        return np.where(mask, profits, 0).astype(np.float64)
-    if config.kind == "foa":
-        return np.where(mask, affinities, 0).astype(np.float64)
-    if config.kind == "os":
-        return os_values(config.gamma, profits, affinities, mask, max_ap)
     if config.kind == "pc":
-        return pc_values(config.alpha, config.beta, profits, affinities, mask)
-    return wpp_values(profits, affinities, mask)  # the one kind left
+        return pc_values(config.alpha, config.beta, profits, affinities)
+    if config.kind == "wpp":
+        return wpp_values(profits, affinities, mask)
+    # fop, foa and os each take one matrix as it is
+    by_profit = config.kind == "fop" \
+        or (config.kind == "os" and config.gamma > max_ap)
+    return (profits if by_profit else affinities).astype(np.float64)

@@ -386,6 +386,12 @@ MALFORMED_FILES = [
      "trace cycle 4: 'cycle' is not an integer: False"),
     ("trace", set_in((2, "tasks"), ["T01", ["T02"]]),
      "trace cycle 2: 'tasks' holds a non-string id: ['T02']"),
+    # the metadata names the output files, so it is checked with the file
+    ("instance", set_in(("metadata", "params"), [1]),
+     "metadata: 'params' is not an object: [1]"),
+    ("instance", set_in(("metadata", "generator"), "my/gen"),
+     "metadata gives the scenario label 'my/gen-2x3-uncorrelated', which "
+     "cannot be part of a file name"),
 ]
 
 
@@ -929,5 +935,63 @@ def test_run_refuses_mcmkp_with_one_task(tmp_path, capsys):
     assert run_cli("run", "--scenario", "mcmkp", "--agents", "12",
                    "--tasks", "1", "--seeds", "40", "--strategies", "foa",
                    "-o", str(out)) == 2
-    assert "two tasks" in capsys.readouterr().err
+    assert "three tasks" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_tcsa_with_few_agents_gets_a_trace(tmp_path):
+    # with four agents every one of the 100 trace draws has a cycle with
+    # every agent away, so the last draw is repaired
+    out = tmp_path / "run"
+    assert run_cli("run", "--scenario", "tcsa", "--agents", "4",
+                   "--tasks", "10", "--seeds", "1", "--strategies", "pc",
+                   "--budget", "nodes:200", "-o", str(out)) == 0
+    rows = fileio.read_summary(str(out / "summary.csv"))
+    assert [r["strategy"] for r in rows] == ["pc", "fop"]
+    assert {r["cycles"] for r in rows} == {"365"}
+
+
+@pytest.mark.parametrize("seeds", ["1,x", "x", "1,,2"])
+def test_seed_that_is_not_an_integer_is_refused(tmp_path, capsys, seeds):
+    out = tmp_path / "run"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--scenario", "mcmkp", "--agents", "2", "--tasks", "4",
+                "--seeds", seeds, "--strategies", "foa", "-o", str(out))
+    assert exc.value.code == 2
+    item = next(s for s in seeds.split(",") if not s.isdigit())
+    assert f"argument --seeds: invalid literal for int() with base 10: " \
+        f"{item!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_files_run_whose_trace_names_an_unknown_agent_is_refused(
+        tmp_path, capsys):
+    gen = tmp_path / "gen"
+    assert run_cli("generate", "--scenario", "mcmkp", "--agents", "2",
+                   "--tasks", "3", "--cycles", "4", "--seed", "1",
+                   "-o", str(gen)) == 0
+    stem = gen / "mcmkp-2x3-uncorrelated-seed1"
+    trace = tmp_path / "unknown.trace.jsonl"
+    lines = (gen / f"{stem.name}.trace.jsonl").read_text().splitlines()
+    record = json.loads(lines[2])
+    record["agents"] = [*record["agents"], "Z99"]
+    lines[2] = json.dumps(record)
+    trace.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run_cli("run", "--instance", f"{stem}.instance.json",
+                   "--trace", str(trace), "--strategies", "foa",
+                   "--budget", "nodes:10", "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Z99" in err
+    assert not out.exists()
+
+
+def test_config_without_an_output_directory_is_refused(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    capsys.readouterr()
+    assert run_cli("run", "--config", str(config)) == 2
+    assert capsys.readouterr().err == \
+        "error: an output directory is required\n"

@@ -245,3 +245,32 @@ def test_records_hold_the_report_fields(spec):
                                "label": strategy.label}
     assert set(doc["strategy"]) \
         == {f.name for f in dataclasses.fields(StrategyConfig)} | {"label"}
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_empty_trace_file_is_refused(text):
+    with pytest.raises(ValueError, match="empty trace file"):
+        fileio.trace_from_lines(text)
+
+
+def test_trace_cycles_out_of_order_are_refused():
+    _, trace = worked_example_fixture()
+    lines = fileio.trace_to_lines(trace).splitlines()
+    lines[2], lines[3] = lines[3], lines[2]
+    with pytest.raises(ValueError, match="trace cycles out of order at 3"):
+        fileio.trace_from_lines("\n".join(lines))
+
+
+@pytest.mark.parametrize("metadata,message", [
+    ({"params": [1]}, "'params' is not an object"),
+    ({"params": "x"}, "'params' is not an object"),
+    ({"generator": "my/gen"}, "cannot be part of a file name"),
+    ({"generator": "g", "params": {"correlation": "a/b"}},
+     "cannot be part of a file name"),
+])
+def test_scenario_label_refuses_metadata_that_cannot_name_files(metadata,
+                                                                message):
+    instance, _ = worked_example_fixture()
+    instance = dataclasses.replace(instance, metadata=metadata)
+    with pytest.raises(ValueError, match=message):
+        fileio.scenario_label(instance)

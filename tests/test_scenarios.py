@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rotagap.domain import ScenarioTrace, validate_instance, validate_trace
+from rotagap.fileio import dump_json, instance_to_dict, trace_to_lines
 from rotagap.scenarios import (GenerationError, McmkpParams, TcsaParams,
                                _mcmkp_capacities, _randints, derive_seed,
                                episode_entry_probability,
@@ -93,25 +94,67 @@ def test_mcmkp_param_validation():
         generate_mcmkp(McmkpParams(agents=2, tasks=5, agent_availability=0.0, seed=1))
 
 
-def test_mcmkp_needs_two_tasks():
+def test_mcmkp_needs_three_tasks():
     # the capacities hold half the total weight in all, so a lone task
-    # could never fit
+    # never fits, and of two unequal tasks the heavier fits no agent
     for agents in (1, 2, 12):
-        with pytest.raises(GenerationError, match="two tasks"):
-            generate_mcmkp(McmkpParams(agents=agents, tasks=1, seed=40))
-    assert len(generate_mcmkp(McmkpParams(agents=2, tasks=2, seed=3)).tasks) == 2
+        for tasks in (1, 2):
+            with pytest.raises(GenerationError, match="three tasks"):
+                McmkpParams(agents=agents, tasks=tasks, seed=40)
+    assert len(generate_mcmkp(McmkpParams(agents=2, tasks=3, seed=3)).tasks) == 3
 
 
-def test_mcmkp_capacities_that_all_round_to_zero_are_refused():
+def test_mcmkp_capacities_that_all_round_to_zero_fall_through_to_the_redraw():
     # 1999 shares of 1010 / 2000 round to 0, and the heavier task is above
-    # half the total weight: there is nothing to scale down
-    with pytest.raises(GenerationError, match="rounds to 0"):
-        _mcmkp_capacities([0.5] * 1999, [10, 1000], 2000)
-    # seeds 0-2 draw two unequal weights, and over 2000 agents every share
-    # rounds to 0 as well
+    # half the total weight: the last agent takes all of it, and the weight
+    # redraw is left to bring the heavier task under it
+    assert _mcmkp_capacities([0.5] * 1999, [10, 1000], 2000) \
+        == [0] * 1999 + [505]
+    # over 2000 agents every share of three tasks' weight rounds to 0
     for seed in range(3):
-        with pytest.raises(GenerationError, match="rounds to 0"):
-            generate_mcmkp(McmkpParams(agents=2000, tasks=2, seed=seed))
+        instance = generate_mcmkp(McmkpParams(agents=2000, tasks=3, seed=seed))
+        assert validate_instance(instance) == []
+        caps = [a.capacity for a in instance.agents]
+        assert caps[:-1] == [0] * 1999
+        assert caps[-1] == total_weight(instance) // 2
+
+
+def test_mcmkp_one_agent_takes_half_the_weight():
+    # the general split: no share is drawn, and the lone agent takes the
+    # residual, half the total weight; the instance is the one a separate
+    # one-agent rule gave
+    assert _mcmkp_capacities([], [10, 20, 35], 1) == [32]
+    instance = generate_mcmkp(McmkpParams(agents=1, tasks=12, seed=5))
+    assert [a.capacity for a in instance.agents] == [total_weight(instance) // 2]
+    text = dump_json(instance_to_dict(instance))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d96ba671385f09c7ac5f6e75f9d544ce58d8137fb07299fa2e82f9b10c8349d7")
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"agents": 0}, "at least one agent and one task"),
+    ({"tasks": 0}, "at least one agent and one task"),
+    ({"capacity_minutes": 0}, "capacity_minutes must be >= 1"),
+    ({"compat_fraction": 0.0}, "compat_fraction must be in"),
+    ({"compat_fraction": 1.5}, "compat_fraction must be in"),
+    ({"cycles": 0}, "cycles must be >= 1"),
+])
+def test_tcsa_params_check_themselves_when_built(change, message):
+    with pytest.raises(GenerationError, match=message):
+        TcsaParams(**change)
+
+
+@pytest.mark.parametrize("agent_p,task_p,cycles,message", [
+    (0.0, 0.5, 5, "agent_p must be in"),
+    (0.5, 0.0, 5, "task_p must be in"),
+    (1.5, 0.5, 5, "agent_p must be in"),
+    (0.5, 0.5, 0, "cycles must be >= 1"),
+])
+def test_bernoulli_trace_refuses_bad_parameters(agent_p, task_p, cycles,
+                                                message):
+    instance = generate_mcmkp(McmkpParams(agents=2, tasks=3, seed=1))
+    with pytest.raises(GenerationError, match=message):
+        generate_trace_bernoulli(instance, cycles, agent_p, task_p, seed=1)
 
 
 def test_bernoulli_trace_full_availability_and_default_cycles():
@@ -134,7 +177,7 @@ def test_bernoulli_trace_empirical_rate():
 
 
 def test_bernoulli_trace_never_empty_and_deterministic():
-    instance = generate_mcmkp(McmkpParams(agents=2, tasks=2, seed=3))
+    instance = generate_mcmkp(McmkpParams(agents=2, tasks=3, seed=3))
     trace = generate_trace_bernoulli(instance, 500, 0.3, 0.3, seed=3)
     assert validate_trace(trace, instance) == []
     again = generate_trace_bernoulli(instance, 500, 0.3, 0.3, seed=3)
@@ -313,23 +356,27 @@ def episodic_loop(instance, params) -> ScenarioTrace:
                 remaining = rng.randint(lo, hi)
         return out
 
+    sides = (("agent", instance.agent_ids), ("task", instance.task_ids))
     for attempt in range(100):
         sets = {}
-        for kind, ids in (("agent", instance.agent_ids),
-                          ("task", instance.task_ids)):
+        for kind, ids in sides:
             on = {x: series(kind, x, attempt) for x in ids}
             sets[kind] = [{x for x in ids if on[x][k]}
                           for k in range(params.cycles)]
         if all(sets["agent"]) and all(sets["task"]):
-            return ScenarioTrace(cycles=params.cycles,
-                                 available_agents=sets["agent"],
-                                 available_tasks=sets["task"],
-                                 seed=params.seed)
-    raise GenerationError("no attempt without an empty cycle")
+            break
+    else:  # the last attempt, each empty cycle k given entity k mod count
+        for kind, ids in sides:
+            for k, available in enumerate(sets[kind]):
+                if not available:
+                    available.add(ids[k % len(ids)])
+    return ScenarioTrace(cycles=params.cycles,
+                         available_agents=sets["agent"],
+                         available_tasks=sets["task"], seed=params.seed)
 
 
 @pytest.mark.parametrize("agents,tasks,p,seed", [
-    (12, 48, 1.0, 1), (12, 48, 0.75, 2), (2, 3, 0.3, 3), (5, 2, 0.2, 4)])
+    (12, 48, 1.0, 1), (12, 48, 0.75, 2), (2, 3, 0.3, 3), (5, 3, 0.2, 4)])
 def test_bernoulli_trace_matches_a_draw_loop(agents, tasks, p, seed):
     instance = generate_mcmkp(McmkpParams(agents=agents, tasks=tasks, seed=seed))
     trace = generate_trace_bernoulli(instance, 40, p, p, seed=seed)
@@ -342,11 +389,25 @@ def test_bernoulli_trace_matches_a_draw_loop(agents, tasks, p, seed):
     TcsaParams(agents=2, tasks=4, cycles=30, agent_unavail_fraction=0.4,
                task_unavail_fraction=0.3, seed=0),
     TcsaParams(agents=3, tasks=4, cycles=30, agent_unavail_fraction=0.0,
-               unavail_duration_range=(1, 1), seed=6)])
+               unavail_duration_range=(1, 1), seed=6),
+    # every attempt has an empty cycle, so the last one is repaired
+    TcsaParams(agents=1, tasks=3, cycles=30, seed=0),
+    TcsaParams(agents=4, tasks=10, cycles=365, seed=1)])
 def test_episodic_trace_matches_a_step_loop(params):
     instance = generate_tcsa(params)
-    assert generate_trace_episodic(instance, params) \
-        == episodic_loop(instance, params)
+    trace = generate_trace_episodic(instance, params)
+    assert trace == episodic_loop(instance, params)
+    assert validate_trace(trace, instance) == []
+
+
+def test_episodic_trace_that_needs_redraws_is_unchanged():
+    # attempts 0-59 each have a cycle with every agent or every task away;
+    # the digest is the one attempt 60 gave before traces could be repaired
+    params = TcsaParams(agents=2, tasks=3, cycles=60, seed=1)
+    trace = generate_trace_episodic(generate_tcsa(params), params)
+    digest = hashlib.sha256(trace_to_lines(trace).encode()).hexdigest()
+    assert digest == ("7166b7eec16ad35f6c50bbf0ecc7902c"
+                      "7abd721c14893bb82ef3e33e88f73dd6")
 
 
 def test_tcsa_trace_pickles_small():

@@ -1286,3 +1286,38 @@ def test_solver_positions_match_pairs(seed, nodes):
             proven_optimal=result.proven_optimal,
             nodes_explored=result.nodes_explored + 1,
             budget_exhausted=result.budget_exhausted)
+
+
+MALFORMED_PROBLEMS = [
+    ("agent_capacities", [5], "agent_capacities must have shape"),
+    ("weights", np.ones((3, 2), int), "weights must have shape"),
+    ("values", np.ones((2, 2)), "values must have shape"),
+    ("feasible_pairs", np.ones(3, bool), "feasible_pairs must have shape"),
+    ("agent_capacities", [5, -1], "capacities must be >= 0"),
+    ("weights", [[1, 0, 1], [1, 1, 1]], "weights must be positive"),
+    ("weights", [[1, 1, 1], [1, 1, -2]], "weights must be positive"),
+]
+
+
+@pytest.mark.parametrize("field,value,message", MALFORMED_PROBLEMS,
+                         ids=[f"{f}-{k}" for k, (f, _, _) in
+                              enumerate(MALFORMED_PROBLEMS)])
+def test_gap_problem_refuses_malformed_input(field, value, message):
+    ids = ("a0", "a1"), ("t0", "t1", "t2")
+    good = {"agent_capacities": [5, 5], "weights": np.ones((2, 3), int),
+            "values": np.ones((2, 3)), "feasible_pairs": np.ones((2, 3), bool)}
+    with pytest.raises(ValueError, match=message):
+        GapProblem(*ids, **{**good, field: value})
+    # off the feasible pairs a weight is never read
+    if message == "weights must be positive":
+        problem = GapProblem(*ids, **{**good, field: value,
+                                      "feasible_pairs": np.array(value) > 0})
+        assert solve(problem, AMPLE).objective == 3.0
+
+
+def test_local_search_refuses_a_start_that_assigns_a_task_twice(two_by_three):
+    start = Assignment(pairs={("a00", "t00"), ("a01", "t00")}, objective=6.0,
+                       proven_optimal=False, nodes_explored=0,
+                       budget_exhausted=False)
+    with pytest.raises(SolverError, match="task t00 assigned twice"):
+        local_search_improve(two_by_three, start, AMPLE)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from rotagap.affinity import init_affinities, max_affinity_pressure
-from rotagap.solver import GapProblem, brute_force_oracle
+from rotagap.engine import build_gap_problem
+from rotagap.solver import GapProblem, SolverBudget, brute_force_oracle, solve
 from rotagap.strategies import (ConfigError, StrategyConfig, compute_values,
-                                os_values, pc_values, wpp_values)
+                                pc_values, wpp_values)
 
 from conftest import make_instance, update_from_pairs, worked_example_fixture
 
@@ -63,6 +64,13 @@ def test_config_rejects_bad_specs(spec):
         StrategyConfig.parse(spec)
 
 
+def test_config_names_a_spec_whose_number_does_not_parse():
+    with pytest.raises(ConfigError, match="bad strategy spec 'os:abc'"):
+        StrategyConfig.parse("os:abc")
+    with pytest.raises(ConfigError, match="bad strategy spec 'pc:1:x'"):
+        StrategyConfig.parse("pc:1:x")
+
+
 def test_gamma_only_valid_for_os():
     with pytest.raises(ConfigError):
         StrategyConfig(kind="fop", gamma=10.0)
@@ -88,22 +96,28 @@ def test_foa_values_are_affinities(walkthrough_state):
     assert np.array_equal(vm, state.affinities.astype(float))
 
 
-def test_unavailable_rows_and_columns_are_zero(walkthrough_state):
-    instance, state = walkthrough_state
-    vm = values_for(StrategyConfig(kind="fop"), state, {"A", "B"}, {"T1", "T2"})
+def test_unavailable_pairs_keep_their_values_and_are_never_assigned(
+        walkthrough_state):
+    _, state = walkthrough_state
     mats = state.mats
-    assert vm[mats.agent_index["C"], :].sum() == 0
-    assert vm[:, mats.task_index["T3"]].sum() == 0
+    mask = mats.available_pairs({"A", "B"}, {"T1", "T2"})
+    vm = values_for(StrategyConfig(kind="fop"), state, {"A", "B"}, {"T1", "T2"})
+    # the formula on every pair: only the solver leaves the unusable ones out
+    assert np.array_equal(vm, mats.profits.astype(float))
+    assert vm[mats.agent_index["C"], mats.task_index["T3"]] == 1.0
+    rows, cols = solve(build_gap_problem(mats, vm, mask),
+                       SolverBudget.nodes(1000)).positions
+    assert len(cols) == 2 and mask[rows, cols].all()
 
 
 def test_pc_arithmetic():
     p = np.array([[5]])
     a = np.array([[3]])
-    assert pc_values(1, 1, p, a, full_mask((1, 1)))[0, 0] == 15.0
-    assert pc_values(2, 0, p, a, full_mask((1, 1)))[0, 0] == 25.0
-    assert pc_values(1, 1, p, np.array([[0]]), full_mask((1, 1)))[0, 0] == 0.0
+    assert pc_values(1, 1, p, a)[0, 0] == 15.0
+    assert pc_values(2, 0, p, a)[0, 0] == 25.0
+    assert pc_values(1, 1, p, np.array([[0]]))[0, 0] == 0.0
     # 0**0 == 1 keeps the special-case equivalences continuous
-    assert pc_values(0, 1, np.array([[0]]), a, full_mask((1, 1)))[0, 0] == 3.0
+    assert pc_values(0, 1, np.array([[0]]), a)[0, 0] == 3.0
 
 
 def test_pc_special_cases_match_fixed_objectives(walkthrough_state):
@@ -122,11 +136,11 @@ def test_pc_special_cases_match_fixed_objectives(walkthrough_state):
 def test_os_switches_on_threshold():
     p = np.array([[7, 2], [1, 9]])
     a = np.array([[1, 4], [2, 1]])
-    mask = full_mask((2, 2))
-    assert np.array_equal(os_values(10.0, p, a, mask, max_ap=-1.0),
+    config, mask = StrategyConfig(kind="os", gamma=10.0), full_mask((2, 2))
+    assert np.array_equal(compute_values(config, p, a, mask, max_ap=-1.0),
                           p.astype(float))
     # equality falls to the affinity branch
-    assert np.array_equal(os_values(10.0, p, a, mask, max_ap=10.0),
+    assert np.array_equal(compute_values(config, p, a, mask, max_ap=10.0),
                           a.astype(float))
 
 
@@ -200,10 +214,14 @@ def test_all_strategies_handle_empty_availability_mask():
     instance = make_instance({"A": 1, "B": 1}, {"T1": (5, 1, {"A"})})
     state = init_affinities(instance)
     for spec in ("fop", "foa", "os:10", "pc", "wpp"):
-        # T1's only agent is unavailable
+        # T1's only agent is unavailable, so no pair is usable
+        mask = state.mats.available_pairs({"B"}, {"T1"})
         vm = values_for(StrategyConfig.parse(spec), state, {"B"}, {"T1"})
         assert vm.dtype == np.float64 and vm.shape == (2, 1)
-        assert vm.sum() == 0.0
+        assert np.isfinite(vm).all() and (vm >= 0).all()
+        answer = solve(build_gap_problem(state.mats, vm, mask),
+                       SolverBudget.nodes(100))
+        assert answer.objective == 0.0 and not answer.pairs
 
 
 def test_strategies_are_pure(walkthrough_state):
