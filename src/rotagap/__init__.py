@@ -5,8 +5,7 @@ assignments toward rotation across compatible agents, via affinity tracking
 and pluggable profit/affinity combination strategies.
 """
 
-from .affinity import (AffinityState, init_affinities, max_affinity_pressure,
-                       update_affinities)
+from .affinity import AffinityState, init_affinities, update_affinities
 from .domain import (AgentSpec, Instance, InstanceMatrices, ScenarioTrace,
                      TaskSpec, validate_instance, validate_trace)
 from .engine import (CycleReport, RunReport, rotation_metrics, run_cycle,
@@ -19,7 +18,7 @@ from .solver import (Assignment, GapProblem, SolverBudget, SolverError,
                      branch_and_bound, brute_force_oracle, greedy_construct,
                      local_search_improve, solve)
 from .strategies import (ConfigError, StrategyConfig, compute_values,
-                         pc_values, wpp_values)
+                         max_affinity_pressure, pc_values, wpp_values)
 
 __version__ = "0.1.0"
 

@@ -1,20 +1,11 @@
-"""Affinity counting across cycles and the affinity pressure diagnostic.
+"""Affinity counting across cycles.
 
 The affinity ``a[i, j]`` counts the cycles since task j was last assigned to
 agent i.  It is 0 exactly for incompatible pairs, resets to 1 on assignment,
 increments while both sides were available but the pair went unassigned, and
 freezes while either side was unavailable.
 
-Affinity pressure (AP) compares a task's actual affinity sum against the
-ideal rotation, in which the affinities over c available compatible agents
-form {1, ..., c} and sum to the triangular number c*(c+1)/2:
-
-    AP = sum(a) / c - (c + 1) / 2
-
-AP is 0 under perfect rotation, negative during the first c cycles, and
-positive when assignments are overdue.  Only agents available in the current
-cycle enter the sum and the count, so adding or removing other tasks/agents
-leaves a task's AP unchanged.
+Affinity pressure, read from this state, is defined in :mod:`strategies`.
 """
 
 from dataclasses import dataclass
@@ -84,21 +75,3 @@ def update_affinities(state: AffinityState, prev_available: np.ndarray,
     return AffinityState(mats=mats, affinities=affinities,
                          assignment_counts=counts, cycle=state.cycle + 1)
 
-
-def max_affinity_pressure(state: AffinityState,
-                          available: np.ndarray) -> float:
-    """Maximum AP over the available tasks, each restricted to its available
-    compatible agents; ``available`` is the m x n mask of compatible pairs
-    whose agent and task are both available.
-
-    Tasks whose compatible agents are all unavailable are skipped (their AP
-    is undefined this cycle); if every task is skipped the result is 0.0.
-    """
-    counts = available.sum(axis=0)
-    usable = counts > 0
-    if not usable.any():
-        return 0.0
-    sums = np.where(available, state.affinities, 0).sum(axis=0)
-    c = counts[usable].astype(np.float64)
-    ap = sums[usable] / c - (c + 1.0) / 2.0
-    return float(ap.max())

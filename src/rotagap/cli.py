@@ -25,7 +25,7 @@ from .domain import validate_instance, validate_trace
 from .fileio import typed
 from .scenarios import GenerationError, McmkpParams, TcsaParams
 from .solver import SolverBudget
-from .strategies import STRATEGY_KINDS, ConfigError, StrategyConfig
+from .strategies import ConfigError, StrategyConfig, report_order
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,19 +56,6 @@ def seed_list(text: str) -> list[int]:
         return [int(s) for s in text.split(",")]
     except ValueError as exc:  # argparse names the flag
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def strategy_sort_key(label: str):
-    """Canonical table order: ``STRATEGY_KINDS``, os by rising gamma."""
-    kind = label.split("/", 1)[0]
-    rank = (*STRATEGY_KINDS, kind).index(kind)  # an unknown kind last
-    gamma = 0.0
-    if kind == "os" and "/" in label:
-        try:
-            gamma = float(label.split("/", 1)[1])
-        except ValueError:
-            gamma = 0.0
-    return (rank, gamma, label)
 
 
 def scenario_fields(cls) -> list[dataclasses.Field]:
@@ -140,13 +127,12 @@ def scenario_params(scenario: dict, seed: int, cycles: int | None):
 
 
 def load_files(scenario: dict):
-    """The instance and trace of a ``files`` scenario, checked together
-    and with the output file names; an error names the file's path."""
+    """The instance and trace of a ``files`` scenario, checked together;
+    an error names the file's path."""
     path = typed(scenario, "instance", "files scenario", str)
     trace_path = typed(scenario, "trace", "files scenario", str)
     try:
         instance = fileio.load_instance(path)
-        fileio.scenario_label(instance)
         path = trace_path
         trace = fileio.load_trace(path)
     except ValueError as exc:
@@ -177,7 +163,9 @@ def materialize_scenario(scenario: dict, seed: int, cycles: int | None,
                 params.task_availability, seed=seed)
     hook = scenarios.make_tcsa_priority_hook(instance, seed) \
         if redraw and not static_priorities else None
-    return instance, trace, hook, fileio.scenario_label(instance)
+    label = fileio.scenario_label(instance.metadata, len(instance.agents),
+                                  len(instance.tasks))
+    return instance, trace, hook, label
 
 
 def cmd_generate(args) -> int:
@@ -185,13 +173,14 @@ def cmd_generate(args) -> int:
         instance, trace, _, label = materialize_scenario(
             scenario_from_args(args), args.seed, args.cycles,
             static_priorities=True)
+        fileio.check_output_names(args.output_dir, label, [args.seed])
     except (ValueError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     os.makedirs(args.output_dir, exist_ok=True)
-    stem = f"{label}-seed{args.seed}"
-    instance_path = os.path.join(args.output_dir, f"{stem}.instance.json")
-    trace_path = os.path.join(args.output_dir, f"{stem}.trace.jsonl")
+    _, *names = fileio.output_names(label, args.seed)
+    instance_path, trace_path = (os.path.join(args.output_dir, name)
+                                 for name in names)
     fileio.save_instance(instance_path, instance)
     fileio.save_trace(trace_path, trace)
     for path in (instance_path, trace_path):
@@ -229,8 +218,9 @@ def resolve_config(raw: dict) -> tuple[dict, tuple | None]:
     each listed once, in the order first given.  The scenario's parameters,
     or its files, are checked here too, and so is each strategy's value
     range over them, so that a bad input is refused before any job
-    starts.  A files scenario's (instance, trace), read once here, comes
-    with it; a generated scenario has None."""
+    starts, and so are the output file names (an error names the files
+    scenario's instance path).  A files scenario's (instance, trace), read
+    once here, comes with it; a generated scenario has None."""
     unknown = sorted(set(raw) - set(RUN_CONFIG_FIELDS))
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
@@ -247,11 +237,14 @@ def resolve_config(raw: dict) -> tuple[dict, tuple | None]:
     files = None
     if scenario.get("name") == "files":
         instance, trace = files = load_files(scenario)
+        source = f"{scenario['instance']}: "
+        label_from = (instance.metadata, len(instance.agents),
+                      len(instance.tasks))
         if not seeds:
             seed = instance.metadata.get("seed", 0)
             if type(seed) is not int:  # as the loaders: no coercion
-                raise ConfigError(f"{scenario['instance']}: metadata 'seed' "
-                                  f"is not an integer: {seed!r}")
+                raise ConfigError(f"{source}metadata 'seed' is not an "
+                                  f"integer: {seed!r}")
             seeds = [seed]
         top = max((p for task in instance.tasks
                    for p in task.profits.values()), default=0)
@@ -260,6 +253,9 @@ def resolve_config(raw: dict) -> tuple[dict, tuple | None]:
         extent = (top, trace.cycles, len(instance.tasks))
     else:
         params = scenario_params(scenario, 0, cycles)
+        source = ""
+        label_from = ({"generator": scenario["name"], "params": vars(params)},
+                      params.agents, params.tasks)
         if isinstance(params, TcsaParams):
             run_cycles = params.cycles
         else:
@@ -274,13 +270,21 @@ def resolve_config(raw: dict) -> tuple[dict, tuple | None]:
         if "static_priorities" in raw else False
     if not raw.get("output_dir"):
         raise ConfigError("an output directory is required")
+    output_dir = typed(raw, "output_dir", "config", str)
+    seeds = seeds or [0]
+    try:
+        label = fileio.scenario_label(*label_from)
+        fileio.check_output_names(output_dir, label, seeds,
+                                  [s.file_label for s in strategies])
+    except ValueError as exc:
+        raise ConfigError(f"{source}{exc}") from None
     return {
         "scenario": scenario,
         "strategies": [s.spec for s in strategies],
         "budget": budget.spec,
         "cycles": cycles,
-        "seeds": seeds or [0],
-        "output_dir": typed(raw, "output_dir", "config", str),
+        "seeds": seeds,
+        "output_dir": output_dir,
         "workers": workers,
         "static_priorities": static,
     }, files
@@ -299,8 +303,10 @@ def execute_run(payload: dict) -> dict:
                                  priority_hook=hook)
     doc = fileio.run_report_to_dict(report, scenario=label, seed=seed,
                                     budget_mode=budget.mode, config=config)
+    stem, *names = fileio.output_names(label, seed, strategy.file_label)
     return {
-        "stem": f"{label}-{strategy.file_label}-seed{seed}",
+        "stem": stem,  # the benchmark's probe finds a job's files by it
+        "names": names,
         "report": doc,
         "cycle_lines": fileio.cycle_lines(report),
     }
@@ -373,20 +379,21 @@ def cmd_run(args) -> int:
             failures.append((where, seed, spec, exc))
 
     for result in results:
-        report_path = os.path.join(output_dir, f"{result['stem']}.report.json")
-        fileio.atomic_write_text(report_path, fileio.dump_json(result["report"]))
-        fileio.atomic_write_text(
-            os.path.join(output_dir, f"{result['stem']}.cycles.jsonl"),
-            result["cycle_lines"])
+        report_name, cycles_name = result["names"]
+        fileio.atomic_write_text(os.path.join(output_dir, report_name),
+                                 fileio.dump_json(result["report"]))
+        fileio.atomic_write_text(os.path.join(output_dir, cycles_name),
+                                 result["cycle_lines"])
 
     rows = []
     docs = [result["report"] for result in results]
-    fop_totals = {(d["scenario"], d["seed"]): d["total_profit"]
+    # every report of one run has the same scenario
+    fop_totals = {d["seed"]: d["total_profit"]
                   for d in docs if d["strategy"]["label"] == "fop"}
-    for doc in sorted(docs, key=lambda d: (d["scenario"], d["seed"],
-                                           strategy_sort_key(d["strategy"]["label"]))):
+    docs.sort(key=lambda d: (d["seed"], report_order(d["strategy"]["label"])))
+    for doc in docs:
         label = doc["strategy"]["label"]
-        fop_total = fop_totals.get((doc["scenario"], doc["seed"]))
+        fop_total = fop_totals.get(doc["seed"])
         if not fop_total:
             failures.append((doc["scenario"], doc["seed"], label, RuntimeError(
                 "no usable fop baseline; cannot compute profit percentages")))
@@ -424,7 +431,7 @@ def cmd_report(args) -> int:
         return EXIT_REPORT
 
     scenarios_seen = sorted({r["scenario"] for r in rows})
-    strategies_seen = sorted({r["strategy"] for r in rows}, key=strategy_sort_key)
+    strategies_seen = sorted({r["strategy"] for r in rows}, key=report_order)
     by_scenario_strategy: dict[tuple[str, str], list[dict]] = {}
     for row in rows:
         by_scenario_strategy.setdefault((row["scenario"], row["strategy"]), []).append(row)
@@ -461,7 +468,7 @@ def cmd_report(args) -> int:
     metrics = ("total_profit", "profit_pct_of_fop", "full_rotations",
                "avg_rotations_per_task")
     for row in sorted(rows, key=lambda r: (r["scenario"], int(r["seed"]),
-                                           strategy_sort_key(r["strategy"]))):
+                                           report_order(r["strategy"]))):
         for metric in metrics:
             long_rows.append([row["scenario"], row["strategy"], row["seed"],
                               metric, row[metric]])

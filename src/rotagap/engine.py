@@ -15,11 +15,10 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .affinity import AffinityState, init_affinities, max_affinity_pressure, \
-    update_affinities
+from .affinity import AffinityState, init_affinities, update_affinities
 from .domain import Instance, InstanceMatrices, ScenarioTrace
 from .solver import Assignment, GapProblem, SolverBudget, solve
-from .strategies import StrategyConfig, compute_values
+from .strategies import StrategyConfig, compute_values, max_affinity_pressure
 
 log = logging.getLogger(__name__)
 

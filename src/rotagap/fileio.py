@@ -38,8 +38,13 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
+def _temp_name(path: str) -> str:
+    """The name :func:`atomic_write_text` writes ``path``'s text to first."""
+    return f"{path}.tmp{os.getpid()}"
+
+
 def atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp{os.getpid()}"
+    tmp = _temp_name(path)
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -108,12 +113,20 @@ def typed(record, key: str, where: str, kind):
     return value
 
 
+def _int64(record, key: str, where: str) -> int:
+    """``record[key]``, an integer that int64 holds, as the matrices do."""
+    value = typed(record, key, where, int)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{where}: {key!r} is outside int64: {value}")
+    return value
+
+
 def _expand_map(task: dict, key: str, compatible: Iterable[str],
                 where: str) -> dict[str, int]:
     value = _field(task, key, where)
     if isinstance(value, dict):
-        return {a: typed(value, a, f"{where} {key}", int) for a in value}
-    return dict.fromkeys(compatible, typed(task, key, where, int))
+        return {a: _int64(value, a, f"{where} {key}") for a in value}
+    return dict.fromkeys(compatible, _int64(task, key, where))
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -140,7 +153,7 @@ def instance_from_dict(data: dict) -> Instance:
         where = f"instance agent {k}"
         agents.append(AgentSpec(
             id=typed(a, "id", where, str),
-            capacity=typed(a, "capacity", where, int)))
+            capacity=_int64(a, "capacity", where)))
     tasks = []
     for k, t in enumerate(typed(data, "tasks", "instance", list)):
         where = f"instance task {k}"
@@ -216,20 +229,55 @@ def load_trace(path: str) -> ScenarioTrace:
         return trace_from_lines(fh.read())
 
 
-def scenario_label(instance: Instance) -> str:
-    """The scenario part of a run's output file names, from the instance's
-    metadata; ``ValueError`` when the metadata cannot give one."""
-    meta = instance.metadata
-    generator = meta.get("generator", "custom")
-    label = f"{generator}-{len(instance.agents)}x{len(instance.tasks)}"
-    params = typed(meta, "params", "metadata", dict) if "params" in meta else {}
+def scenario_label(metadata: dict, agents: int, tasks: int) -> str:
+    """The scenario part of output file names, from an instance's metadata
+    and size; ``ValueError`` when the metadata cannot give one."""
+    label = f"{metadata.get('generator', 'custom')}-{agents}x{tasks}"
+    params = typed(metadata, "params", "metadata", dict) \
+        if "params" in metadata else {}
     correlation = params.get("correlation")
     if correlation:
         label += f"-{correlation}"
-    if "/" in label or "\0" in label:
-        raise ValueError(f"metadata gives the scenario label {label!r}, "
-                         f"which cannot be part of a file name")
     return label
+
+
+def output_names(scenario: str, seed: int,
+                 strategy: str | None = None) -> tuple[str, str, str]:
+    """The stem of one seed's output and the names of its two files: a
+    generated scenario's instance and trace or, given a strategy's file
+    label, that job's report and per-cycle series."""
+    if strategy is None:
+        stem = f"{scenario}-seed{seed}"
+        return stem, f"{stem}.instance.json", f"{stem}.trace.jsonl"
+    stem = f"{scenario}-{strategy}-seed{seed}"
+    return stem, f"{stem}.report.json", f"{stem}.cycles.jsonl"
+
+
+def check_output_names(directory: str, scenario: str, seeds: Iterable[int],
+                       strategies: Iterable[str | None] = (None,)) -> None:
+    """Refuse, with a ``ValueError`` naming the label and seed, the
+    :func:`output_names` that ``directory`` cannot hold: a label holding
+    ``/`` or NUL, or a name whose temporary form is longer than the
+    ``PC_NAME_MAX`` bytes of the directory's nearest existing ancestor
+    (255 where that cannot be read)."""
+    if "/" in scenario or "\0" in scenario:
+        raise ValueError(f"metadata gives the scenario label {scenario!r}, "
+                         f"which cannot be part of a file name")
+    path = os.path.abspath(directory)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    try:
+        limit = os.pathconf(path, "PC_NAME_MAX")  # -1: no limit
+    except (OSError, ValueError):
+        limit = 255
+    for seed in seeds:
+        for strategy in strategies:
+            for name in output_names(scenario, seed, strategy)[1:]:
+                if 0 < limit < len(os.fsencode(_temp_name(name))):
+                    raise ValueError(
+                        f"the scenario label {scenario!r} with seed {seed} "
+                        f"gives the file name {name!r}, longer than the "
+                        f"{limit} bytes that {directory} allows")
 
 
 def run_report_to_dict(report, *, scenario: str, seed: int, budget_mode: str,

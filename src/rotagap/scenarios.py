@@ -52,14 +52,12 @@ def derive_seed(root: int, *parts) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _jsonable(value):
-    """Metadata must survive a JSON round-trip unchanged, so containers are
-    normalized to their JSON shapes up front."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _metadata(generator: str, params) -> dict:
+    """An instance's metadata: its generator, seed and parameters, each
+    range tuple as the list that a JSON round-trip gives back."""
+    fields = {k: list(v) if isinstance(v, tuple) else v
+              for k, v in asdict(params).items()}
+    return {"generator": generator, "seed": params.seed, "params": fields}
 
 
 def _agent_id(i: int, m: int) -> str:
@@ -218,9 +216,8 @@ def generate_mcmkp(params: McmkpParams) -> Instance:
         compatible = {a.id for a in agents if weights[j] <= a.capacity}
         tasks.append(TaskSpec.uniform(_task_id(j, n), profit=profits[j],
                                       weight=weights[j], compatible=compatible))
-    metadata = {"generator": "mcmkp", "seed": params.seed,
-                "params": _jsonable(asdict(params))}
-    return Instance(agents=agents, tasks=tuple(tasks), metadata=metadata)
+    return Instance(agents=agents, tasks=tuple(tasks),
+                    metadata=_metadata("mcmkp", params))
 
 
 def generate_tcsa(params: TcsaParams) -> Instance:
@@ -245,9 +242,8 @@ def generate_tcsa(params: TcsaParams) -> Instance:
         priority = p_rng.randint(_PROFIT_LO, _PROFIT_HI)
         tasks.append(TaskSpec.uniform(_task_id(j, n), profit=priority,
                                       weight=runtime, compatible=compatible))
-    metadata = {"generator": "tcsa", "seed": params.seed,
-                "params": _jsonable(asdict(params))}
-    return Instance(agents=agents, tasks=tuple(tasks), metadata=metadata)
+    return Instance(agents=agents, tasks=tuple(tasks),
+                    metadata=_metadata("tcsa", params))
 
 
 def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
@@ -294,18 +290,29 @@ def make_tcsa_priority_hook(instance: Instance, seed: int):
     return functools.partial(_tcsa_priorities, seed, tuple(instance.task_ids))
 
 
+def _fill_empty_cycles(available: np.ndarray) -> None:
+    """Repair one side of a trace, a row per cycle and a column per entity:
+    each cycle ``k`` (0-based) with no entity available gets entity
+    ``k mod count`` back."""
+    empty = np.flatnonzero(~available.any(axis=1))
+    available[empty, empty % available.shape[1]] = True
+
+
 def generate_trace_bernoulli(instance: Instance, cycles: int | None,
                              agent_p: float, task_p: float,
                              seed: int) -> ScenarioTrace:
     """Independent per-cycle availability: each entity is available with its
     probability every cycle.  ``cycles=None`` defaults to
-    ``CYCLES_PER_TASK`` times the task count.  Cycles with no available
-    agent or task are redrawn."""
+    ``CYCLES_PER_TASK`` times the task count.  A cycle with no available
+    agent or task is redrawn, up to 1,000 times; if the last draw still
+    has a side empty, it is repaired (:func:`_fill_empty_cycles`)."""
     for name, p in (("agent_p", agent_p), ("task_p", task_p)):
         if not (0.0 < p <= 1.0):
             raise GenerationError(f"{name} must be in (0, 1], got {p}")
     agent_ids = instance.agent_ids
     task_ids = instance.task_ids
+    if not (agent_ids and task_ids):
+        raise GenerationError("need at least one agent and one task")
     if cycles is None:
         cycles = CYCLES_PER_TASK * len(task_ids)
     if cycles < 1:
@@ -316,14 +323,12 @@ def generate_trace_bernoulli(instance: Instance, cycles: int | None,
     for _ in range(cycles):
         for _attempt in range(1000):
             row = [rng.random() for _ in range(width)]
-            # p <= 1, so an empty side never counts as available
-            if min(row[:m], default=1.0) < agent_p \
-                    and min(row[m:], default=1.0) < task_p:
+            if min(row[:m]) < agent_p and min(row[m:]) < task_p:
                 break
-        else:
-            raise GenerationError("could not draw a non-empty availability cycle")
         draws.append(row)
     masks = np.array(draws) < np.array([agent_p] * m + [task_p] * len(task_ids))
+    _fill_empty_cycles(masks[:, :m])
+    _fill_empty_cycles(masks[:, m:])
     return ScenarioTrace(cycles=cycles,
                          available_agents=IdSets(agent_ids, masks[:, :m]),
                          available_tasks=IdSets(task_ids, masks[:, m:]),
@@ -338,10 +343,6 @@ def episode_entry_probability(unavail_fraction: float, mean_duration: float) -> 
     mean duration d; the unavailable fraction is d / (1/q + d), which equals f
     for q = f / (d * (1 - f)).
     """
-    if unavail_fraction <= 0.0:
-        return 0.0
-    if unavail_fraction >= 1.0:
-        raise GenerationError("unavailable fraction must be < 1")
     return unavail_fraction / (mean_duration * (1.0 - unavail_fraction))
 
 
@@ -365,8 +366,8 @@ def generate_trace_episodic(instance: Instance, params: TcsaParams) -> ScenarioT
     unavailability episode of U{3..7} cycles (configurable) with the entry
     probability that yields the target long-run unavailable fraction.  The
     whole trace is redrawn, up to 100 times, while a cycle has every agent
-    or every task away; if the last draw still does, each such cycle ``k``
-    (0-based) gets entity ``k mod count`` of that side back."""
+    or every task away; if the last draw still does, it is repaired
+    (:func:`_fill_empty_cycles`)."""
     dur_lo, dur_hi = params.unavail_duration_range
     mean_dur = (dur_lo + dur_hi) / 2.0
     q_agent = episode_entry_probability(params.agent_unavail_fraction, mean_dur)
@@ -390,9 +391,8 @@ def generate_trace_episodic(instance: Instance, params: TcsaParams) -> ScenarioT
         if agents.any(axis=1).all() and tasks.any(axis=1).all():
             break
     else:
-        for side in (agents, tasks):
-            empty = np.flatnonzero(~side.any(axis=1))
-            side[empty, empty % side.shape[1]] = True
+        _fill_empty_cycles(agents)
+        _fill_empty_cycles(tasks)
     return ScenarioTrace(cycles=cycles,
                          available_agents=IdSets(instance.agent_ids, agents),
                          available_tasks=IdSets(instance.task_ids, tasks),

@@ -404,6 +404,7 @@ class _Work:
                           ids=(self.problem.agent_ids, self.problem.task_ids))
 
     def from_assignment(self, assignment: Assignment) -> np.ndarray:
+        """``assignment`` in index space, checked by :func:`_verify`."""
         agent_index = {a: i for i, a in enumerate(self.problem.agent_ids)}
         task_index = {t: j for j, t in enumerate(self.problem.task_ids)}
         assigned = np.full(self.n, -1, dtype=np.int64)
@@ -412,6 +413,7 @@ class _Work:
             if assigned[j] >= 0:
                 raise SolverError(f"task {task_id} assigned twice")
             assigned[j] = agent_index[agent_id]
+        _verify(self.problem, *_positions(assigned))
         return assigned
 
 
@@ -637,9 +639,10 @@ def _scan(clock: _BudgetClock, best: float, block, rows):
 
 
 def _local_search(work: _Work, assigned: np.ndarray,
-                  clock: _BudgetClock) -> np.ndarray:
+                  clock: _BudgetClock) -> tuple[np.ndarray, bool]:
     """Best-improvement over insert / shift / exchange / swap moves until a
     local optimum or budget exhaustion; the objective never decreases.
+    Returns the assignment and False, since a local optimum proves nothing.
 
     Exchange replaces an assigned task with an unassigned one on the same
     agent; without it, full agents are frozen and tight knapsack-style
@@ -679,7 +682,19 @@ def _local_search(work: _Work, assigned: np.ndarray,
                     rem[i] -= weights[i, j]
                 assigned[j] = i
         if cut or move is None:
-            return assigned
+            return assigned, False
+
+
+def _improve(phase, problem: GapProblem, start: Assignment,
+             budget: SolverBudget) -> Assignment:
+    """Run ``phase`` (:func:`_local_search` or :func:`_branch_and_bound`)
+    from the checked ``start`` on a clock of its own."""
+    work = _Work(problem)
+    assigned = work.from_assignment(start)
+    clock = _BudgetClock(budget)
+    best, completed = phase(work, assigned, clock)
+    return work.to_assignment(best, proven=completed, nodes=clock.used,
+                              exhausted=clock.exhausted)
 
 
 def local_search_improve(problem: GapProblem, start: Assignment,
@@ -687,13 +702,7 @@ def local_search_improve(problem: GapProblem, start: Assignment,
     """Improve a feasible assignment; returns when no improving move exists
     or the budget runs out.  One work unit per charged candidate move (see
     the module docstring)."""
-    work = _Work(problem)
-    assigned = work.from_assignment(start)
-    _verify(problem, *_positions(assigned))
-    clock = _BudgetClock(budget)
-    assigned = _local_search(work, assigned, clock)
-    return work.to_assignment(assigned, proven=False, nodes=clock.used,
-                              exhausted=clock.exhausted)
+    return _improve(_local_search, problem, start, budget)
 
 
 def _branch_and_bound(work: _Work, incumbent: np.ndarray,
@@ -848,13 +857,7 @@ def branch_and_bound(problem: GapProblem, incumbent: Assignment,
                      budget: SolverBudget) -> Assignment:
     """Exact search from a feasible incumbent; anytime under the budget.
     ``proven_optimal`` is set only if the tree was exhausted in budget."""
-    work = _Work(problem)
-    start = work.from_assignment(incumbent)
-    _verify(problem, *_positions(start))
-    clock = _BudgetClock(budget)
-    best, completed = _branch_and_bound(work, start, clock)
-    return work.to_assignment(best, proven=completed, nodes=clock.used,
-                              exhausted=clock.exhausted)
+    return _improve(_branch_and_bound, problem, incumbent, budget)
 
 
 def root_upper_bound(problem: GapProblem) -> float:
@@ -897,7 +900,7 @@ def solve(problem: GapProblem, budget: SolverBudget) -> Assignment:
     clock = _BudgetClock(budget)
     assigned = _greedy(work)
     _verify(problem, *_positions(assigned))
-    assigned = _local_search(work, assigned, clock)
+    assigned, _ = _local_search(work, assigned, clock)
     _verify(problem, *_positions(assigned))
     best, completed = _branch_and_bound(work, assigned, clock)
     result = work.to_assignment(best, proven=completed, nodes=clock.used,

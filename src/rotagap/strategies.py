@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# not called here: the benchmark's probe (perfbench/probe.py) wraps this name
-from .affinity import max_affinity_pressure  # noqa: F401
+from .affinity import AffinityState
 from .domain import spec_number
 
 # in the order of the report tables
@@ -122,6 +121,41 @@ class StrategyConfig:
         return config
 
 
+def report_order(label: str) -> tuple:
+    """Table order of a report label: ``STRATEGY_KINDS``, os by rising
+    gamma, then the label; one that parses as no strategy comes last."""
+    try:
+        config = StrategyConfig.parse(label.replace("/", ":"))
+    except ConfigError:
+        return (len(STRATEGY_KINDS), 0.0, label)
+    return (STRATEGY_KINDS.index(config.kind), config.gamma or 0.0, label)
+
+
+def _available_affinity(affinities: np.ndarray,
+                        mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per task: the count of ``mask``'s agents and their affinity sum."""
+    return mask.sum(axis=0), np.where(mask, affinities, 0).sum(axis=0)
+
+
+def max_affinity_pressure(state: AffinityState,
+                          available: np.ndarray) -> float:
+    """The largest affinity pressure (AP) among the tasks, each over its c
+    available compatible agents (``available``, the cycle's m x n mask):
+    ``AP = sum(a) / c - (c + 1) / 2``.  Under perfect rotation their
+    affinities are {1, ..., c}, so AP is 0; it is negative during the first
+    c cycles and positive when assignments are overdue.  Only this cycle's
+    available agents count, so other tasks and agents leave a task's AP
+    unchanged.  Tasks with no such agent are skipped; if none is left the
+    result is 0.0."""
+    counts, sums = _available_affinity(state.affinities, available)
+    usable = counts > 0
+    if not usable.any():
+        return 0.0
+    c = counts[usable].astype(np.float64)
+    ap = sums[usable] / c - (c + 1.0) / 2.0
+    return float(ap.max())
+
+
 def pc_values(alpha: float, beta: float, profits: np.ndarray,
               affinities: np.ndarray) -> np.ndarray:
     """Product combination ``p**alpha * a**beta`` elementwise; 0**0 == 1 so
@@ -152,8 +186,8 @@ def wpp_values(profits: np.ndarray, affinities: np.ndarray,
         raise ValueError(
             f"wpp needs positive profit and affinity maxima over available "
             f"pairs (got max profit {max_p}, max affinity {max_a})")
-    counts = mask.sum(axis=0).astype(np.float64)
-    sums = np.where(mask, affinities, 0).sum(axis=0).astype(np.float64)
+    counts, sums = (x.astype(np.float64)
+                    for x in _available_affinity(affinities, mask))
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.where(sums > 0, (counts * (counts + 1) / 2.0) / sums, 0.0)
     v = lam[None, :] * (profits / max_p) + (1.0 - lam[None, :]) * (affinities / max_a)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotagap.affinity import init_affinities, max_affinity_pressure
+from rotagap.affinity import init_affinities
+from rotagap.strategies import max_affinity_pressure
 
 from conftest import make_instance, update_from_pairs, worked_example_fixture
 

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -370,6 +372,11 @@ MALFORMED_FILES = [
      "instance task 1: 'weight' is not an integer: '7'"),
     ("instance", set_in(("tasks", 2, "profit"), True),
      "instance task 2: 'profit' is not an integer: True"),
+    # the matrices hold int64, so a larger integer is refused when read
+    ("instance", set_in(("agents", 0, "capacity"), 2**70),
+     f"instance agent 0: 'capacity' is outside int64: {2**70}"),
+    ("instance", set_in(("tasks", 1, "profit"), 2**63),
+     f"instance task 1: 'profit' is outside int64: {2**63}"),
     ("instance", set_in(("tasks", 0, "profit"), {"A02": 2.0}),
      "instance task 0 profit: 'A02' is not an integer: 2.0"),
     ("instance", set_in(("agents", 1, "id"), 5),
@@ -995,3 +1002,141 @@ def test_config_without_an_output_directory_is_refused(tmp_path, capsys):
     assert run_cli("run", "--config", str(config)) == 2
     assert capsys.readouterr().err == \
         "error: an output directory is required\n"
+
+
+def files_naming(tmp_path, generator: str) -> list[str]:
+    """The --instance/--trace arguments of a 2x3 mcmkp instance whose
+    metadata names ``generator``, so its label is
+    ``{generator}-2x3-uncorrelated``."""
+    gen = tmp_path / "gen"
+    if not gen.exists():
+        assert run_cli("generate", "--scenario", "mcmkp", "--agents", "2",
+                       "--tasks", "3", "--cycles", "4", "--seed", "1",
+                       "-o", str(gen)) == 0
+    stem = gen / "mcmkp-2x3-uncorrelated-seed1"
+    doc = json.loads((gen / f"{stem.name}.instance.json").read_text())
+    doc["metadata"]["generator"] = generator
+    path = tmp_path / f"{len(generator)}.instance.json"
+    path.write_text(json.dumps(doc))
+    return ["--instance", str(path), "--trace", f"{stem}.trace.jsonl"]
+
+
+def test_files_run_whose_file_names_are_too_long_is_refused(tmp_path,
+                                                            capsys):
+    # the longest name is a job's per-cycle series (foa and fop alike), as
+    # the temporary file it is written to first
+    tail = f"-2x3-uncorrelated-foa-seed1.cycles.jsonl.tmp{os.getpid()}"
+    fits = "g" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(tail))
+    argv = ["--strategies", "foa", "--budget", "nodes:10"]
+    out = tmp_path / "fits"
+    assert run_cli("run", *files_naming(tmp_path, fits), *argv,
+                   "-o", str(out)) == 0
+    assert (out / f"{fits}-2x3-uncorrelated-foa-seed1.cycles.jsonl").exists()
+    for generator in (fits + "g", "g" * 300):
+        out = tmp_path / "long"
+        capsys.readouterr()
+        assert run_cli("run", *files_naming(tmp_path, generator), *argv,
+                       "-o", str(out)) == 2
+        assert f"the scenario label '{generator}-2x3-uncorrelated' with " \
+            f"seed 1 gives the file name" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_seed_too_long_for_a_file_name_is_refused(tmp_path, capsys):
+    seed = "1" + "0" * 260
+    mcmkp = ["--scenario", "mcmkp", "--agents", "3", "--tasks", "4",
+             "--cycles", "2"]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli("run", *mcmkp, "--seeds", seed, "--strategies", "foa",
+                   "--budget", "nodes:50", "-o", str(out)) == 2
+    assert f"with seed {seed} gives" in capsys.readouterr().err
+    assert run_cli("generate", *mcmkp, "--seed", seed, "-o", str(out)) == 2
+    assert f"with seed {seed} gives" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rare_bernoulli_availability_still_runs(tmp_path):
+    # at 0.0005 every draw of a cycle leaves a side empty, so each cycle's
+    # last draw is repaired, as episodic traces are
+    out = tmp_path / "run"
+    assert run_cli("run", "--scenario", "mcmkp", "--agents", "3",
+                   "--tasks", "4", "--agent-availability", "0.0005",
+                   "--cycles", "5", "--seeds", "1", "--strategies", "foa",
+                   "--budget", "nodes:50", "-o", str(out)) == 0
+    rows = fileio.read_summary(str(out / "summary.csv"))
+    assert {r["cycles"] for r in rows} == {"5"}
+
+
+def test_config_with_an_unknown_scenario_is_refused(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, "scenario": {"name": "xyz"}}))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert run_cli("run", "--config", str(config), "-o", str(out)) == 2
+    assert capsys.readouterr().err == "error: unknown scenario 'xyz'\n"
+    assert not out.exists()
+
+
+def test_files_tcsa_overflow_check_counts_the_redraw_ceiling(tmp_path):
+    # every priority of the file is 1, so pc:200:1 stays finite on them;
+    # a tcsa run redraws priorities up to 1000 each cycle, and 1000**200
+    # overflows
+    gen = tmp_path / "gen"
+    assert run_cli("generate", "--scenario", "tcsa", "--agents", "3",
+                   "--tasks", "6", "--cycles", "4", "--seed", "2",
+                   "-o", str(gen)) == 0
+    path = gen / "tcsa-3x6-seed2.instance.json"
+    doc = json.loads(path.read_text())
+    for task in doc["tasks"]:
+        task["profit"] = 1
+    path.write_text(json.dumps(doc))
+    argv = ["--instance", str(path), "--trace",
+            str(gen / "tcsa-3x6-seed2.trace.jsonl"), "--budget", "nodes:10"]
+    out = tmp_path / "overflow"
+    assert run_cli("run", *argv, "--strategies", "pc:200:1",
+                   "-o", str(out)) == 2
+    assert not out.exists()
+    doc["metadata"]["generator"] = "custom"
+    path.write_text(json.dumps(doc))
+    assert run_cli("run", *argv, "--strategies", "pc:200:1",
+                   "-o", str(out)) == 0
+
+
+def test_report_leaves_a_cell_blank_without_rows(tmp_path):
+    summaries = []
+    for agents, strategies in (("2", "foa"), ("3", "pc")):
+        out = tmp_path / f"run{agents}"
+        assert run_cli("run", "--scenario", "mcmkp", "--agents", agents,
+                       "--tasks", "4", "--cycles", "2", "--strategies",
+                       strategies, "--budget", "nodes:50", "-o", str(out)) == 0
+        summaries.append(str(out / "summary.csv"))
+    tables = tmp_path / "tables"
+    assert run_cli("report", "--summary", *summaries, "-o", str(tables)) == 0
+    for name in ("rotation_table.csv", "profit_table.csv"):
+        with open(tables / name, encoding="utf-8", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == ["strategy", "mcmkp-2x4-uncorrelated",
+                            "mcmkp-3x4-uncorrelated"]
+        cells = {row[0]: row[1:] for row in table[1:]}
+        assert list(cells) == ["foa", "pc", "fop"]
+        assert cells["foa"][1] == "" and cells["pc"][0] == ""
+        assert "" not in cells["foa"][:1] + cells["pc"][1:] + cells["fop"]
+
+
+def test_verbose_run_logs_one_line_per_cycle(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "rotagap.cli", "run", "--scenario", "mcmkp",
+         "--agents", "2", "--tasks", "4", "--cycles", "3", "--strategies",
+         "foa", "--budget", "nodes:50", "--verbose",
+         "-o", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stderr.splitlines()
+             if line.startswith("rotagap.engine: cycle ")]
+    # two jobs (foa and the fop baseline) of three cycles each
+    assert [line.split()[2:4] for line in lines] == [
+        [str(k), f"strategy={label}"] for label in ("foa", "fop")
+        for k in (1, 2, 3)]

@@ -220,12 +220,17 @@ def test_read_summary_enforces_schema(tmp_path):
         fileio.read_summary(str(path))
 
 
+def label_of(instance) -> str:
+    return fileio.scenario_label(instance.metadata, len(instance.agents),
+                                 len(instance.tasks))
+
+
 def test_scenario_label():
     instance = generate_mcmkp(McmkpParams(agents=12, tasks=48,
                                           correlation="weakly_correlated", seed=1))
-    assert fileio.scenario_label(instance) == "mcmkp-12x48-weakly_correlated"
+    assert label_of(instance) == "mcmkp-12x48-weakly_correlated"
     tcsa = generate_tcsa(TcsaParams(agents=5, tasks=9, seed=1))
-    assert fileio.scenario_label(tcsa) == "tcsa-5x9"
+    assert label_of(tcsa) == "tcsa-5x9"
 
 
 @pytest.mark.parametrize("spec", ["fop", "os:10", "pc:2:0.5"])
@@ -269,8 +274,62 @@ def test_trace_cycles_out_of_order_are_refused():
      "cannot be part of a file name"),
 ])
 def test_scenario_label_refuses_metadata_that_cannot_name_files(metadata,
-                                                                message):
+                                                                message,
+                                                                tmp_path):
     instance, _ = worked_example_fixture()
     instance = dataclasses.replace(instance, metadata=metadata)
     with pytest.raises(ValueError, match=message):
-        fileio.scenario_label(instance)
+        fileio.check_output_names(str(tmp_path), label_of(instance), [0])
+
+
+def test_instance_integers_must_fit_int64():
+    instance, _ = worked_example_fixture()
+    doc = fileio.instance_to_dict(instance)
+    top = 2**63 - 1
+    doc["agents"][0]["capacity"] = top
+    doc["tasks"][0].update(weight=top, profit=top)
+    loaded = fileio.instance_from_dict(doc)
+    assert loaded.agents[0].capacity == top
+    assert set(loaded.tasks[0].weights.values()) == {top}
+    assert set(loaded.tasks[0].profits.values()) == {top}
+    for record, key, value, where in [
+            ("agents", "capacity", 2**70, "instance agent 0"),
+            ("tasks", "weight", 2**63, "instance task 0"),
+            ("tasks", "profit", 2**63, "instance task 0"),
+            ("tasks", "profit", {"A": 2**63, "B": 1}, "instance task 0 profit"),
+            ("tasks", "weight", -2**63 - 1, "instance task 0")]:
+        bad = json.loads(json.dumps(doc))
+        bad[record][0][key] = value
+        field = "A" if isinstance(value, dict) else key
+        number = value["A"] if isinstance(value, dict) else value
+        with pytest.raises(ValueError) as exc:
+            fileio.instance_from_dict(bad)
+        assert str(exc.value) == \
+            f"{where}: {field!r} is outside int64: {number}"
+
+
+def test_output_names_are_checked_against_the_name_limit(tmp_path):
+    limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+    # a directory yet to be made is judged by its nearest existing ancestor
+    directory = str(tmp_path / "a" / "b")
+    tail = f"-os-10-seed7.cycles.jsonl.tmp{os.getpid()}"
+    label = "x" * (limit - len(tail))
+    fileio.check_output_names(directory, label, [7], ["fop", "os-10"])
+    with pytest.raises(ValueError, match="with seed 17 gives the file name"):
+        fileio.check_output_names(directory, label, [7, 17], ["os-10"])
+    # a generated scenario's longest name, its instance, is 5 bytes shorter
+    fileio.check_output_names(directory, label + "x" * 5, [7])
+    with pytest.raises(ValueError, match="longer than"):
+        fileio.check_output_names(directory, label + "x" * 6, [7])
+    assert not os.path.exists(tmp_path / "a")
+
+
+@pytest.mark.parametrize("label,message", [
+    ("a/b", "cannot be part of a file name"),
+    ("a\0b", "cannot be part of a file name"),
+    # UnicodeEncodeError is a ValueError, so the CLI exits 2 on it too
+    ("a\ud800b", "surrogates not allowed")])
+def test_labels_that_cannot_be_file_names_are_refused(tmp_path, label,
+                                                      message):
+    with pytest.raises(ValueError, match=message):
+        fileio.check_output_names(str(tmp_path), label, [1])

@@ -132,6 +132,34 @@ def test_every_public_name_is_used():
     assert sorted(defined - used) == []
 
 
+def process_state(path: str) -> set[str]:
+    """The functions of a file, as ``module.function``, that hold a
+    ``global`` statement or are cached by ``functools.lru_cache`` or
+    ``functools.cache``: state that outlives a call."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    module = os.path.basename(path)[:-3]
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        cached = any(getattr(d, "attr", getattr(d, "id", None))
+                     in ("lru_cache", "cache") for d in decorators)
+        if cached or any(isinstance(inner, ast.Global)
+                         for inner in ast.walk(node)):
+            found.add(f"{module}.{node.name}")
+    return found
+
+
+def test_no_new_process_wide_state():
+    """Only the two pieces of state that a per-run solver session is to
+    replace (ROADMAP item 3) keep anything between calls."""
+    found = set().union(*map(process_state, package_files()))
+    assert sorted(found) == ["solver._ranks", "solver.solve"]
+
+
 def test_package_imports_and_runs_without_scipy(tmp_path):
     # a None entry in sys.modules makes every import of scipy fail
     script = textwrap.dedent("""

@@ -260,8 +260,6 @@ def test_tcsa_priority_hook_matches_a_randint_loop(seed):
 def test_entry_probability_formula():
     assert episode_entry_probability(0.0, 5.0) == 0.0
     assert episode_entry_probability(0.4, 5.0) == pytest.approx(0.4 / (5 * 0.6))
-    with pytest.raises(GenerationError):
-        episode_entry_probability(1.0, 5.0)
 
 
 def episodes(series: list[bool]) -> list[int]:
@@ -324,13 +322,17 @@ def bernoulli_loop(instance, cycles, agent_p, task_p, seed) -> ScenarioTrace:
     """``generate_trace_bernoulli`` as one draw per entity and cycle, into
     sets of ids."""
     rng = random.Random(derive_seed(seed, "trace", "bernoulli"))
+    agent_ids, task_ids = instance.agent_ids, instance.task_ids
     agents_per_cycle, tasks_per_cycle = [], []
-    for _ in range(cycles):
-        while True:
-            agents = {a for a in instance.agent_ids if rng.random() < agent_p}
-            tasks = {t for t in instance.task_ids if rng.random() < task_p}
+    for k in range(cycles):
+        for _ in range(1000):
+            agents = {a for a in agent_ids if rng.random() < agent_p}
+            tasks = {t for t in task_ids if rng.random() < task_p}
             if agents and tasks:
                 break
+        else:  # the last draw, each empty side given entity k mod count
+            agents = agents or {agent_ids[k % len(agent_ids)]}
+            tasks = tasks or {task_ids[k % len(task_ids)]}
         agents_per_cycle.append(agents)
         tasks_per_cycle.append(tasks)
     return ScenarioTrace(cycles=cycles, available_agents=agents_per_cycle,
@@ -376,11 +378,14 @@ def episodic_loop(instance, params) -> ScenarioTrace:
 
 
 @pytest.mark.parametrize("agents,tasks,p,seed", [
-    (12, 48, 1.0, 1), (12, 48, 0.75, 2), (2, 3, 0.3, 3), (5, 3, 0.2, 4)])
+    (12, 48, 1.0, 1), (12, 48, 0.75, 2), (2, 3, 0.3, 3), (5, 3, 0.2, 4),
+    # most cycles have a side empty in all 1,000 draws, and are repaired
+    (3, 4, 0.0005, 1)])
 def test_bernoulli_trace_matches_a_draw_loop(agents, tasks, p, seed):
     instance = generate_mcmkp(McmkpParams(agents=agents, tasks=tasks, seed=seed))
     trace = generate_trace_bernoulli(instance, 40, p, p, seed=seed)
     assert trace == bernoulli_loop(instance, 40, p, p, seed)
+    assert validate_trace(trace, instance) == []
 
 
 @pytest.mark.parametrize("params", [

@@ -3,11 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from rotagap.affinity import init_affinities, max_affinity_pressure
+from rotagap.affinity import init_affinities
 from rotagap.engine import build_gap_problem
 from rotagap.solver import GapProblem, SolverBudget, brute_force_oracle, solve
 from rotagap.strategies import (ConfigError, StrategyConfig, compute_values,
-                                pc_values, wpp_values)
+                                max_affinity_pressure, pc_values, report_order,
+                                wpp_values)
 
 from conftest import make_instance, update_from_pairs, worked_example_fixture
 
@@ -252,3 +253,13 @@ def test_positive_scaling_preserves_optimal_assignments():
         a, b = brute_force_oracle(base), brute_force_oracle(scaled)
         assert a.pairs == b.pairs
         assert b.objective == pytest.approx(a.objective * factor)
+
+
+def test_report_order_reads_each_label_as_a_strategy():
+    # STRATEGY_KINDS order, os by rising gamma, then the label; a label
+    # that parses as no strategy (os/abc, os without gamma, xyz) comes last
+    labels = ["fop", "wpp", "os/40", "os/abc", "pc/2/0.5", "xyz", "pc",
+              "os/10", "os", "foa", "os/2.5"]
+    assert sorted(labels, key=report_order) == [
+        "foa", "os/2.5", "os/10", "os/40", "pc", "pc/2/0.5", "wpp", "fop",
+        "os", "os/abc", "xyz"]
