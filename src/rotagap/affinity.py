@@ -27,7 +27,7 @@ class AffinityState:
 
 def init_affinities(instance: Instance) -> AffinityState:
     """State for cycle 1: affinity 1 on every compatible pair, 0 elsewhere."""
-    mats = InstanceMatrices(instance)
+    mats = instance.matrices
     return AffinityState(
         mats=mats,
         affinities=mats.compat.astype(np.int64),

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -82,6 +83,11 @@ class Instance:
     def task_ids(self) -> list[str]:
         return [t.id for t in self.tasks]
 
+    @cached_property
+    def matrices(self) -> "InstanceMatrices":
+        """Its read-only :class:`InstanceMatrices`, built once, on first use."""
+        return InstanceMatrices(self)
+
 
 class IdSet(Set):
     """A read-only set of ids: those of the tuple ``ids`` whose position is
@@ -117,6 +123,27 @@ class IdSet(Set):
     @classmethod
     def _from_iterable(cls, items) -> frozenset:
         return frozenset(items)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class IdInts(Mapping):
+    """A read-only mapping from each id of the tuple ``ids`` to the integer
+    at its position in the int64 ``row``, with ``index`` mapping each id to
+    its position.  It looks up, iterates (in ``ids`` order), counts and
+    compares equal as the dict of the same items does."""
+
+    ids: tuple[str, ...]
+    index: Mapping[str, int]
+    row: np.ndarray
+
+    def __getitem__(self, key) -> int:
+        return int(self.row[self.index[key]])
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 class IdSets(Sequence):
@@ -283,7 +310,8 @@ def validate_trace(trace: ScenarioTrace, instance: Instance) -> list[str]:
 
 class InstanceMatrices:
     """Index-space view of an instance: row = agent position, column = task
-    position, following list order.  Built once per run and shared read-only;
+    position, following list order.  Built once per instance, its arrays
+    read-only, and shared by every run on it (``Instance.matrices``);
     ``agent_ids`` and ``task_ids`` are tuples, passed as they are to every
     cycle's ``GapProblem``.
     """
@@ -305,6 +333,8 @@ class InstanceMatrices:
                 self.compat[i, j] = True
                 self.profits[i, j] = task.profits[agent_id]
                 self.weights[i, j] = task.weights[agent_id]
+        for array in (self.capacities, self.compat, self.profits, self.weights):
+            array.flags.writeable = False
 
     @property
     def m(self) -> int:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .affinity import AffinityState, init_affinities, update_affinities
-from .domain import Instance, InstanceMatrices, ScenarioTrace
+from .domain import IdInts, Instance, InstanceMatrices, ScenarioTrace
 from .solver import Assignment, GapProblem, SolverBudget, solve
 from .strategies import StrategyConfig, compute_values, max_affinity_pressure
 
@@ -74,20 +74,27 @@ def _profit_matrix(mats: InstanceMatrices,
                    overrides: Mapping[str, int] | None) -> np.ndarray:
     """The instance profits with each overridden task's profit set in its
     whole column; ``ValueError`` names an unknown task or a negative
-    profit."""
+    profit.  An :class:`IdInts` over the instance's own task ids sets every
+    column: its row comes back broadcast, read-only, with no id looked up."""
     if not overrides:
         return mats.profits
-    try:
-        cols = mats.positions(mats.task_index, overrides)
-    except KeyError as exc:
-        raise ValueError(
-            f"profit override for unknown task {exc.args[0]}") from None
-    values = np.fromiter(overrides.values(), dtype=np.int64, count=len(cols))
+    cols = None
+    if isinstance(overrides, IdInts) and overrides.ids == mats.task_ids:
+        values = overrides.row
+    else:
+        try:
+            cols = mats.positions(mats.task_index, overrides)
+        except KeyError as exc:
+            raise ValueError(
+                f"profit override for unknown task {exc.args[0]}") from None
+        values = np.fromiter(overrides.values(), np.int64, len(cols))
     negative = values < 0
     if negative.any():
         k = int(np.argmax(negative))
         raise ValueError(f"profit override for task {list(overrides)[k]} "
                          f"is negative: {values[k]}")
+    if cols is None:
+        return np.broadcast_to(values, mats.profits.shape)
     profits = mats.profits.copy()
     profits[:, cols] = values
     return profits

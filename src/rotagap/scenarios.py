@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .domain import AgentSpec, IdSets, Instance, ScenarioTrace, TaskSpec
+from .domain import AgentSpec, IdInts, IdSets, Instance, ScenarioTrace, TaskSpec
 
 try:
     from _blake2 import blake2b
@@ -246,9 +246,9 @@ def generate_tcsa(params: TcsaParams) -> Instance:
                     metadata=_metadata("tcsa", params))
 
 
-def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
-    """``[rng.randint(lo, hi) for _ in range(count)]``, drawn in bulk, and
-    ``rng`` is left in the same state.
+def _randints(rng: random.Random, lo: int, hi: int, count: int) -> np.ndarray:
+    """``[rng.randint(lo, hi) for _ in range(count)]`` as an int64 array,
+    drawn in bulk, and ``rng`` is left in the same state.
 
     ``randint`` takes one 32-bit word per try, keeps its top
     ``span.bit_length()`` bits and retries while that is ``>= span``.  Each
@@ -263,31 +263,32 @@ def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
         raise ValueError(f"randint range [{lo}, {hi}] must hold 1 to "
                          f"2**32 - 1 values within int64")
     shift = 32 - span.bit_length()
-    kept = []
+    kept = [np.empty(0, dtype=np.uint32)]
     missing = count
     while missing > 0:
         raw = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
         words = np.frombuffer(raw, dtype="<u4") >> shift
         kept.append(words[words < span])
         missing -= len(kept[-1])
-    if not kept:
-        return []
-    return (np.concatenate(kept).astype(np.int64) + lo).tolist()
+    return np.concatenate(kept).astype(np.int64) + lo
 
 
 def _tcsa_priorities(seed: int, task_ids: tuple[str, ...],
-                     cycle: int) -> dict[str, int]:
+                     index: dict[str, int], cycle: int) -> IdInts:
     rng = random.Random(derive_seed(seed, "tcsa", "cycle-priorities", cycle))
-    return dict(zip(task_ids, _randints(rng, _PROFIT_LO, _PROFIT_HI,
-                                        len(task_ids))))
+    row = _randints(rng, _PROFIT_LO, _PROFIT_HI, len(task_ids))
+    row.flags.writeable = False
+    return IdInts(task_ids, index, row)
 
 
 def make_tcsa_priority_hook(instance: Instance, seed: int):
     """Per-cycle priority redraw for TCSA runs: every task's profit is drawn
     fresh from U[10, 1000] each cycle, from a per-cycle child seed, in one
-    bulk draw (:func:`_randints`).  The hook pickles, so a job can carry it
-    into a worker process."""
-    return functools.partial(_tcsa_priorities, seed, tuple(instance.task_ids))
+    bulk draw (:func:`_randints`), as a read-only view (:class:`IdInts`) in
+    task order.  The hook pickles, so a job can carry it into a worker."""
+    task_ids = tuple(instance.task_ids)
+    index = {t: j for j, t in enumerate(task_ids)}
+    return functools.partial(_tcsa_priorities, seed, task_ids, index)
 
 
 def _fill_empty_cycles(available: np.ndarray) -> None:

@@ -212,13 +212,15 @@ class GapProblem:
             raise ValueError(f"agent_capacities must have shape ({m},)")
         if (self.agent_capacities < 0).any():
             raise ValueError("capacities must be >= 0")
+        ok = np.isfinite(self.values) & (self.values >= 0) & (self.weights > 0)
+        if (ok >= self.feasible_pairs).all():  # ok on every feasible pair
+            return
         used = self.values[self.feasible_pairs]
         if not np.isfinite(used).all():
             raise ValueError("values must be finite on feasible pairs")
         if (used < 0).any():
             raise ValueError("values must be >= 0 on feasible pairs")
-        if (self.weights[self.feasible_pairs] <= 0).any():
-            raise ValueError("weights must be positive on feasible pairs")
+        raise ValueError("weights must be positive on feasible pairs")
 
 
 class Assignment:

@@ -13,7 +13,8 @@ import pytest
 from rotagap import fileio, scenarios
 from rotagap.cli import (GENERATOR_PARAMS, main, parse_strategies,
                          scenario_fields)
-from rotagap.domain import AgentSpec, Instance, ScenarioTrace, TaskSpec
+from rotagap.domain import (AgentSpec, Instance, InstanceMatrices,
+                            ScenarioTrace, TaskSpec)
 from rotagap.engine import run_scenario
 from rotagap.scenarios import GenerationError
 from rotagap.solver import SolverBudget
@@ -103,6 +104,24 @@ def test_run_grid_produces_reports_and_summary(tmp_path):
         "cycle", "profit", "objective", "max_ap", "assigned_count",
         "budget_exhausted", "proven_optimal", "nodes_explored"}
     assert all(0 <= c["nodes_explored"] <= 2000 for c in cycle_rows)
+
+
+def test_the_jobs_of_a_seed_share_its_instance_matrices(tmp_path,
+                                                       monkeypatch):
+    built = []
+    init = InstanceMatrices.__init__
+
+    def counted(self, instance):
+        built.append(instance)
+        init(self, instance)
+
+    monkeypatch.setattr(InstanceMatrices, "__init__", counted)
+    assert run_cli("run", "--scenario", "tcsa", "--agents", "3",
+                   "--tasks", "8", "--cycles", "4", "--seeds", "5",
+                   "--strategies", "fop,pc", "--budget", "nodes:200",
+                   "--workers", "1", "-o", str(tmp_path / "out")) == 0
+    assert len(built) == 1
+    assert len(os.listdir(tmp_path / "out")) > 4  # both jobs ran
 
 
 def test_run_from_embedded_config_reproduces_reports(tmp_path):

@@ -134,6 +134,21 @@ def test_matrices_follow_list_order():
         mats.available_pairs({"C"}, {"T1"})
 
 
+def test_an_instance_builds_its_matrices_once_and_read_only():
+    instance, _ = worked_example_fixture()
+    mats = instance.matrices
+    assert mats is instance.matrices
+    assert mats.task_ids == tuple(instance.task_ids)
+    for array in (mats.capacities, mats.compat, mats.profits, mats.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    # the cache is no field: copies compare equal, and a pickle round trip
+    # gives an instance that builds its own
+    copy = pickle.loads(pickle.dumps(instance))
+    assert copy == instance
+    assert np.array_equal(copy.matrices.profits, mats.profits)
+
+
 def test_domain_types_are_immutable():
     instance, _ = worked_example_fixture()
     with pytest.raises(AttributeError):

@@ -1,14 +1,18 @@
+import pickle
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotagap import engine, fileio, solver
 from rotagap.affinity import init_affinities
-from rotagap.domain import InstanceMatrices, ScenarioTrace
+from rotagap.domain import IdInts, InstanceMatrices, ScenarioTrace
 from rotagap.engine import (_profit_matrix, profit_pct, rotation_metrics,
                             run_cycle, run_scenario)
 from rotagap.scenarios import (McmkpParams, TcsaParams, generate_mcmkp,
                                generate_tcsa, generate_trace_bernoulli,
-                               generate_trace_episodic,
+                               derive_seed, generate_trace_episodic,
                                make_tcsa_priority_hook)
 from rotagap.solver import Assignment, SolverBudget
 from rotagap.strategies import StrategyConfig
@@ -103,6 +107,89 @@ def test_profit_overrides_reject_negative_profits_and_unknown_tasks():
     # overrides apply on compatible agents only; other tasks keep theirs
     profits = _profit_matrix(mats, {"T3": 0, "T2": 7})
     assert profits.tolist() == [[1, 7, 0], [1, 7, 0], [0, 7, 0]]
+
+
+TCSA_INSTANCES = {tasks: generate_tcsa(TcsaParams(agents=3, tasks=tasks,
+                                                   seed=tasks))
+                  for tasks in (1, 2, 7, 40)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**40), cycle=st.integers(0, 400),
+       tasks=st.sampled_from(sorted(TCSA_INSTANCES)),
+       strangers=st.lists(st.text(max_size=4), max_size=4))
+def test_priority_views_behave_as_the_dicts_they_replace(seed, cycle, tasks,
+                                                         strangers):
+    instance = TCSA_INSTANCES[tasks]
+    view = make_tcsa_priority_hook(instance, seed)(cycle)
+    rng = random.Random(derive_seed(seed, "tcsa", "cycle-priorities", cycle))
+    drawn = {t: rng.randint(10, 1000) for t in instance.task_ids}
+    assert isinstance(view, IdInts)
+    assert view == drawn and drawn == view
+    assert not (view != drawn) and not (drawn != view)
+    first = instance.task_ids[0]
+    changed = {**drawn, first: drawn[first] + 1}
+    assert view != changed and changed != view
+    # iteration, items and lookups in instance task order
+    assert list(view) == list(instance.task_ids)
+    assert list(view.items()) == list(drawn.items())
+    assert all(type(view[t]) is int for t in view)
+    assert len(view) == len(drawn)
+    for probe in [*strangers, *instance.task_ids, 1, 0, None, 2.5, b"T", ("T",)]:
+        assert (probe in view) == (probe in drawn), probe
+    with pytest.raises(KeyError):
+        view["no such task"]
+    assert type(dict(view)) is dict and dict(view) == drawn
+    copy = pickle.loads(pickle.dumps(view))
+    assert isinstance(copy, IdInts) and copy == drawn
+    assert list(copy) == list(drawn)
+    # the matrix is the one the dict gives, without a copy and read-only
+    mats = instance.matrices
+    profits = _profit_matrix(mats, view)
+    assert np.array_equal(profits, _profit_matrix(mats, drawn))
+    assert not profits.flags.writeable
+    with pytest.raises(ValueError):
+        profits[0, 0] = 1
+    # a view over another id order takes the dict's path
+    ids = view.ids[::-1]
+    turned = IdInts(ids, {t: j for j, t in enumerate(ids)}, view.row[::-1])
+    assert np.array_equal(_profit_matrix(mats, turned), profits)
+
+
+def test_a_negative_priority_in_a_view_is_refused_as_in_a_dict():
+    instance = TCSA_INSTANCES[7]
+    view = make_tcsa_priority_hook(instance, 3)(1)
+    row = view.row.copy()
+    row[[2, 5]] = -4, -1
+    negative = IdInts(view.ids, view.index, row)
+    messages = []
+    for overrides in (negative, dict(negative)):
+        with pytest.raises(ValueError, match="is negative") as error:
+            _profit_matrix(instance.matrices, overrides)
+        messages.append(str(error.value))
+    assert messages[0] == messages[1]
+    assert messages[0] == (f"profit override for task {view.ids[2]} "
+                           f"is negative: -4")
+
+
+def test_a_tcsa_run_looks_up_no_id(monkeypatch):
+    """Each cycle's availability and priorities reach the solver as
+    positions: no cycle maps an id to its position."""
+    params = TcsaParams(agents=4, tasks=12, cycles=5, seed=9)
+    instance = generate_tcsa(params)
+    trace = generate_trace_episodic(instance, params)
+    hook = make_tcsa_priority_hook(instance, 9)
+    pc = StrategyConfig(kind="pc")
+    by_dicts = run_scenario(instance, trace, pc, BUDGET,
+                            priority_hook=lambda k: dict(hook(k)))
+
+    def refuse(index, ids):
+        raise AssertionError("an id was looked up")
+
+    monkeypatch.setattr(InstanceMatrices, "positions", staticmethod(refuse))
+    by_views = run_scenario(instance, trace, pc, BUDGET, priority_hook=hook)
+    assert by_views.per_cycle == by_dicts.per_cycle
+    assert np.array_equal(by_views.final_counts, by_dicts.final_counts)
 
 
 def fixture_run(strategy, cycles=4):

@@ -155,7 +155,7 @@ def process_state(path: str) -> set[str]:
 
 def test_no_new_process_wide_state():
     """Only the two pieces of state that a per-run solver session is to
-    replace (ROADMAP item 3) keep anything between calls."""
+    replace (ROADMAP item 1) keep anything between calls."""
     found = set().union(*map(process_state, package_files()))
     assert sorted(found) == ["solver._ranks", "solver.solve"]
 

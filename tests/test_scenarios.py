@@ -2,6 +2,7 @@ import hashlib
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -229,7 +230,9 @@ def test_randints_matches_a_randint_loop(lo, span, count):
     hi = lo + span - 1
     for seed in range(200):
         bulk, loop = random.Random(seed), random.Random(seed)
-        values = _randints(bulk, lo, hi, count)
+        drawn = _randints(bulk, lo, hi, count)
+        assert drawn.dtype == np.int64
+        values = drawn.tolist()
         assert values == reference_randints(loop, lo, hi, count)
         assert all(type(v) is int for v in values)
         assert bulk.getstate() == loop.getstate()

@@ -734,6 +734,69 @@ def test_non_finite_values_on_feasible_pairs_are_rejected(bad):
     assert solve(problem, AMPLE).objective == 3.0
 
 
+def first_defect(values, weights, feasible) -> str | None:
+    """The message of the first defect on the feasible pairs, checked one
+    rule at a time: finite values, then values >= 0, then weights > 0."""
+    used = values[feasible]
+    if not np.isfinite(used).all():
+        return "values must be finite on feasible pairs"
+    if (used < 0).any():
+        return "values must be >= 0 on feasible pairs"
+    if (weights[feasible] <= 0).any():
+        return "weights must be positive on feasible pairs"
+    return None
+
+
+@pytest.mark.parametrize("nan,negative,zero", [
+    (True, False, False), (False, True, False), (False, False, True),
+    (True, True, False), (True, False, True), (False, True, True),
+    (True, True, True)])
+def test_the_first_defect_on_feasible_pairs_is_named(nan, negative, zero):
+    ids = ("a0", "a1"), ("t0", "t1", "t2")
+    values, weights = np.ones((2, 3)), np.ones((2, 3), dtype=np.int64)
+    if nan:
+        values[1, 2] = np.nan
+    if negative:
+        values[0, 1] = -2.0
+    if zero:
+        weights[0, 0] = 0
+    feasible = np.ones((2, 3), dtype=bool)
+    message = first_defect(values, weights, feasible)
+    assert message == ("values must be finite" if nan else "values must be >= 0"
+                       if negative else "weights must be positive") \
+        + " on feasible pairs"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GapProblem(*ids, np.array([5, 5]), weights, values, feasible)
+    # off the feasible pairs the same defects are never read
+    GapProblem(*ids, np.array([5, 5]), weights, values,
+               np.isfinite(values) & (values >= 0) & (weights > 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), n=st.integers(1, 6))
+def test_gap_problem_names_the_defect_the_one_rule_checks_name(data, m, n):
+    cells = st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                     max_size=4)
+    values = np.ones((m, n))
+    weights = np.ones((m, n), dtype=np.int64)
+    for bad in (np.nan, np.inf, -np.inf, -1.5, -0.0):
+        for cell in data.draw(cells):
+            values[cell] = bad
+    for bad in (0, -3):
+        for cell in data.draw(cells):
+            weights[cell] = bad
+    feasible = np.array(data.draw(st.lists(st.booleans(), min_size=m * n,
+                                           max_size=m * n))).reshape(m, n)
+    message = first_defect(values, weights, feasible)
+    ids = tuple(f"a{i}" for i in range(m)), tuple(f"t{j}" for j in range(n))
+    capacities = np.full(m, 5)
+    if message is None:
+        GapProblem(*ids, capacities, weights, values, feasible)
+    else:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GapProblem(*ids, capacities, weights, values, feasible)
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 100_000), shape=st.sampled_from(["small", "mcmkp"]),
        nodes=st.one_of(st.sampled_from([0, 1, 2, 256, 257, 258, 513]),
@@ -1296,6 +1359,9 @@ MALFORMED_PROBLEMS = [
     ("agent_capacities", [5, -1], "capacities must be >= 0"),
     ("weights", [[1, 0, 1], [1, 1, 1]], "weights must be positive"),
     ("weights", [[1, 1, 1], [1, 1, -2]], "weights must be positive"),
+    ("values", [[1, np.nan, 1], [1, 1, 1]], "values must be finite"),
+    ("values", [[1, 1, 1], [-np.inf, 1, 1]], "values must be finite"),
+    ("values", [[1, 1, 1], [1, 1, -0.5]], "values must be >= 0"),
 ]
 
 
