@@ -324,15 +324,22 @@ class InstanceMatrices:
         m, n = len(self.agent_ids), len(self.task_ids)
         self.capacities = np.array([a.capacity for a in instance.agents],
                                    dtype=np.int64)
+        # every compatible pair's position, profit and weight, task by task,
+        # then one fancy assignment per array
+        rows, cols, profits, weights = [], [], [], []
+        for j, task in enumerate(instance.tasks):
+            agents = list(task.compatible)
+            rows += map(self.agent_index.__getitem__, agents)
+            cols += [j] * len(agents)
+            profits += map(task.profits.__getitem__, agents)
+            weights += map(task.weights.__getitem__, agents)
+        pairs = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
         self.compat = np.zeros((m, n), dtype=bool)
         self.profits = np.zeros((m, n), dtype=np.int64)
         self.weights = np.zeros((m, n), dtype=np.int64)
-        for j, task in enumerate(instance.tasks):
-            for agent_id in task.compatible:
-                i = self.agent_index[agent_id]
-                self.compat[i, j] = True
-                self.profits[i, j] = task.profits[agent_id]
-                self.weights[i, j] = task.weights[agent_id]
+        self.compat[pairs] = True
+        self.profits[pairs] = profits
+        self.weights[pairs] = weights
         for array in (self.capacities, self.compat, self.profits, self.weights):
             array.flags.writeable = False
 

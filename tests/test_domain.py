@@ -134,6 +134,47 @@ def test_matrices_follow_list_order():
         mats.available_pairs({"C"}, {"T1"})
 
 
+def matrices_pair_by_pair(instance: Instance):
+    """The compatibility, profit and weight matrices filled one compatible
+    pair at a time: the reference the vectorised build must match."""
+    agent_index = {a.id: i for i, a in enumerate(instance.agents)}
+    shape = (len(instance.agents), len(instance.tasks))
+    compat = np.zeros(shape, dtype=bool)
+    profits = np.zeros(shape, dtype=np.int64)
+    weights = np.zeros(shape, dtype=np.int64)
+    for j, task in enumerate(instance.tasks):
+        for agent_id in task.compatible:
+            i = agent_index[agent_id]
+            compat[i, j] = True
+            profits[i, j] = task.profits[agent_id]
+            weights[i, j] = task.weights[agent_id]
+    return compat, profits, weights
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), m=st.integers(1, 6), n=st.integers(0, 12))
+def test_matrices_match_a_pair_by_pair_fill(data, m, n):
+    # per-agent profits and weights, up to the largest int64
+    numbers = st.integers(0, 50) | st.just(2**63 - 1)
+    positive = st.integers(1, 50) | st.just(2**63 - 1)
+    agent_ids = [f"a{k}" for k in data.draw(st.permutations(range(m)))]
+    tasks = []
+    for j in range(n):
+        compatible = data.draw(st.sets(st.sampled_from(agent_ids),
+                                       min_size=1))
+        tasks.append(TaskSpec(
+            id=f"t{j}", compatible=compatible,
+            profits={a: data.draw(numbers) for a in compatible},
+            weights={a: data.draw(positive) for a in compatible}))
+    instance = Instance(agents=tuple(AgentSpec(a, data.draw(numbers))
+                                     for a in agent_ids),
+                        tasks=tuple(tasks))
+    mats = InstanceMatrices(instance)
+    for got, want in zip((mats.compat, mats.profits, mats.weights),
+                         matrices_pair_by_pair(instance)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_an_instance_builds_its_matrices_once_and_read_only():
     instance, _ = worked_example_fixture()
     mats = instance.matrices

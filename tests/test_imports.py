@@ -9,8 +9,10 @@ that imports ``hashlib``."""
 
 import ast
 import hashlib
+import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -158,6 +160,67 @@ def test_no_new_process_wide_state():
     replace (ROADMAP item 1) keep anything between calls."""
     found = set().union(*map(process_state, package_files()))
     assert sorted(found) == ["solver._ranks", "solver.solve"]
+
+
+# the ``random`` module's functions that draw from, or reseed, its one
+# shared generator: everything it exports but its classes
+SHARED_RANDOM = frozenset(name for name in random.__all__
+                          if not inspect.isclass(getattr(random, name)))
+
+
+def shared_random_uses(path: str) -> set[tuple[int, str]]:
+    """Where a file reaches the ``random`` module's shared generator, as
+    ``(line, name)``: a module function read through the module
+    (under any alias), or imported by name.  Drawing from a
+    ``random.Random`` of one's own is not such a use."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "random"}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases and node.attr in SHARED_RANDOM:
+            found.add((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "random":
+            found.update((node.lineno, alias.name) for alias in node.names
+                         if alias.name in SHARED_RANDOM | {"*"})
+    return found
+
+
+@pytest.mark.parametrize("path", package_files(), ids=os.path.basename)
+def test_package_draws_only_from_its_own_generators(path):
+    """Every draw, the solver's perturbations included, comes from a
+    ``random.Random`` seeded for it, so no caller's use of the shared
+    generator can change a result, and no package call changes theirs."""
+    assert sorted(shared_random_uses(path)) == []
+
+
+def test_the_shared_generator_guard_finds_each_use(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(textwrap.dedent("""
+        import random
+        import random as rnd
+        from random import Random, sample, seed as reseed
+
+        def ok(held):
+            rng = random.Random(3)
+            rng.seed(4)
+            return rng.sample(held, 2), Random(5).random(), rng.random()
+
+        def shared(held):
+            random.seed(1)
+            pick = rnd.choice(held)
+            draw = random.random
+            return random.sample(held, 2), pick, draw(), random.shuffle(held)
+    """))
+    assert sorted(shared_random_uses(str(sample))) == [
+        (4, "sample"), (4, "seed"), (12, "seed"), (13, "choice"),
+        (14, "random"), (15, "sample"), (15, "shuffle")]
+    assert {"random", "sample", "seed", "shuffle", "choice", "randint",
+            "getrandbits", "setstate"} <= SHARED_RANDOM
+    assert not {"Random", "SystemRandom"} & SHARED_RANDOM
 
 
 def test_package_imports_and_runs_without_scipy(tmp_path):

@@ -308,11 +308,13 @@ def test_solver_positions_are_read_only():
                 array[0] = 0
 
 
-# solve() on random_gap_problem(Random(seed), 4, 14) under a node budget:
-# (seed, nodes, objective, nodes_explored, proven, exhausted, agent:task pairs).
-# Recorded from the solver as it stood when these were written; the budgets
-# stop branch-and-bound after it improved on local search but before it
-# finished, so the pairs fix the order in which it visits nodes.
+# Greedy, local search without perturbed rounds, then branch-and-bound with
+# the rest, on random_gap_problem(Random(seed), 4, 14) under a node budget:
+# (seed, nodes, objective, nodes_explored, proven, exhausted, agent:task
+# pairs).  Recorded from solve when it ran that chain, before the perturbed
+# rounds; the budgets stop branch-and-bound after it improved on local
+# search but before it finished, so the pairs fix the order in which it
+# visits nodes after a local search on the same budget.
 TRUNCATED_SOLVES = [
     (11, 697, 492.0, 697, False, True,
      "a00:t00 a01:t01 a02:t02 a03:t03 a00:t04 a00:t05 a03:t06 a03:t07 a01:t08 "
@@ -349,17 +351,95 @@ TRUNCATED_SOLVES = [
 ]
 
 
+# solve() on the same problems: (seed, nodes, objective, nodes_explored,
+# proven, exhausted, agent:task pairs).  Recorded from reference_solve, the
+# unit-charged loops of greedy, iterated local search and branch-and-bound;
+# the budgets stop branch-and-bound after it improved on the iterated local
+# search of the same budget, or just after it finished, so the pairs fix
+# the order in which the perturbed rounds and the search visit their moves
+# and nodes.
+ITERATED_SOLVES = [
+    (11, 510, 492.0, 510, False, True,
+     "a00:t00 a01:t01 a02:t02 a03:t03 a00:t04 a00:t05 a03:t06 a03:t07 a01:t08 "
+     "a01:t09 a03:t10 a03:t11 a02:t12 a01:t13"),
+    (11, 1544, 493.0, 1544, False, True,
+     "a03:t00 a01:t01 a02:t02 a03:t03 a00:t04 a00:t05 a03:t06 a02:t07 a01:t08 "
+     "a01:t09 a03:t10 a03:t11 a02:t12 a00:t13"),
+    (11, 1803, 499.0, 1803, True, False,
+     "a03:t00 a01:t01 a02:t02 a03:t03 a00:t04 a01:t05 a03:t06 a02:t07 a00:t08 "
+     "a01:t09 a03:t10 a03:t11 a02:t12 a00:t13"),
+    (60, 17, 168.0, 17, False, True,
+     "a02:t00 a01:t01 a00:t02 a00:t03 a00:t04"),
+    (80, 226, 193.0, 226, False, True,
+     "a01:t00 a01:t01 a02:t02 a01:t03 a00:t04 a00:t05 a02:t06"),
+    (83, 106, 283.0, 106, False, True,
+     "a00:t00 a00:t01 a00:t02 a03:t03 a01:t05 a01:t06 a00:t07 a00:t08 a00:t09 "
+     "a01:t11 a00:t12"),
+    (83, 477, 293.0, 477, False, True,
+     "a00:t00 a00:t01 a00:t03 a01:t05 a01:t06 a00:t07 a00:t08 a00:t09 a01:t11 "
+     "a00:t12 a03:t13"),
+    (83, 570, 293.0, 570, True, False,
+     "a00:t00 a00:t01 a00:t03 a01:t05 a01:t06 a00:t07 a00:t08 a00:t09 a01:t11 "
+     "a00:t12 a03:t13"),
+    (103, 492, 433.0, 492, False, True,
+     "a03:t00 a02:t01 a00:t02 a02:t03 a01:t04 a01:t05 a00:t06 a01:t07 a02:t08 "
+     "a00:t09 a00:t10 a02:t11"),
+    (124, 35, 259.0, 35, False, True,
+     "a02:t00 a01:t01 a02:t04 a02:t05 a01:t06 a02:t07 a02:t08"),
+    (134, 192, 352.0, 192, False, True,
+     "a02:t00 a03:t01 a03:t02 a02:t03 a03:t04 a01:t05 a03:t06 a03:t07 a03:t08"),
+    (136, 145, 278.0, 145, False, True,
+     "a01:t00 a03:t01 a02:t02 a02:t03 a02:t04 a01:t05 a03:t06 a00:t07 a03:t08"),
+    (136, 572, 285.0, 572, True, False,
+     "a01:t00 a02:t01 a01:t02 a02:t03 a02:t04 a03:t05 a03:t06 a00:t07 a01:t08"),
+]
+
+
+def plain_solve(problem: GapProblem, nodes: int) -> Assignment:
+    """Greedy, local search without perturbed rounds, and branch-and-bound
+    with the units it left, as one solve's answer and total units."""
+    local = plain_local_search(problem, nodes)
+    rest = branch_and_bound(
+        problem, local, SolverBudget.nodes(nodes - local.nodes_explored))
+    return Assignment(pairs=rest.pairs, objective=rest.objective,
+                      proven_optimal=rest.proven_optimal,
+                      nodes_explored=local.nodes_explored + rest.nodes_explored,
+                      budget_exhausted=rest.budget_exhausted)
+
+
+def assert_pinned(result, objective, explored, proven, exhausted, pairs):
+    assert result.pairs == {tuple(p.split(":")) for p in pairs.split()}
+    assert (result.objective, result.nodes_explored, result.proven_optimal,
+            result.budget_exhausted) == (objective, explored, proven, exhausted)
+
+
 @pytest.mark.parametrize("seed,nodes,objective,explored,proven,exhausted,pairs",
                          TRUNCATED_SOLVES)
 def test_truncated_solve_is_pinned(seed, nodes, objective, explored, proven,
                                    exhausted, pairs):
     problem = random_gap_problem(random.Random(seed), max_agents=4, max_tasks=14)
-    result = solve(problem, SolverBudget.nodes(nodes))
-    assert result.pairs == {tuple(p.split(":")) for p in pairs.split()}
-    assert (result.objective, result.nodes_explored, result.proven_optimal,
-            result.budget_exhausted) == (objective, explored, proven, exhausted)
+    assert_pinned(plain_solve(problem, nodes), objective, explored, proven,
+                  exhausted, pairs)
     # branch-and-bound ran and found something local search did not
-    local = local_search_improve(problem, greedy_construct(problem), AMPLE)
+    local = plain_local_search(problem, AMPLE.node_limit)
+    assert local.nodes_explored < nodes and local.objective < objective
+    # solve, with its perturbed rounds, on the same budget
+    assert solve(problem, SolverBudget.nodes(nodes)) \
+        == reference_solve(problem, nodes)
+
+
+@pytest.mark.parametrize("seed,nodes,objective,explored,proven,exhausted,pairs",
+                         ITERATED_SOLVES)
+def test_truncated_iterated_solve_is_pinned(seed, nodes, objective, explored,
+                                            proven, exhausted, pairs):
+    problem = random_gap_problem(random.Random(seed), max_agents=4, max_tasks=14)
+    result = solve(problem, SolverBudget.nodes(nodes))
+    assert_pinned(result, objective, explored, proven, exhausted, pairs)
+    assert result == reference_solve(problem, nodes)
+    # branch-and-bound ran and found something the iterated local search
+    # it continues did not
+    local = local_search_improve(problem, greedy_construct(problem),
+                                 SolverBudget.nodes(nodes))
     assert local.nodes_explored < nodes and local.objective < objective
 
 
@@ -397,8 +477,9 @@ LOCAL_SEARCH_PINS = [
 
 # solve() on the same problems: (seed, nodes, objective, nodes_explored,
 # exhausted, proven, pairs_digest).  Local search reaches its local optimum
-# after exactly 126708 (seed 1) and 113067 (seed 3) units; beyond that
-# branch-and-bound spends the rest without improving.
+# after exactly 126708 (seed 1) and 113067 (seed 3) units, more than half of
+# each budget, so no perturbed round starts; beyond that branch-and-bound
+# spends the rest without improving.
 SOLVE_PINS = [
     (1, 1900, 1420.8000000000002, 1900, True, False, "0fd6deb1403a7f4c"),
     (1, 4100, 1424.1000000000001, 4100, True, False, "3e755a056109fe67"),
@@ -513,37 +594,48 @@ def test_order_keys_cannot_overflow_at_the_largest_ranks(m, n):
             == sorted(range(len(rows)), key=rows.__getitem__)
 
 
-def reference_greedy_and_local_search(problem: GapProblem, nodes: int):
-    """Ratio greedy, then local search scanning move by move and charging
-    one unit at a time: the loops the vectorised solver replaced, kept as
-    its reference.  Returns the greedy pairs and the improved assignment,
-    as ``local_search_improve`` gives it from greedy."""
-    n = len(problem.task_ids)
-    w, v = problem.weights.tolist(), problem.values.tolist()
-    caps = problem.agent_capacities.tolist()
-    feas, by_task = reference_candidates(problem)
-    agent_ids, task_ids = problem.agent_ids, problem.task_ids
-    candidates = sorted(((i, j) for j in range(n) for i in by_task[j]),
+class UnitClock:
+    """A node limit charged one unit at a time, as the reference loops
+    charge it."""
+
+    def __init__(self, nodes: int):
+        self.nodes, self.used, self.exhausted = nodes, 0, False
+
+    def charge(self) -> bool:
+        self.exhausted = self.exhausted or self.used >= self.nodes
+        self.used += not self.exhausted
+        return not self.exhausted
+
+
+def reference_greedy(problem: GapProblem) -> list:
+    """Ratio greedy as a list over tasks of agent positions, None for
+    unassigned."""
+    w = problem.weights.tolist()
+    _, by_task = reference_candidates(problem)
+    candidates = sorted(((i, j) for j in range(len(problem.task_ids))
+                         for i in by_task[j]),
                         key=reference_greedy_key(problem))
-    rem, assigned = list(caps), [None] * n
+    rem, assigned = problem.agent_capacities.tolist(), [None] * len(by_task)
     for i, j in candidates:
         if assigned[j] is None and rem[i] >= w[i][j]:
             assigned[j], rem[i] = i, rem[i] - w[i][j]
+    return assigned
 
-    def pairs():
-        return {(agent_ids[i], task_ids[j])
-                for j, i in enumerate(assigned) if i is not None}
 
-    greedy = pairs()
-    used, exhausted = 0, False
-
-    def charge():
-        nonlocal used, exhausted
-        exhausted = exhausted or used >= nodes
-        used += not exhausted
-        return not exhausted
-
-    while not exhausted:
+def reference_local_search(problem: GapProblem, assigned: list,
+                           clock: UnitClock) -> list:
+    """Local search scanning move by move and charging one unit at a time:
+    the loop the vectorised solver replaced, kept as its reference.
+    Improves ``assigned`` in place until a local optimum or the clock
+    runs out, and returns it."""
+    n = len(problem.task_ids)
+    w, v = problem.weights.tolist(), problem.values.tolist()
+    feas, by_task = reference_candidates(problem)
+    rem = problem.agent_capacities.tolist()
+    for j, i in enumerate(assigned):
+        if i is not None:
+            rem[i] -= w[i][j]
+    while not clock.exhausted:
         best, move = 1e-9, None
         held = [j for j in range(n) if assigned[j] is not None]
         free = [j for j in range(n) if assigned[j] is None]
@@ -563,7 +655,7 @@ def reference_greedy_and_local_search(problem: GapProblem, nodes: int):
              for a, j1 in enumerate(held) for j2 in held[a + 1:]
              for i1, i2 in [(assigned[j1], assigned[j2])] if i1 != i2))
         for kind, x, y, delta, ok in (c for scan in scans for c in scan):
-            if not charge():
+            if not clock.charge():
                 break
             if ok and delta > best:
                 best, move = delta, (kind, x, y)
@@ -584,10 +676,82 @@ def reference_greedy_and_local_search(problem: GapProblem, nodes: int):
             rem[i1] += w[i1][x] - w[i1][y]
             rem[i2] += w[i2][y] - w[i2][x]
             assigned[x], assigned[y] = i2, i1
-    objective = sum([v[i][j] for j, i in enumerate(assigned) if i is not None])
-    return greedy, Assignment(pairs=frozenset(pairs()), objective=objective,
-                              proven_optimal=False, nodes_explored=used,
-                              budget_exhausted=exhausted)
+    return assigned
+
+
+def reference_objective(problem: GapProblem, assigned: list) -> float:
+    v = problem.values.tolist()
+    return sum([v[i][j] for j, i in enumerate(assigned) if i is not None])
+
+
+def reference_assignment(problem: GapProblem, assigned: list,
+                         clock: UnitClock) -> Assignment:
+    return Assignment(
+        pairs=frozenset((problem.agent_ids[i], problem.task_ids[j])
+                        for j, i in enumerate(assigned) if i is not None),
+        objective=reference_objective(problem, assigned),
+        proven_optimal=False, nodes_explored=clock.used,
+        budget_exhausted=clock.exhausted)
+
+
+def reference_greedy_and_local_search(problem: GapProblem, nodes: int):
+    """Ratio greedy, then one local search to its local optimum or the end
+    of ``nodes`` units.  Returns the greedy pairs and the improved
+    assignment, as :func:`plain_local_search` gives them."""
+    assigned = reference_greedy(problem)
+    greedy = reference_assignment(problem, assigned, UnitClock(0)).pairs
+    clock = UnitClock(nodes)
+    reference_local_search(problem, assigned, clock)
+    return greedy, reference_assignment(problem, assigned, clock)
+
+
+def reference_iterated_local_search(problem: GapProblem, start: list,
+                                    nodes: int) -> Assignment:
+    """Local search from ``start``, then its perturbed rounds, written
+    out from the rules: round r charges one unit, un-assigns 4 of the best
+    assignment's tasks drawn by ``random.Random(r).sample`` from its
+    assigned tasks in task order, and reruns local search on the same
+    units; a result is kept only if it is better by more than 1e-9.  No
+    round starts once the units are spent, half of them are used, or two
+    rounds in a row did not improve.  What ``local_search_improve`` gives
+    from ``start``."""
+    clock = UnitClock(nodes)
+    best = reference_local_search(problem, list(start), clock)
+    best_val = reference_objective(problem, best)
+    r = fails = 0
+    while fails < 2 and not clock.exhausted and 2 * clock.used < nodes \
+            and clock.charge():
+        r += 1
+        held = [j for j, i in enumerate(best) if i is not None]
+        kicked = list(best)
+        for j in random.Random(r).sample(held, min(4, len(held))):
+            kicked[j] = None
+        candidate = reference_local_search(problem, kicked, clock)
+        value = reference_objective(problem, candidate)
+        if value > best_val + 1e-9:
+            best, best_val, fails = candidate, value, 0
+        else:
+            fails += 1
+    return reference_assignment(problem, best, clock)
+
+
+def reference_solve(problem: GapProblem, nodes: int) -> Assignment:
+    """Greedy, iterated local search, then branch-and-bound with the rest
+    of ``nodes``: what ``solve`` gives, from the reference loops alone."""
+    local = reference_iterated_local_search(problem, reference_greedy(problem),
+                                            nodes)
+    return reference_branch_and_bound(problem, local, nodes,
+                                      used=local.nodes_explored)
+
+
+def plain_local_search(problem: GapProblem, nodes: int) -> Assignment:
+    """Greedy, then the solver's local search without perturbed rounds,
+    on a clock of ``nodes`` units."""
+    work = _Work(problem)
+    clock = solver._BudgetClock(SolverBudget.nodes(nodes))
+    assigned, _ = solver._local_search(work, solver._greedy(work), clock)
+    return work.to_assignment(assigned, proven=False, nodes=clock.used,
+                              exhausted=clock.exhausted)
 
 
 @settings(max_examples=150, deadline=None)
@@ -596,9 +760,82 @@ def test_greedy_and_local_search_match_the_unit_scan(seed, nodes):
     rng = random.Random(seed)
     problem = shuffled_gap_problem(rng, rng.randint(1, 6), rng.randint(1, 30))
     greedy = greedy_construct(problem)
-    result = local_search_improve(problem, greedy, SolverBudget.nodes(nodes))
-    assert (greedy.pairs, result) \
+    assert (greedy.pairs, plain_local_search(problem, nodes)) \
         == reference_greedy_and_local_search(problem, nodes)
+    budget = SolverBudget.nodes(nodes)
+    local = reference_iterated_local_search(problem, reference_greedy(problem),
+                                            nodes)
+    assert local_search_improve(problem, greedy, budget) == local
+    forget_last_solve()
+    assert solve(problem, budget) == reference_branch_and_bound(
+        problem, local, nodes, used=local.nodes_explored)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 100_000),
+       shape=st.sampled_from(["small", "shuffled", "mcmkp"]),
+       nodes=st.one_of(st.integers(0, 100), st.integers(0, 600),
+                       st.integers(0, 20_000)))
+def test_solve_keeps_what_plain_local_search_reaches(seed, shape, nodes):
+    """``solve`` never falls below the local optimum that local search
+    without perturbed rounds reaches from greedy on the same budget; where
+    that local search is cut by the budget, no round runs, and ``solve`` is
+    greedy, that local search and branch-and-bound with the rest."""
+    problem = shaped_problem(random.Random(seed), shape)
+    plain = plain_local_search(problem, nodes)
+    forget_last_solve()
+    result = solve(problem, SolverBudget.nodes(nodes))
+    assert result.objective >= plain.objective
+    if plain.budget_exhausted:
+        rest = branch_and_bound(
+            problem, plain, SolverBudget.nodes(nodes - plain.nodes_explored))
+        assert (result.pairs, result.objective, result.proven_optimal,
+                result.budget_exhausted) == (rest.pairs, rest.objective,
+                                             rest.proven_optimal,
+                                             rest.budget_exhausted)
+        assert result.nodes_explored \
+            == plain.nodes_explored + rest.nodes_explored
+        for got, want in zip(result.positions, rest.positions):
+            assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_solve_proves_criterion_3_sized_problems(seed):
+    # acceptance criterion 3's problems and budget: the rounds stop by
+    # patience long before half of it, and branch-and-bound finishes
+    problem = random_gap_problem(random.Random(seed))
+    result = solve(problem, AMPLE)
+    assert result.proven_optimal
+    assert result.objective == brute_force_oracle(problem).objective
+
+
+@pytest.mark.parametrize("patience", [solver._PATIENCE, 10**9])
+def test_wall_clock_solve_leaves_branch_and_bound_time(monkeypatch, patience):
+    # local search converges after 3538 units; branch-and-bound is not
+    # finished after 5,000,000 nodes.  With patience that never runs out,
+    # only the half-time rule ends the rounds.
+    monkeypatch.setattr(solver, "_PATIENCE", patience)
+    problem = mcmkp_gap_problem(random.Random(3))
+    search, phases = solver._branch_and_bound, []
+
+    def timed(work, incumbent, clock):
+        started, used = time.monotonic() - clock.start, clock.used
+        out = search(work, incumbent, clock)
+        phases.append((started, clock.used - used))
+        return out
+
+    monkeypatch.setattr(solver, "_branch_and_bound", timed)
+    forget_last_solve()
+    start = time.monotonic()
+    result = solve(problem, SolverBudget.seconds(0.2))
+    assert time.monotonic() - start < 2.0
+    assert_feasible(problem, result)
+    assert result.budget_exhausted and not result.proven_optimal
+    [(started, nodes)] = phases
+    assert nodes > 0
+    if patience > solver._PATIENCE:
+        assert started >= 0.1
 
 
 def reference_branch_and_bound(problem: GapProblem, start: Assignment,
@@ -830,9 +1067,13 @@ def test_branch_and_bound_matches_the_unit_charged_loop(seed, shape, nodes,
 # 108.6 after 3468 (seed 5).  From there branch-and-bound improves at its
 # 49th node on both, then at nodes 4546, 8400 (by float rounding only) and
 # 12129 (seed 3) and 197, 3289, 3651, 5203 and 5626 (seed 5).  Nodes are
-# taken from the clock in batches: 257 is the root and one whole batch,
-# 512 and 12800 end in a part batch at a multiple of 256, and solve at
-# 8589 = 3468 + 1 + 20 * 256 ends on a whole batch after local search.
+# taken from the clock in batches: 257 is the root and one whole batch, and
+# 512 and 12800 end in a part batch at a multiple of 256.  In solve the
+# perturbed rounds come first.  On seed 3 two rounds bring nothing and stop
+# at 15076 units, so solve at 27205 = 15076 + 12129 ends where the search
+# above does.  On seed 5 the second round, started before half of 22143,
+# lifts the incumbent to 112.2 at 17022 units, and solve at 22143 = 17022 +
+# 1 + 20 * 256 ends on a whole batch after it.
 BNB_PINS = [
     (3, "bnb", 257, 132.89999999999995, 257, True, "82a1ac7ce4f65cc2"),
     (3, "bnb", 4546, 135.59999999999994, 4546, True, "3e7d993107cf0923"),
@@ -842,8 +1083,8 @@ BNB_PINS = [
     (5, "bnb", 512, 117.0, 512, True, "9051af59ccd6ca86"),
     (5, "bnb", 3651, 117.6, 3651, True, "cf4db2f89f88e4c1"),
     (5, "bnb", 5626, 119.1, 5626, True, "a40c22590716be09"),
-    (3, "solve", 15667, 136.49999999999997, 15667, True, "2e088ebb137c6379"),
-    (5, "solve", 8589, 117.6, 8589, True, "cf4db2f89f88e4c1"),
+    (3, "solve", 27205, 136.49999999999997, 27205, True, "2e088ebb137c6379"),
+    (5, "solve", 22143, 117.6, 22143, True, "cf4db2f89f88e4c1"),
 ]
 
 
@@ -852,10 +1093,16 @@ BNB_PINS = [
 def test_branch_and_bound_truncation_is_pinned(seed, route, nodes, objective,
                                                explored, exhausted, digest):
     problem = mcmkp_gap_problem(random.Random(seed))
-    local = local_search_improve(problem, greedy_construct(problem), AMPLE)
     budget = SolverBudget.nodes(nodes)
-    result = branch_and_bound(problem, local, budget) if route == "bnb" \
-        else solve(problem, budget)
+    if route == "bnb":
+        local = plain_local_search(problem, AMPLE.node_limit)
+        result = branch_and_bound(problem, local, budget)
+    else:
+        # the incumbent solve hands to branch-and-bound
+        local = local_search_improve(problem, greedy_construct(problem),
+                                     budget)
+        result = solve(problem, budget)
+        assert result == reference_solve(problem, nodes)
     assert (result.objective, result.nodes_explored, result.budget_exhausted,
             pairs_digest(result.pairs)) == (objective, explored, exhausted,
                                             digest)
@@ -1081,13 +1328,17 @@ def test_multi_block_local_search_matches_the_unit_scan(seed, tasks, values):
     if tasks <= 300:
         budgets.append(AMPLE.node_limit)
     for nodes in budgets:
-        reference_greedy, local = reference_greedy_and_local_search(problem,
-                                                                    nodes)
-        assert reference_greedy == greedy.pairs
-        assert local_search_improve(problem, greedy,
-                                    SolverBudget.nodes(nodes)) == local
+        greedy_pairs, local = reference_greedy_and_local_search(problem, nodes)
+        assert greedy_pairs == greedy.pairs
+        assert plain_local_search(problem, nodes) == local
+        # perturbed rounds follow only a local search that finished
+        assert local_search_improve(problem, greedy, SolverBudget.nodes(nodes)) \
+            == (local if local.budget_exhausted else
+                reference_iterated_local_search(
+                    problem, reference_greedy(problem), nodes))
         # solve: branch-and-bound gets what local search leaves, or 2,000
-        # nodes after a finished local search
+        # nodes after a finished local search, which has used more than
+        # half the budget, so no perturbed round runs
         nodes = min(nodes, local.nodes_explored + 2000)
         assert solve(problem, SolverBudget.nodes(nodes)) \
             == reference_branch_and_bound(problem, local, nodes,
