@@ -146,21 +146,20 @@ def load_files(scenario: dict):
 def materialize_scenario(scenario: dict, seed: int, cycles: int | None,
                          static_priorities: bool, files=None):
     """Build (instance, trace, priority_hook, label) for one seed; a files
-    scenario runs on ``files``, the (instance, trace) it named."""
-    if scenario.get("name") == "files":
-        instance, trace = files
-        redraw = instance.metadata.get("generator") == "tcsa"
-    else:
+    scenario runs on ``files``, the (instance, trace) it named.  A tcsa
+    instance, generated or read, redraws its priorities each cycle."""
+    if files is None:
         params = scenario_params(scenario, seed, cycles)
-        redraw = isinstance(params, TcsaParams)
-        if redraw:
+        if isinstance(params, TcsaParams):
             instance = scenarios.generate_tcsa(params)
-            trace = scenarios.generate_trace_episodic(instance, params)
+            files = instance, scenarios.generate_trace_episodic(instance, params)
         else:
             instance = scenarios.generate_mcmkp(params)
-            trace = scenarios.generate_trace_bernoulli(
+            files = instance, scenarios.generate_trace_bernoulli(
                 instance, cycles, params.agent_availability,
                 params.task_availability, seed=seed)
+    instance, trace = files
+    redraw = instance.metadata.get("generator") == "tcsa"
     hook = scenarios.make_tcsa_priority_hook(instance, seed) \
         if redraw and not static_priorities else None
     label = fileio.scenario_label(instance.metadata, len(instance.agents),
@@ -174,10 +173,10 @@ def cmd_generate(args) -> int:
             scenario_from_args(args), args.seed, args.cycles,
             static_priorities=True)
         fileio.check_output_names(args.output_dir, label, [args.seed])
-    except (ValueError, GenerationError) as exc:
+        os.makedirs(args.output_dir, exist_ok=True)
+    except (ValueError, GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    os.makedirs(args.output_dir, exist_ok=True)
     _, *names = fileio.output_names(label, args.seed)
     instance_path, trace_path = (os.path.join(args.output_dir, name)
                                  for name in names)
@@ -256,10 +255,9 @@ def resolve_config(raw: dict) -> tuple[dict, tuple | None]:
         source = ""
         label_from = ({"generator": scenario["name"], "params": vars(params)},
                       params.agents, params.tasks)
-        if isinstance(params, TcsaParams):
-            run_cycles = params.cycles
-        else:
-            run_cycles = cycles or scenarios.CYCLES_PER_TASK * params.tasks
+        # a tcsa scenario's params hold its cycle count; mcmkp has none
+        run_cycles = getattr(params, "cycles", None) or cycles \
+            or scenarios.CYCLES_PER_TASK * params.tasks
         extent = (params.max_profit, run_cycles, params.tasks)
     for strategy in strategies:
         strategy.check_values_finite(*extent)
@@ -291,7 +289,8 @@ def resolve_config(raw: dict) -> tuple[dict, tuple | None]:
 
 
 def execute_run(payload: dict) -> dict:
-    """Run one (strategy, seed) job; top-level so worker pools can pickle it.
+    """Run one (strategy, seed) job and write its report and per-cycle
+    series; top-level so worker pools can pickle it.
     ``payload["scenario"]`` is the seed's (instance, trace, priority_hook,
     label) from :func:`materialize_scenario`."""
     config = payload["config"]
@@ -304,12 +303,11 @@ def execute_run(payload: dict) -> dict:
     doc = fileio.run_report_to_dict(report, scenario=label, seed=seed,
                                     budget_mode=budget.mode, config=config)
     stem, *names = fileio.output_names(label, seed, strategy.file_label)
-    return {
-        "stem": stem,  # the benchmark's probe finds a job's files by it
-        "names": names,
-        "report": doc,
-        "cycle_lines": fileio.cycle_lines(report),
-    }
+    texts = fileio.dump_json(doc), fileio.cycle_lines(report)
+    for name, text in zip(names, texts):
+        fileio.atomic_write_text(os.path.join(config["output_dir"], name), text)
+    # the benchmark's probe finds a job's files by its stem
+    return {"stem": stem, "report": doc}
 
 
 def run_here(fn, *args) -> concurrent.futures.Future:
@@ -338,12 +336,12 @@ def cmd_run(args) -> int:
         else:
             raw = config_from_args(args)
         config, files = resolve_config(raw)
+        output_dir = config["output_dir"]
+        os.makedirs(output_dir, exist_ok=True)
     except (ValueError, TypeError, GenerationError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    output_dir = config["output_dir"]
-    os.makedirs(output_dir, exist_ok=True)
     fileio.atomic_write_text(os.path.join(output_dir, "config.json"),
                              fileio.dump_json(config))
 
@@ -368,54 +366,45 @@ def cmd_run(args) -> int:
                 "config": config, "seed": seed, "strategy": spec,
                 "scenario": built.result()})) for spec in strategies)
             del built  # a serial run holds one seed's scenario at a time
-    results = []
-    failures = []  # (scenario, seed, strategy, exception)
-    scenario = config["scenario"]
-    where = scenario["instance"] if scenario["name"] == "files" else scenario["name"]
+    docs = []
+    failures = []  # (seed, strategy, exception)
     for seed, spec, future in jobs:
         try:
-            results.append(future.result())
+            docs.append(future.result()["report"])
         except Exception as exc:  # noqa: BLE001 - preserve partial results
-            failures.append((where, seed, spec, exc))
-
-    for result in results:
-        report_name, cycles_name = result["names"]
-        fileio.atomic_write_text(os.path.join(output_dir, report_name),
-                                 fileio.dump_json(result["report"]))
-        fileio.atomic_write_text(os.path.join(output_dir, cycles_name),
-                                 result["cycle_lines"])
+            failures.append((seed, spec, exc))
 
     rows = []
-    docs = [result["report"] for result in results]
-    # every report of one run has the same scenario
     fop_totals = {d["seed"]: d["total_profit"]
                   for d in docs if d["strategy"]["label"] == "fop"}
     docs.sort(key=lambda d: (d["seed"], report_order(d["strategy"]["label"])))
     for doc in docs:
         label = doc["strategy"]["label"]
-        fop_total = fop_totals.get(doc["seed"])
-        if not fop_total:
-            failures.append((doc["scenario"], doc["seed"], label, RuntimeError(
-                "no usable fop baseline; cannot compute profit percentages")))
+        if doc["seed"] not in fop_totals:
+            failures.append((doc["seed"], label, RuntimeError(
+                "no fop report for this seed; cannot compute profit "
+                "percentages")))
             continue
-        pct = engine.profit_pct(doc["total_profit"], fop_total)
+        pct = engine.profit_pct(doc["total_profit"], fop_totals[doc["seed"]])
         # the report holds every summary column but these two
         rows.append({**{k: doc.get(k) for k in fileio.SUMMARY_COLUMNS},
                      "strategy": label, "profit_pct_of_fop": pct})
-    if rows and len(rows) == len(results):
+    if rows:
         summary_path = os.path.join(output_dir, "summary.csv")
         fileio.atomic_write_text(summary_path, fileio.summary_csv(rows))
         print(summary_path)
 
     # failures.json exists only after a failed run, so reruns stay identical
+    scenario = config["scenario"]
+    where = scenario["instance"] if scenario["name"] == "files" else scenario["name"]
     failures_path = os.path.join(output_dir, "failures.json")
     if failures:
         doc = [{"scenario": where, "seed": seed, "strategy": strategy,
-                "error": str(exc)} for where, seed, strategy, exc in failures]
+                "error": str(exc)} for seed, strategy, exc in failures]
         fileio.atomic_write_text(failures_path, fileio.dump_json(doc))
     elif os.path.exists(failures_path):
         os.remove(failures_path)
-    for where, seed, strategy, exc in failures:
+    for seed, strategy, exc in failures:
         print(f"run failed (scenario {where}, seed {seed}, strategy {strategy}): "
               f"{exc}", file=sys.stderr)
     return EXIT_RUN if failures else EXIT_OK
@@ -430,39 +419,32 @@ def cmd_report(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REPORT
 
-    scenarios_seen = sorted({r["scenario"] for r in rows})
-    strategies_seen = sorted({r["strategy"] for r in rows}, key=report_order)
-    by_scenario_strategy: dict[tuple[str, str], list[dict]] = {}
+    groups: dict[str, dict[str, list[dict]]] = {}  # scenario, strategy
     for row in rows:
-        by_scenario_strategy.setdefault((row["scenario"], row["strategy"]), []).append(row)
+        groups.setdefault(row["scenario"], {}) \
+            .setdefault(row["strategy"], []).append(row)
+    scenarios_seen = sorted(groups)
+    strategies_seen = sorted({r["strategy"] for r in rows}, key=report_order)
     for scenario in scenarios_seen:
-        if ("fop" not in {r["strategy"] for r in rows if r["scenario"] == scenario}):
+        if "fop" not in groups[scenario]:
             print(f"error: scenario {scenario} has no fop baseline rows",
                   file=sys.stderr)
             return EXIT_REPORT
+    try:
+        os.makedirs(args.output_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
-    def mean(values: list[float]) -> float:
-        return sum(values) / len(values)
+    def mean(group: list[dict], column: str) -> float:
+        return sum(float(r[column]) for r in group) / len(group)
 
-    os.makedirs(args.output_dir, exist_ok=True)
-    rotation_rows = [["strategy", *scenarios_seen]]
-    profit_rows = [["strategy", *scenarios_seen]]
-    for strategy in strategies_seen:
-        rotation_cells = [strategy]
-        profit_cells = [strategy]
-        for scenario in scenarios_seen:
-            group = by_scenario_strategy.get((scenario, strategy), [])
-            if not group:
-                rotation_cells.append("")
-                profit_cells.append("")
-                continue
-            full = mean([float(r["full_rotations"]) for r in group])
-            avg = mean([float(r["avg_rotations_per_task"]) for r in group])
-            pct = mean([float(r["profit_pct_of_fop"]) for r in group])
-            rotation_cells.append(f"{full:.1f} ({avg:.1f})")
-            profit_cells.append(f"{pct:.1f}")
-        rotation_rows.append(rotation_cells)
-        profit_rows.append(profit_cells)
+    def table(cell) -> str:
+        """Strategy by scenario: ``cell`` of each group's rows, or blank."""
+        return fileio.csv_text([["strategy", *scenarios_seen], *(
+            [strategy, *(cell(groups[s][strategy]) if strategy in groups[s]
+                         else "" for s in scenarios_seen)]
+            for strategy in strategies_seen)])
 
     long_rows = [["scenario", "strategy", "seed", "metric", "value"]]
     metrics = ("total_profit", "profit_pct_of_fop", "full_rotations",
@@ -474,8 +456,11 @@ def cmd_report(args) -> int:
                               metric, row[metric]])
 
     outputs = {
-        "rotation_table.csv": fileio.csv_text(rotation_rows),
-        "profit_table.csv": fileio.csv_text(profit_rows),
+        "rotation_table.csv": table(
+            lambda g: f"{mean(g, 'full_rotations'):.1f} "
+                      f"({mean(g, 'avg_rotations_per_task'):.1f})"),
+        "profit_table.csv": table(
+            lambda g: f"{mean(g, 'profit_pct_of_fop'):.1f}"),
         "long.csv": fileio.csv_text(long_rows),
     }
     for name, text in outputs.items():

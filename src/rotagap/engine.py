@@ -192,5 +192,9 @@ def run_scenario(instance: Instance, trace: ScenarioTrace,
 
 
 def profit_pct(total: int, baseline_total: int) -> float:
-    """``total`` as a percentage of the baseline run's total profit."""
+    """``total`` as a percentage of the baseline run's total profit, 100.0
+    when both are 0: ``fop`` earns 0 only when no cycle has a usable pair
+    of positive profit, and then no strategy earns anything."""
+    if total == baseline_total == 0:
+        return 100.0
     return 100.0 * total / baseline_total

@@ -20,14 +20,12 @@ from typing import Iterable, get_args, get_origin
 from .domain import AgentSpec, Instance, ScenarioTrace, TaskSpec
 from .strategies import StrategyConfig
 
-SUMMARY_COLUMNS = [
-    "scenario", "strategy", "seed", "total_profit", "profit_pct_of_fop",
-    "full_rotations", "avg_rotations_per_task", "cycles", "budget_mode",
-]
-# the summary columns that hold numbers, and the type each must parse as
-_SUMMARY_NUMBERS = {"seed": int, "total_profit": int, "full_rotations": int,
-                    "cycles": int, "profit_pct_of_fop": float,
-                    "avg_rotations_per_task": float}
+# the summary's columns in order, and the type each cell must parse as
+SUMMARY_COLUMNS = {
+    "scenario": str, "strategy": str, "seed": int, "total_profit": int,
+    "profit_pct_of_fop": float, "full_rotations": int,
+    "avg_rotations_per_task": float, "cycles": int, "budget_mode": str,
+}
 
 REPORT_SCHEMA = "rotagap.report.v2"
 
@@ -39,8 +37,10 @@ def dump_json(obj) -> str:
 
 
 def _temp_name(path: str) -> str:
-    """The name :func:`atomic_write_text` writes ``path``'s text to first."""
-    return f"{path}.tmp{os.getpid()}"
+    """The name :func:`atomic_write_text` writes ``path``'s text to first.
+    A pid has at most 7 digits (Linux allows up to 2**22), so the name is
+    as long in every process."""
+    return f"{path}.tmp{os.getpid():07d}"
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -315,27 +315,28 @@ def csv_text(rows: Iterable[list]) -> str:
 
 
 def summary_csv(rows: list[dict]) -> str:
-    return csv_text([SUMMARY_COLUMNS,
+    return csv_text([list(SUMMARY_COLUMNS),
                      *([row[k] for k in SUMMARY_COLUMNS] for row in rows)])
 
 
 def read_summary(path: str) -> list[dict]:
-    """Read a summary CSV, enforcing the documented column set and that
-    each numeric cell parses as a finite number of its column's type; the
-    cells are kept as the text read."""
+    """Read a summary CSV, enforcing the documented columns and that every
+    cell is present and reads as its column's type (a number must be
+    finite); the cells are kept as the text read."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != SUMMARY_COLUMNS:
+        if reader.fieldnames != list(SUMMARY_COLUMNS):
             raise ValueError(
                 f"{path}: unexpected summary columns {reader.fieldnames}")
         rows = []
         for row in reader:
-            for column, kind in _SUMMARY_NUMBERS.items():
-                try:
+            for column, kind in SUMMARY_COLUMNS.items():
+                try:  # a short row's missing cells read as None
                     value = kind(row[column])
-                    if value != value or value in (math.inf, -math.inf):
+                    if row[column] is None or value != value \
+                            or value in (math.inf, -math.inf):
                         raise ValueError
-                except (TypeError, ValueError):  # None: the row is short
+                except (TypeError, ValueError):
                     raise ValueError(
                         f"{path}: line {reader.line_num}: {column!r} is not "
                         f"{_KINDS[kind]}: {row[column]!r}") from None

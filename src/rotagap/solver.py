@@ -17,17 +17,19 @@ shared budget, so its objective never falls below the greedy floor.
 
 Local search that stops at a local optimum with budget left goes on as an
 iterated local search (Lourenço, Martin & Stützle 2003).  Round ``r`` (1,
-2, ...) charges one unit, un-assigns ``_KICK`` of the best assignment's
+2, ...) charges one unit before it draws, so a round that finds the budget
+spent does not start; it un-assigns ``_KICK`` of the best assignment's
 assigned tasks, drawn by ``random.Random(r).sample`` from them in task
 order, reruns local search from there on the same clock and keeps the
 result only if its objective is higher by more than ``_EPS``.  No round
-starts once the budget is exhausted, once ``_ILS_SHARE`` of it is used (of
-a node limit's units, or of a deadline's seconds since the clock started),
-or after ``_PATIENCE`` rounds in a row that did not improve.
-Branch-and-bound then continues from the best assignment with what is
-left.  Each round draws from a generator of its own, seeded by the round's
-number alone, so under a node limit the rounds are as deterministic as the
-rest of the search.
+starts once the budget is exhausted, once ``_ILS_SHARE`` of it is used
+(:meth:`_BudgetClock.used_share`: of a node limit's units, or of a
+deadline's seconds since the clock started), or after ``_PATIENCE`` rounds
+in a row that did not improve.  Branch-and-bound then continues from the
+best assignment with what is left.  Each round draws from a generator of
+its own, seeded by the round's number alone, so under a node limit the
+rounds, and the units they charge, are as deterministic as the rest of the
+search.
 
 Budgets are counted in deterministic work units ("nodes"): one per
 branch-and-bound node, one per perturbed round, and one per local-search
@@ -180,15 +182,8 @@ class _BudgetClock:
         A node limit grants ``min(k, remaining)`` and marks the clock
         exhausted when that is fewer than ``k``, exactly where charging unit
         by unit would first have failed.  A deadline is read on every
-        charge, and once it has passed the charge grants nothing.  Callers
-        charge coarsely: once per local-search neighbourhood, once per
-        branch-and-bound batch, and once per perturbed round of iterated
-        local search.  A round's one unit is charged before it draws its
-        tasks, so a round that finds the budget spent does not start.
-        Rounds also stop once :meth:`used_share` reaches ``_ILS_SHARE``, or
-        after ``_PATIENCE`` rounds in a row without improvement.  Round
-        ``r`` draws from ``random.Random(r)`` alone, so under a node limit
-        the rounds, and the units they charge, are deterministic.
+        charge, and once it has passed the charge grants nothing.  The
+        module docstring says when each caller charges.
         """
         if self.exhausted:
             return 0

@@ -174,23 +174,22 @@ def wpp_values(profits: np.ndarray, affinities: np.ndarray,
 
     over the same agents, and the value is
     ``lambda_j * p/max_p + (1 - lambda_j) * a/max_a`` with global maxima over
-    all available pairs, the one use of ``mask``.  lambda is used unclamped,
-    so early cycles (all affinities 1) can push entries negative; those are
-    clamped to 0 to keep the solver's non-negativity contract.
+    all available pairs, the one use of ``mask``; when ``max_p`` is 0 the
+    profit term is 0.  ``max_a`` is at least 1, the least affinity of a
+    compatible pair.  lambda is used unclamped, so early cycles (all
+    affinities 1) can push entries negative; those are clamped to 0 to keep
+    the solver's non-negativity contract.
     """
     if not mask.any():
         return np.zeros_like(profits, dtype=np.float64)
     max_p = int(profits[mask].max())
     max_a = int(affinities[mask].max())
-    if max_p <= 0 or max_a <= 0:
-        raise ValueError(
-            f"wpp needs positive profit and affinity maxima over available "
-            f"pairs (got max profit {max_p}, max affinity {max_a})")
     counts, sums = (x.astype(np.float64)
                     for x in _available_affinity(affinities, mask))
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.where(sums > 0, (counts * (counts + 1) / 2.0) / sums, 0.0)
-    v = lam[None, :] * (profits / max_p) + (1.0 - lam[None, :]) * (affinities / max_a)
+    p = profits / max_p if max_p else 0.0
+    v = lam[None, :] * p + (1.0 - lam[None, :]) * (affinities / max_a)
     return np.maximum(v, 0.0)
 
 

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from rotagap import fileio, scenarios
+from rotagap import engine, fileio, scenarios
 from rotagap.cli import (GENERATOR_PARAMS, main, parse_strategies,
                          scenario_fields)
 from rotagap.domain import (AgentSpec, Instance, InstanceMatrices,
@@ -570,17 +570,30 @@ def test_worker_pool_is_no_larger_than_the_grid(tmp_path, monkeypatch):
     assert sizes == [2]  # one job runs in-process
 
 
-def test_run_failure_preserves_partial_results(tmp_path, capsys):
-    # all profits zero: wpp raises its degenerate-input error, fop still runs
+def fail_strategy(monkeypatch, kind: str) -> None:
+    """Make every job of strategy ``kind`` fail when it builds its values;
+    a one-worker run calls the patched function in this process."""
+    compute_values = engine.compute_values
+
+    def failing(config, *args):
+        if config.kind == kind:
+            raise ValueError(f"no values for {kind}")
+        return compute_values(config, *args)
+
+    monkeypatch.setattr(engine, "compute_values", failing)
+
+
+def test_run_failure_preserves_partial_results(tmp_path, capsys, monkeypatch):
+    fail_strategy(monkeypatch, "wpp")  # wpp's job fails, fop's still runs
     instance = Instance(
         agents=(AgentSpec("A", 5),),
-        tasks=(TaskSpec.uniform("T1", profit=0, weight=1, compatible={"A"}),),
+        tasks=(TaskSpec.uniform("T1", profit=3, weight=1, compatible={"A"}),),
         metadata={"generator": "custom", "seed": 1})
     trace_lines = ['{"cycles": 2, "seed": 1}',
                    '{"cycle": 1, "agents": ["A"], "tasks": ["T1"]}',
                    '{"cycle": 2, "agents": ["A"], "tasks": ["T1"]}']
-    ipath = tmp_path / "zero.instance.json"
-    tpath = tmp_path / "zero.trace.jsonl"
+    ipath = tmp_path / "one.instance.json"
+    tpath = tmp_path / "one.trace.jsonl"
     fileio.save_instance(str(ipath), instance)
     tpath.write_text("\n".join(trace_lines) + "\n")
     out = tmp_path / "out"
@@ -589,23 +602,121 @@ def test_run_failure_preserves_partial_results(tmp_path, capsys):
                    "-o", str(out))
     assert code == 3
     err = capsys.readouterr().err
-    assert f"run failed (scenario {ipath}, seed 1, strategy wpp): " in err
+    assert f"run failed (scenario {ipath}, seed 1, strategy wpp): " \
+        f"no values for wpp\n" in err
     names = os.listdir(out)
     assert any("fop" in n and n.endswith(".report.json") for n in names)
-    assert not any("wpp" in n and n.endswith(".report.json") for n in names)
-    # fop ran but earned nothing, so no profit percentages either
+    assert not any("wpp" in n for n in names)
     failures = json.loads((out / "failures.json").read_text())
     assert [(f["scenario"], f["seed"], f["strategy"]) for f in failures] \
-        == [(str(ipath), 1, "wpp"), ("custom-1x1", 1, "fop")]
+        == [(str(ipath), 1, "wpp")]
     for f in failures:
         assert f"(scenario {f['scenario']}, seed 1, strategy {f['strategy']}): " \
             f"{f['error']}\n" in err
-    assert "no usable fop baseline" in failures[1]["error"]
+    rows = fileio.read_summary(str(out / "summary.csv"))
+    assert [(r["strategy"], r["profit_pct_of_fop"]) for r in rows] \
+        == [("fop", "100.0")]
     # a run without failures writes none and leaves no stale one behind
     assert run_cli("run", "--scenario", "mcmkp", "--agents", "2", "--tasks",
                    "4", "--cycles", "2", "--seeds", "1", "--strategies", "fop",
                    "--budget", "nodes:100", "-o", str(out)) == 0
     assert not (out / "failures.json").exists()
+
+
+def test_failed_fop_job_fails_the_rows_of_its_seed(tmp_path, capsys,
+                                                   monkeypatch):
+    # fop's report for seed 1 cannot be written: that job fails, and so
+    # does every row of seed 1, which has no baseline; seed 2 is whole
+    write = fileio.atomic_write_text
+
+    def failing_write(path, text):
+        if "-fop-seed1." in path:
+            raise OSError(f"cannot write {path}")
+        write(path, text)
+
+    monkeypatch.setattr(fileio, "atomic_write_text", failing_write)
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", "mcmkp", "--agents", "2", "--tasks",
+                   "4", "--cycles", "2", "--seeds", "1,2", "--strategies",
+                   "foa", "--budget", "nodes:100", "-o", str(out)) == 3
+    failures = json.loads((out / "failures.json").read_text())
+    assert [(f["scenario"], f["seed"], f["strategy"]) for f in failures] \
+        == [("mcmkp", 1, "fop"), ("mcmkp", 1, "foa")]
+    assert failures[0]["error"].startswith("cannot write ")
+    assert "no fop report for this seed" in failures[1]["error"]
+    err = capsys.readouterr().err
+    for f in failures:
+        assert f"run failed (scenario mcmkp, seed {f['seed']}, strategy " \
+            f"{f['strategy']}): {f['error']}\n" in err
+    rows = fileio.read_summary(str(out / "summary.csv"))
+    assert [(r["seed"], r["strategy"]) for r in rows] \
+        == [("2", "foa"), ("2", "fop")]
+    names = os.listdir(out)
+    assert not any("-fop-seed1." in n for n in names)
+    assert "mcmkp-2x4-uncorrelated-foa-seed1.report.json" in names
+
+
+def test_baseline_that_earns_nothing_reads_100_percent(tmp_path):
+    # at 0.05 availability one seed-1 cycle has no usable pair at all
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", "mcmkp", "--agents", "6", "--tasks",
+                   "3", "--cycles", "1", "--agent-availability", "0.05",
+                   "--task-availability", "0.05", "--seeds", "1",
+                   "--strategies", "foa,wpp,pc", "--budget", "nodes:50",
+                   "-o", str(out)) == 0
+    rows = fileio.read_summary(str(out / "summary.csv"))
+    assert [r["strategy"] for r in rows] == ["foa", "pc", "wpp", "fop"]
+    assert all(r["total_profit"] == "0" and r["profit_pct_of_fop"] == "100.0"
+               for r in rows)
+    assert not (out / "failures.json").exists()
+
+
+def test_wpp_runs_on_a_cycle_without_positive_profit(tmp_path):
+    # cycle 1 offers only the two tasks of profit 0
+    instance = Instance(
+        agents=(AgentSpec("A", 2), AgentSpec("B", 2)),
+        tasks=(TaskSpec.uniform("T1", profit=0, weight=1, compatible={"A", "B"}),
+               TaskSpec.uniform("T2", profit=0, weight=1, compatible={"A"}),
+               TaskSpec.uniform("T3", profit=5, weight=1, compatible={"A", "B"})),
+        metadata={"generator": "custom", "seed": 1})
+    trace = ScenarioTrace(
+        cycles=2, available_agents=[{"A", "B"}] * 2,
+        available_tasks=[{"T1", "T2"}, {"T1", "T2", "T3"}], seed=1)
+    fileio.save_instance(str(tmp_path / "x.instance.json"), instance)
+    fileio.save_trace(str(tmp_path / "x.trace.jsonl"), trace)
+    out = tmp_path / "out"
+    assert run_cli("run", "--instance", str(tmp_path / "x.instance.json"),
+                   "--trace", str(tmp_path / "x.trace.jsonl"),
+                   "--strategies", "wpp", "--budget", "nodes:100",
+                   "-o", str(out)) == 0
+    rows = fileio.read_summary(str(out / "summary.csv"))
+    assert [(r["strategy"], r["total_profit"]) for r in rows] \
+        == [("wpp", "5"), ("fop", "5")]
+
+
+@pytest.mark.parametrize("command", ["run", "generate", "report"])
+@pytest.mark.parametrize("target", ["afile", "afile/sub"])
+def test_output_dir_that_names_a_file_is_refused(tmp_path, capsys, command,
+                                                  target):
+    (tmp_path / "afile").write_text("kept\n")
+    summary = tmp_path / "summary.csv"
+    summary.write_text(fileio.summary_csv([{
+        "scenario": "x", "strategy": "fop", "seed": 1, "total_profit": 10,
+        "profit_pct_of_fop": 100.0, "full_rotations": 1,
+        "avg_rotations_per_task": 1.5, "cycles": 4,
+        "budget_mode": "node_limit"}]))
+    mcmkp = ["--scenario", "mcmkp", "--agents", "2", "--tasks", "4",
+             "--cycles", "2"]
+    argv = {"run": ["run", *mcmkp, "--strategies", "foa", "--budget",
+                    "nodes:10"],
+            "generate": ["generate", *mcmkp, "--seed", "1"],
+            "report": ["report", "--summary", str(summary)]}[command]
+    before = dir_digest(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv, "-o", str(tmp_path / target)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert dir_digest(tmp_path) == before
+    assert sorted(os.listdir(tmp_path)) == ["afile", "summary.csv"]
 
 
 def test_report_tables(tmp_path):
@@ -708,7 +819,15 @@ def test_report_refuses_a_short_row(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("report", "--summary", str(path), "-o", str(tmp_path / "t")) == 4
     assert capsys.readouterr().err == (
-        f"error: {path}: line 2: 'full_rotations' is not an integer: None\n")
+        f"error: {path}: line 2: 'profit_pct_of_fop' is not a finite number: "
+        f"None\n")
+    # a text column must be there too
+    path.write_text(",".join(fileio.SUMMARY_COLUMNS)
+                    + "\nx,fop,1,10,100.0,1,1.5,4\n")
+    assert run_cli("report", "--summary", str(path), "-o", str(tmp_path / "t")) == 4
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 2: 'budget_mode' is not a string: None\n")
+    assert not (tmp_path / "t").exists()
 
 
 def test_report_rejects_schema_mismatch(tmp_path):
@@ -1044,7 +1163,7 @@ def test_files_run_whose_file_names_are_too_long_is_refused(tmp_path,
                                                             capsys):
     # the longest name is a job's per-cycle series (foa and fop alike), as
     # the temporary file it is written to first
-    tail = f"-2x3-uncorrelated-foa-seed1.cycles.jsonl.tmp{os.getpid()}"
+    tail = f"-2x3-uncorrelated-foa-seed1.cycles.jsonl.tmp{os.getpid():07d}"
     fits = "g" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(tail))
     argv = ["--strategies", "foa", "--budget", "nodes:10"]
     out = tmp_path / "fits"

@@ -312,7 +312,7 @@ def test_output_names_are_checked_against_the_name_limit(tmp_path):
     limit = os.pathconf(tmp_path, "PC_NAME_MAX")
     # a directory yet to be made is judged by its nearest existing ancestor
     directory = str(tmp_path / "a" / "b")
-    tail = f"-os-10-seed7.cycles.jsonl.tmp{os.getpid()}"
+    tail = f"-os-10-seed7.cycles.jsonl.tmp{os.getpid():07d}"
     label = "x" * (limit - len(tail))
     fileio.check_output_names(directory, label, [7], ["fop", "os-10"])
     with pytest.raises(ValueError, match="with seed 17 gives the file name"):

@@ -7,8 +7,7 @@ from rotagap.affinity import init_affinities
 from rotagap.engine import build_gap_problem
 from rotagap.solver import GapProblem, SolverBudget, brute_force_oracle, solve
 from rotagap.strategies import (ConfigError, StrategyConfig, compute_values,
-                                max_affinity_pressure, pc_values, report_order,
-                                wpp_values)
+                                max_affinity_pressure, pc_values, report_order)
 
 from conftest import make_instance, update_from_pairs, worked_example_fixture
 
@@ -202,13 +201,21 @@ def test_wpp_double_ideal_weights_equally():
     assert np.allclose(vm[:, 0], expected)
 
 
-def test_wpp_degenerate_inputs_error():
-    instance = make_instance({"A": 1}, {"T1": (0, 1, {"A"})})
+def test_wpp_zero_profits_blend_affinities_alone():
+    # every available profit is 0, so the profit term is 0 and the value
+    # is (1 - lambda) * a/max_a; an unavailable pair's profit is not read
+    agents = {f"A{i}": 1 for i in range(4)}
+    instance = make_instance(agents, {"T1": (0, 1, {"A0", "A1", "A2"}),
+                                      "T2": (7, 1, {"A3"})})
     state = init_affinities(instance)
-    with pytest.raises(ValueError, match="wpp"):
-        values_for(StrategyConfig(kind="wpp"), state, {"A"}, {"T1"})
-    with pytest.raises(ValueError, match="wpp"):
-        wpp_values(np.array([[5]]), np.array([[0]]), full_mask((1, 1)))
+    state.affinities[:3, 0] = [1, 2, 9]  # sum 12 == 2 * ideal(6) -> lambda 0.5
+    vm = values_for(StrategyConfig(kind="wpp"), state, set(agents), {"T1"})
+    assert np.allclose(vm[:3, 0], 0.5 * np.array([1, 2, 9]) / 9)
+    assert np.isfinite(vm).all() and (vm >= 0).all()
+    # in cycle 1 every affinity is 1, so lambda >= 1 and no value is positive
+    fresh = init_affinities(instance)
+    vm = values_for(StrategyConfig(kind="wpp"), fresh, set(agents), {"T1"})
+    assert (vm[:, 0] == 0).all()
 
 
 def test_all_strategies_handle_empty_availability_mask():
