@@ -303,7 +303,7 @@ def execute_run(payload: dict) -> dict:
     doc = fileio.run_report_to_dict(report, scenario=label, seed=seed,
                                     budget_mode=budget.mode, config=config)
     stem, *names = fileio.output_names(label, seed, strategy.file_label)
-    texts = fileio.dump_json(doc), fileio.cycle_lines(report)
+    texts = fileio.report_json(doc), fileio.cycle_lines(report)
     for name, text in zip(names, texts):
         fileio.atomic_write_text(os.path.join(config["output_dir"], name), text)
     # the benchmark's probe finds a job's files by its stem

@@ -301,6 +301,19 @@ def run_report_to_dict(report, *, scenario: str, seed: int, budget_mode: str,
     }
 
 
+def report_json(doc: dict) -> str:
+    """``dump_json(doc)`` for a :func:`run_report_to_dict` document, byte
+    for byte, with ``final_counts`` encoded one row at a time.  json's C
+    encoder holds one string per number until it joins them: about 1 MB at
+    once for the 15,000 counts of a 20 x 750 run, against a 46 KB report."""
+    def text(key, value):
+        if key == "final_counts":
+            return "[" + ", ".join(map(json.dumps, value)) + "]"
+        return json.dumps(value, sort_keys=True)
+    return "{" + ", ".join(f"{json.dumps(k)}: {text(k, v)}"
+                           for k, v in sorted(doc.items())) + "}\n"
+
+
 def cycle_lines(report) -> str:
     """One JSON line per cycle, holding its ``CycleReport``'s fields."""
     return "".join(json.dumps(vars(c), sort_keys=True) + "\n"

@@ -38,9 +38,13 @@ every insert, every shift except onto the task's current agent, every
 exchange onto a statically feasible pair, and every swap between tasks on
 different agents (charged before its mask is read).  Local search charges
 each neighbourhood in bulk, with one charge and exactly that per-move
-accounting, then evaluates the granted moves in numpy blocks; rows of a
-neighbourhood whose gain bound cannot beat the best move so far are not
-evaluated.  Branch-and-bound takes nodes from the clock in batches of at
+accounting.  A shift or swap neighbourhood whose bound on every gain (the
+largest rise, or the two largest, of an assigned task's value from its
+agent to its best one) cannot beat the best move so far is charged and
+skipped without building it; otherwise the granted moves are evaluated in
+numpy blocks of up to ``_BLOCK`` cells, and rows of a neighbourhood whose
+gain bound cannot beat the best move so far are not evaluated.
+Branch-and-bound takes nodes from the clock in batches of at
 most 256 (never more than a node limit has left), keeps one unit per node
 it visits and hands back what it did not use.  A deadline is read on every
 charge: once per neighbourhood, once per batch and once per round.  Where
@@ -346,20 +350,26 @@ def _order(*parts: tuple[np.ndarray, int]) -> np.ndarray:
     part is ``(rank, levels)``, an integer array with entries in ``[0,
     levels)``.  The parts must tell every entry apart.
 
-    One unstable ``argsort`` over an int64 mixed-radix key.  Before a part
-    would carry the key past 2**63, the key so far is replaced by its dense
-    rank, which is below the entry count; so the key fits int64 whenever the
-    entry count times the largest ``levels`` does.  For the solver's parts
+    One sort of an int64 mixed-radix key whose last digit is each entry's
+    index: the parts tell the entries apart, so the sorted keys hold the
+    permutation in that digit (a plain sort of int64 is faster than an
+    ``argsort``).  Before a part, or the index, would carry the key past
+    2**63, the key so far is replaced by its dense rank, which is below the
+    entry count; so the key fits int64 whenever the entry count times the
+    largest of ``levels`` and the entry count does.  For the solver's parts
     that product is at most the square of the candidate count: up to 3e9
     candidates, whose value matrix alone takes 24 GB.
     """
     key, size = parts[0]
-    for rank, levels in parts[1:]:
+    n = len(key)
+    for rank, levels in (*parts[1:], (np.arange(n), n)):
         if size * levels > 2**63:
             key, size = _dense_rank(key)
         key = key * levels + rank
         size *= levels
-    return np.argsort(key)
+    key.sort()
+    key %= n
+    return key
 
 
 def _positions(assigned: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -534,19 +544,26 @@ def greedy_construct(problem: GapProblem) -> Assignment:
     return work.to_assignment(assigned, proven=False, nodes=0, exhausted=False)
 
 
-_BLOCK = 4096  # cells per block of an exchange / swap scan
+# Cells per block of an exchange / swap scan.  On the 102 solves of the
+# tcsa-pc benchmark's timing seeds (2-core machine, best of 5 alternating
+# runs), 8,192 took 5-7% less solve time than 4,096; 16,384 took 2% less
+# again but raised that command line's peak RSS by about 0.08 MiB.
+_BLOCK = 8192
 
 
 def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
     """Local search's scan, in order, one neighbourhood at a time, as
-    ``(kind, block, rows)``.
+    ``(kind, cap, tables)``.
 
-    ``block(r)`` gives the cells of rows ``r`` as equal-shaped arrays
-    ``(charged, gain, ok, x, y)``: the cells that cost a work unit (scanned
-    row by row), each move's gain, whether it keeps the mask and every
-    capacity, and its two arguments, ``x`` by row and ``y`` by column.  For
-    a neighbourhood that fits in one block ``rows`` is the slice of all its
-    rows; otherwise ``r`` is an ascending index array and ``rows`` is three
+    ``cap`` is ``None`` or ``(count, bound)``: the neighbourhood's number of
+    charged cells and a bound that none of its gains exceeds, both found
+    without building its tables.  ``tables()`` builds ``(cells, rows)``.
+    For a neighbourhood that fits in one block ``rows`` is ``None`` and
+    ``cells`` is equal-shaped arrays ``(charged, gain, ok, x, y)``: the
+    cells that cost a work unit (scanned row by row), each move's gain,
+    whether it keeps the mask and every capacity, and its two arguments,
+    ``x`` by row and ``y`` by column.  Otherwise ``cells(r)`` gives those
+    arrays for an ascending index array of rows ``r``, and ``rows`` is three
     arrays over the rows: each row's number of charged cells, its width in
     cells, and a bound that none of its gains exceeds.  Insert and shift
     are one row each.
@@ -556,75 +573,99 @@ def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
     holder = assigned[task]
     fits = rem[agent] >= work.cand_w
     # insert: every candidate of an unassigned task
-    yield ("insert", lambda r: (holder < 0, work.cand_v, fits, task, agent),
-           slice(None))
-    # shift: every candidate of an assigned task but its current agent
-    yield ("shift", lambda r: ((holder >= 0) & (holder != agent),
-                               work.cand_v - values[holder, task], fits,
-                               task, agent), slice(None))
+    yield "insert", None, lambda: (
+        (holder < 0, work.cand_v, fits, task, agent), None)
 
     free = np.flatnonzero(assigned < 0)
     held = np.flatnonzero(assigned >= 0)
     own = assigned[held]
     v_own = values[own, held]
-    slack = rem[own] + weights[own, held]
     h, f = len(held), len(free)
+    # the most a held task's value can rise on another agent
+    rise = work.best_value[held] - v_own
+    # shift: every candidate of an assigned task but its current agent.  A
+    # gain is one subtraction from a value at most best_value, and rounding
+    # is monotone, so the largest rise bounds it exactly
+    count = int(np.count_nonzero(holder >= 0)) - h
+    yield "shift", (count, rise.max(initial=-np.inf)), lambda: (
+        ((holder >= 0) & (holder != agent),
+         work.cand_v - values[holder, task], fits, task, agent), None)
+
+    slack = rem[own] + weights[own, held]
     # exchange: assigned j1 out, unassigned j2 in on j1's agent; each
     # statically feasible (agent, j2) pair
     if h and f:
-        vals, wts, feas = values[:, free], weights[:, free], feasible[:, free]
+        def exchange():
+            vals, wts = values[:, free], weights[:, free]
+            feas = feasible[:, free]
 
-        def exchange(r):
-            i = own[r]
-            return (feas[i], vals[i] - v_own[r, None],
-                    wts[i] <= slack[r, None], held[r], free)
+            def cells(r):
+                i = own[r]
+                return (feas[i], vals[i] - v_own[r, None],
+                        wts[i] <= slack[r, None], held[r], free)
 
-        # the bound is exact: a gain is one subtraction, and rounding is
-        # monotone; values are >= 0, so the 0.0 off the mask never raises
-        # the maximum of a row that has charged cells
-        yield ("exchange", exchange, slice(None) if h * f <= _BLOCK else (
-            feas.sum(1)[own], np.full(h, f), vals.max(1)[own] - v_own))
+            if h * f <= _BLOCK:
+                return cells(slice(None)), None
+            # the bound is exact: a gain is one subtraction, and rounding
+            # is monotone; values are >= 0, so the 0.0 off the mask never
+            # raises the maximum of a row that has charged cells
+            return cells, (feas.sum(1)[own], np.full(h, f),
+                           vals.max(1)[own] - v_own)
+
+        yield "exchange", None, exchange
 
     # swap: assigned j1 before j2 trade agents; each pair on different
-    # agents, charged before the mask is read
+    # agents, charged before the mask is read.  A gain adds two values and
+    # subtracts both tasks' own, so it is at most the sum of the two
+    # largest rises; the two sums round by less than 7 ulps of the largest
+    # value, which the margin covers
     if h > 1:
-        vals, wts, feas = values[:, held], weights[:, held], feasible[:, held]
-        pos = np.arange(h)
-
-        def swap(r):
-            rc = pos[r, None]
-            lo = int(rc[0, 0]) + 1
-            i1, i2 = own[r], own[lo:]
-            ok = feas[i1, lo:] & feas[:, r][i2].T \
-                & (slack[r, None] >= wts[i1, lo:]) \
-                & (slack[lo:] >= wts[:, r][i2].T)
-            gain = vals[:, r][i2].T + vals[i1, lo:] - v_own[r, None] \
-                - v_own[lo:]
-            return ((pos[lo:] > rc) & (i1[:, None] != i2), gain, ok, held[r],
-                    held[lo:])
-
-        if (h - 1) * (h - 1) <= _BLOCK:
-            yield "swap", swap, slice(0, h - 1)
-            return
-        # row s charges the later held tasks on other agents: all later
-        # ones but those that follow it in its agent's run of `order`
-        order = np.argsort(own, kind="stable")
-        later = np.empty(h, dtype=np.int64)
-        later[order] = np.cumsum(np.bincount(own))[own[order]] - pos
-        # a gain (values[own[t], j1] + values[own[s], j2]) - v_own[s] -
-        # v_own[t] is at most best_value[j1] - v_own[s] plus the largest
-        # values[own[s], j2] - v_own[t] over the later t that can keep the
-        # mask on another agent: a suffix maximum per agent, which row s
-        # takes from column s + 1.  The gain and the bound add the same
-        # values in different orders; together they round by less than 7
-        # ulps of the largest value, which the margin covers.
-        second = np.where(feas, vals - v_own, -np.inf)
-        second[own, pos] = -np.inf
-        suffix = np.maximum.accumulate(second[:, :0:-1], axis=1)[:, ::-1]
+        on_agent = np.bincount(own)
+        count = h * (h - 1) // 2 - int((on_agent * (on_agent - 1) // 2).sum())
+        # the two largest by argmax and max: np.partition runs numpy code
+        # nothing else here does, +0.3 MiB peak RSS on mcmkp-foa
+        k = int(rise.argmax())
+        rest = rise.copy()
+        rest[k] = -np.inf
         margin = 16 * np.finfo(float).eps * values.max()
-        bound = (work.best_value[held[:-1]] - v_own[:-1]) \
-            + suffix[own[:-1], pos[:-1]] + margin
-        yield "swap", swap, ((h - pos - later)[:-1], h - 1 - pos[:-1], bound)
+
+        def swap():
+            vals, wts = values[:, held], weights[:, held]
+            feas = feasible[:, held]
+            pos = np.arange(h)
+
+            def cells(r):
+                rc = pos[r, None]
+                lo = int(rc[0, 0]) + 1
+                i1, i2 = own[r], own[lo:]
+                ok = feas[i1, lo:] & feas[:, r][i2].T \
+                    & (slack[r, None] >= wts[i1, lo:]) \
+                    & (slack[lo:] >= wts[:, r][i2].T)
+                gain = vals[:, r][i2].T + vals[i1, lo:] - v_own[r, None] \
+                    - v_own[lo:]
+                return ((pos[lo:] > rc) & (i1[:, None] != i2), gain, ok,
+                        held[r], held[lo:])
+
+            if (h - 1) * (h - 1) <= _BLOCK:
+                return cells(slice(0, h - 1)), None
+            # row s charges the later held tasks on other agents: all later
+            # ones but those that follow it in its agent's run of `order`
+            order = np.argsort(own, kind="stable")
+            later = np.empty(h, dtype=np.int64)
+            later[order] = np.cumsum(on_agent)[own[order]] - pos
+            # a gain (values[own[t], j1] + values[own[s], j2]) - v_own[s] -
+            # v_own[t] is at most rise[s] plus the largest
+            # values[own[s], j2] - v_own[t] over the later t that can keep
+            # the mask on another agent: a suffix maximum per agent, which
+            # row s takes from column s + 1; the margin covers rounding as
+            # above
+            second = np.where(feas, vals - v_own, -np.inf)
+            second[own, pos] = -np.inf
+            suffix = np.maximum.accumulate(second[:, :0:-1], axis=1)[:, ::-1]
+            bound = rise[:-1] + suffix[own[:-1], pos[:-1]] + margin
+            return cells, ((h - pos - later)[:-1], h - 1 - pos[:-1], bound)
+
+        yield "swap", (count, float(rise[k] + rest.max()) + margin), swap
 
 
 def _best_cell(best: float, drop: int, charged, gain, ok, x, y):
@@ -643,22 +684,27 @@ def _best_cell(best: float, drop: int, charged, gain, ok, x, y):
     return best, None
 
 
-def _scan(clock: _BudgetClock, best: float, block, rows):
+def _scan(clock: _BudgetClock, best: float, cap, tables):
     """Charge one neighbourhood with a single ``charge`` and find the first
     largest gain above ``best`` among its granted cells; returns ``(best,
     (x, y) or None, cut)``.
 
-    A neighbourhood that fits in one block is that block with every row
-    live.  Otherwise the fully granted rows are found from the per-row
-    counts, of a partly granted last row only its granted cells count, and
-    a row is evaluated only while its bound beats the best gain so far:
-    live rows in scan order, in blocks of at most ``_BLOCK`` cells.
+    A neighbourhood whose ``cap`` bound cannot beat ``best`` is charged its
+    ``cap`` count and yields no move; its tables are never built.  One that
+    fits in one block is that block with every row live.  Otherwise the
+    fully granted rows are found from the per-row counts, of a partly
+    granted last row only its granted cells count, and a row is evaluated
+    only while its bound beats the best gain so far: live rows in scan
+    order, in blocks of at most ``_BLOCK`` cells.
     """
-    if isinstance(rows, slice):
-        charged, gain, ok, x, y = block(rows)
-        total = int(np.count_nonzero(charged))
+    if cap is not None and cap[1] <= best:
+        count = cap[0]
+        return best, None, clock.charge(count) < count
+    cells, rows = tables()
+    if rows is None:
+        total = int(np.count_nonzero(cells[0]))
         granted = clock.charge(total)
-        best, move = _best_cell(best, total - granted, charged, gain, ok, x, y)
+        best, move = _best_cell(best, total - granted, *cells)
         return best, move, granted < total
     counts, width, bound = rows
     ends = np.cumsum(counts)
@@ -672,7 +718,7 @@ def _scan(clock: _BudgetClock, best: float, block, rows):
         k = max(1, _BLOCK // int(width[live[0]]))
         r, live = live[:k], live[k:]
         drop = int(counts[full]) - part if r[-1] == full else 0
-        best, found = _best_cell(best, drop, *block(r))
+        best, found = _best_cell(best, drop, *cells(r))
         if found is not None:
             move = found
             live = live[bound[live] > best]
@@ -700,8 +746,8 @@ def _local_search(work: _Work, assigned: np.ndarray,
     np.subtract.at(rem, assigned[held], weights[assigned[held], held])
     while True:
         best_delta, move, cut = _EPS, None, False
-        for kind, block, rows in _neighbourhoods(work, assigned, rem):
-            best_delta, found, cut = _scan(clock, best_delta, block, rows)
+        for kind, cap, tables in _neighbourhoods(work, assigned, rem):
+            best_delta, found, cut = _scan(clock, best_delta, cap, tables)
             if found is not None:
                 move = (kind, *found)
             if cut:

@@ -146,9 +146,10 @@ def tcsa_gap_problem(rng: random.Random, agents: int = 20, tasks: int = 750,
     search's exchange and swap neighbourhoods span many blocks here.
 
     ``values`` is ``"integer"`` (a per-task priority times a small per-pair
-    affinity, as ``pc`` gives), ``"tenths"`` (multiples of 0.1, full of
-    ties) or ``"uniform"`` (uniform floats on a random scale from 1e-3 to
-    1e6)."""
+    affinity, as ``pc`` gives), ``"priority"`` (the per-task priority alone,
+    the same on every agent, as ``fop`` gives), ``"tenths"`` (multiples of
+    0.1, full of ties) or ``"uniform"`` (uniform floats on a random scale
+    from 1e-3 to 1e6)."""
     weights = [rng.randint(1, 21) for _ in range(tasks)]
     share = sum(weights) * 4 // (5 * agents)
     caps = np.array([rng.randint(share * 9 // 10, share * 11 // 10)
@@ -160,6 +161,9 @@ def tcsa_gap_problem(rng: random.Random, agents: int = 20, tasks: int = 750,
         priority = [rng.randint(10, 1000) for _ in range(tasks)]
         table = np.array([[float(p * rng.randint(1, 8)) for p in priority]
                           for _ in range(agents)])
+    elif values == "priority":
+        priority = [float(rng.randint(10, 1000)) for _ in range(tasks)]
+        table = np.tile(priority, (agents, 1))
     elif values == "tenths":
         table = np.array([[rng.randint(0, 30) * 0.1 for _ in range(tasks)]
                           for _ in range(agents)])

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,6 +251,32 @@ def test_records_hold_the_report_fields(spec):
                                "label": strategy.label}
     assert set(doc["strategy"]) \
         == {f.name for f in dataclasses.fields(StrategyConfig)} | {"label"}
+
+
+def test_report_text_is_dump_json_without_a_string_per_count():
+    params = TcsaParams(agents=4, tasks=12, cycles=5, seed=9)
+    instance = generate_tcsa(params)
+    report = run_scenario(instance, generate_trace_episodic(instance, params),
+                          StrategyConfig.parse("pc"), SolverBudget.nodes(200))
+    doc = fileio.run_report_to_dict(
+        report, scenario="tcsa-4x12", seed=9, budget_mode="node_limit",
+        config={"z": [0.1, -0.0, 1e300], "é\n": {"b": None, "a": True}})
+    assert fileio.report_json(doc) == fileio.dump_json(doc)
+    # a 20 x 750 run's counts: json's encoder holds one string per number,
+    # about 1 MB; row by row, the transient stays near the text's size
+    doc["final_counts"] = [list(range(k, k + 750)) for k in range(20)]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for dump in (fileio.dump_json, fileio.report_json):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            text = dump(doc)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            assert text == fileio.dump_json(doc)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < 4 * len(text) < peaks[0]
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n"])

@@ -153,6 +153,20 @@ def test_local_search_uses_insert_shift_swap():
     assert result.objective == 16.0
 
 
+def test_a_swap_that_beats_each_rise_alone_is_made():
+    # t0 and t1 each rise by 9 on the other agent; exchanging t0 for the
+    # unassigned t2 gains 11, more than either rise, and the swap gains 18:
+    # a swap's gain is bounded by the sum of two rises, not by the larger
+    problem = small_problem([1, 1], [[1, 1, 1], [1, 1, 1]],
+                            [[1, 10, 12], [10, 1, 0]])
+    start = Assignment(pairs={("a00", "t00"), ("a01", "t01")}, objective=2.0,
+                       proven_optimal=False, nodes_explored=0,
+                       budget_exhausted=False)
+    # one scan: 2 inserts, 2 shifts, 2 exchanges and 1 swap
+    result = local_search_improve(problem, start, SolverBudget.nodes(7))
+    assert result.pairs == {("a00", "t01"), ("a01", "t00")}
+
+
 def test_branch_and_bound_matches_oracle_on_random_instances():
     rng = random.Random(17)
     for _ in range(40):
@@ -1308,10 +1322,12 @@ def inside(ends: list[int], k: int) -> int:
 
 
 # tcsa-shaped problems (seed, tasks, values) whose exchange and swap
-# neighbourhoods span several blocks, even at 200 tasks
+# neighbourhoods span several blocks, even at 200 tasks; on the "priority"
+# ones every shift and swap neighbourhood is skipped by its bound
 MULTI_BLOCK_SHAPES = [(1, 750, "integer"), (2, 600, "tenths"),
                       (3, 450, "uniform"), (4, 300, "integer"),
-                      (5, 200, "uniform"), (6, 250, "tenths")]
+                      (5, 200, "uniform"), (6, 250, "tenths"),
+                      (7, 600, "priority"), (8, 250, "priority")]
 
 
 @pytest.mark.parametrize("seed,tasks,values", MULTI_BLOCK_SHAPES)
@@ -1400,6 +1416,44 @@ def test_local_search_charges_each_neighbourhood_once(monkeypatch):
     assert (result.nodes_explored, result.budget_exhausted) == (100_000, True)
     # insert, shift, exchange, then the swap neighbourhood the budget cuts
     assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("values,built", [
+    ("priority", ["insert", "exchange"]),
+    ("integer", ["insert", "shift", "exchange", "swap"])])
+def test_a_neighbourhood_that_cannot_gain_is_charged_but_not_built(
+        monkeypatch, values, built):
+    # with one value per task on every agent no shift or swap gains; a
+    # budget that ends inside the first scan's swap still takes its full
+    # count in the one charge, as it does where the swap is built
+    problem = tcsa_gap_problem(random.Random(1), values=values)
+    greedy = greedy_construct(problem)
+    exchange, swap = first_scan_rows(problem, greedy)
+    clock_type = solver._BudgetClock
+    charge, calls, tables_built = clock_type.charge, [], []
+
+    def counted(self, k=1):
+        calls.append(k)
+        return charge(self, k)
+
+    neighbourhoods = solver._neighbourhoods
+
+    def spied(*args):
+        for kind, cap, tables in neighbourhoods(*args):
+            def build(kind=kind, tables=tables):
+                tables_built.append(kind)
+                return tables()
+            yield kind, cap, build
+
+    monkeypatch.setattr(clock_type, "charge", counted)
+    monkeypatch.setattr(solver, "_neighbourhoods", spied)
+    nodes = inside(swap, len(swap) // 2)
+    result = local_search_improve(problem, greedy, SolverBudget.nodes(nodes))
+    assert (result.nodes_explored, result.budget_exhausted) == (nodes, True)
+    assert tables_built == built
+    # insert, shift, exchange, then the whole swap neighbourhood
+    assert len(calls) == 4 and sum(calls[:3]) == exchange[-1]
+    assert calls[3] == swap[-1] - exchange[-1]
 
 
 def test_wall_clock_budget_stops_an_unfinished_local_search():
