@@ -54,11 +54,17 @@ def update_affinities(state: AffinityState, prev_available: np.ndarray,
     mats = state.mats
     incompatible = ~mats.compat[rows, cols]
     unavailable = ~prev_available[rows, cols]
-    seq = np.arange(len(cols))
-    first = np.full(mats.n, len(cols))
-    np.minimum.at(first, cols, seq)  # each task's first pair
-    bad = incompatible | unavailable | (first[cols] < seq)
-    if bad.any():  # the first offending pair, checked in that order
+    bad = incompatible | unavailable
+    # fewer tasks hit than pairs: some task is assigned twice (a negative
+    # position hits the task it indexes)
+    hit = np.zeros(mats.n, dtype=bool)
+    hit[cols] = True
+    if bad.any() or np.count_nonzero(hit) < len(cols):
+        seq = np.arange(len(cols))
+        first = np.full(mats.n, len(cols))
+        np.minimum.at(first, cols, seq)  # each task's first pair
+        bad |= first[cols] < seq
+        # the first offending pair, checked in that order
         k = int(np.argmax(bad))
         agent_id, task_id = mats.agent_ids[rows[k]], mats.task_ids[cols[k]]
         if incompatible[k]:

@@ -43,7 +43,8 @@ largest rise, or the two largest, of an assigned task's value from its
 agent to its best one) cannot beat the best move so far is charged and
 skipped without building it; otherwise the granted moves are evaluated in
 numpy blocks of up to ``_BLOCK`` cells, and rows of a neighbourhood whose
-gain bound cannot beat the best move so far are not evaluated.
+gain bound cannot beat the best move so far are not evaluated.  Row bounds
+are built after the charge, for the granted rows only.
 Branch-and-bound takes nodes from the clock in batches of at
 most 256 (never more than a node limit has left), keeps one unit per node
 it visits and hands back what it did not use.  A deadline is read on every
@@ -353,22 +354,26 @@ def _order(*parts: tuple[np.ndarray, int]) -> np.ndarray:
     One sort of an int64 mixed-radix key whose last digit is each entry's
     index: the parts tell the entries apart, so the sorted keys hold the
     permutation in that digit (a plain sort of int64 is faster than an
-    ``argsort``).  Before a part, or the index, would carry the key past
-    2**63, the key so far is replaced by its dense rank, which is below the
-    entry count; so the key fits int64 whenever the entry count times the
-    largest of ``levels`` and the entry count does.  For the solver's parts
-    that product is at most the square of the candidate count: up to 3e9
-    candidates, whose value matrix alone takes 24 GB.
+    ``argsort``).  That digit's radix is a power of two, below twice the
+    entry count, so the permutation is the keys' low bits (a mask is faster
+    than an int64 modulo).  Before a part, or the index, would carry the key
+    past 2**63, the key so far is replaced by its dense rank, which is below
+    the entry count; so the key fits int64 whenever twice the entry count
+    times the largest of ``levels`` and the entry count does.  For the
+    solver's parts that product is at most twice the square of the
+    candidate count: up to 2e9 candidates, whose value matrix alone takes
+    16 GB.
     """
     key, size = parts[0]
     n = len(key)
-    for rank, levels in (*parts[1:], (np.arange(n), n)):
+    radix = 1 << (n - 1).bit_length()
+    for rank, levels in (*parts[1:], (np.arange(n), radix)):
         if size * levels > 2**63:
             key, size = _dense_rank(key)
         key = key * levels + rank
         size *= levels
     key.sort()
-    key %= n
+    key &= radix - 1
     return key
 
 
@@ -422,24 +427,30 @@ class _Work:
         self.values = np.where(self.feasible, problem.values, 0.0)
         self.agent_rank = _ranks(problem.agent_ids)
         self.task_rank = _ranks(problem.task_ids)
-        agents, tasks = np.nonzero(self.feasible)
-        v = self.values[agents, tasks]
+        # row-major flat positions, split into agent and task
+        flat = np.flatnonzero(self.feasible)
+        agents = flat // self.n
+        tasks = flat - agents * self.n
+        v = self.values.ravel()[flat]
         v_rank, self.value_levels = _dense_rank(-v)
         order = _order((tasks, self.n), (v_rank, self.value_levels),
                        (self.agent_rank[agents], self.m))
         self.cand_agent, self.cand_task = agents[order], tasks[order]
         self.cand_v, self.cand_v_rank = v[order], v_rank[order]
-        self.cand_w = self.weights[self.cand_agent, self.cand_task]
+        self.cand_w = self.weights.ravel()[flat[order]]
         self.offsets = np.searchsorted(self.cand_task, np.arange(self.n + 1))
         # per-task best value over statically feasible agents (bound term)
         best = np.zeros(self.n)
         has = self.offsets[1:] > self.offsets[:-1]
         best[has] = self.cand_v[self.offsets[:-1][has]]
         self.best_value = best
+        # covers the rounding of a swap's two-rise bound (see _neighbourhoods)
+        self.margin = 16 * np.finfo(float).eps * self.values.max(initial=0.0)
 
     def objective(self, assigned: np.ndarray) -> float:
         tasks = np.flatnonzero(assigned >= 0)
-        return sum(self.values[assigned[tasks], tasks].tolist())
+        # float(): the sum of no values is the int 0
+        return float(sum(self.values[assigned[tasks], tasks].tolist()))
 
     def to_assignment(self, assigned: np.ndarray, *, proven: bool,
                       nodes: int, exhausted: bool) -> Assignment:
@@ -532,7 +543,7 @@ def _greedy(work: _Work) -> np.ndarray:
         if assigned[j] < 0 and rem[i] >= w_ij:
             assigned[j] = i
             rem[i] -= w_ij
-    return np.array(assigned, dtype=np.int64)
+    return np.fromiter(assigned, np.int64, work.n)
 
 
 def greedy_construct(problem: GapProblem) -> Assignment:
@@ -563,9 +574,11 @@ def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
     cells that cost a work unit (scanned row by row), each move's gain,
     whether it keeps the mask and every capacity, and its two arguments,
     ``x`` by row and ``y`` by column.  Otherwise ``cells(r)`` gives those
-    arrays for an ascending index array of rows ``r``, and ``rows`` is three
-    arrays over the rows: each row's number of charged cells, its width in
-    cells, and a bound that none of its gains exceeds.  Insert and shift
+    arrays for an ascending index array of rows ``r``, and ``rows`` is
+    ``(counts, width, bounds)``: two arrays over the rows, each row's number
+    of charged cells and its width in cells, and ``bounds(stop)``, which
+    gives for each of the first ``stop`` rows a bound that none of its gains
+    exceeds; rows past the budget's grant get no bound.  Insert and shift
     are one row each.
     """
     values, weights, feasible = work.values, work.weights, work.feasible
@@ -609,8 +622,8 @@ def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
             # the bound is exact: a gain is one subtraction, and rounding
             # is monotone; values are >= 0, so the 0.0 off the mask never
             # raises the maximum of a row that has charged cells
-            return cells, (feas.sum(1)[own], np.full(h, f),
-                           vals.max(1)[own] - v_own)
+            return cells, (feas.sum(1)[own], np.full(h, f), lambda stop:
+                           vals.max(1)[own[:stop]] - v_own[:stop])
 
         yield "exchange", None, exchange
 
@@ -627,7 +640,6 @@ def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
         k = int(rise.argmax())
         rest = rise.copy()
         rest[k] = -np.inf
-        margin = 16 * np.finfo(float).eps * values.max()
 
         def swap():
             vals, wts = values[:, held], weights[:, held]
@@ -658,14 +670,21 @@ def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
             # values[own[s], j2] - v_own[t] over the later t that can keep
             # the mask on another agent: a suffix maximum per agent, which
             # row s takes from column s + 1; the margin covers rounding as
-            # above
-            second = np.where(feas, vals - v_own, -np.inf)
-            second[own, pos] = -np.inf
-            suffix = np.maximum.accumulate(second[:, :0:-1], axis=1)[:, ::-1]
-            bound = rise[:-1] + suffix[own[:-1], pos[:-1]] + margin
-            return cells, ((h - pos - later)[:-1], h - 1 - pos[:-1], bound)
+            # above.  Rows from `stop` on take no bound, so the suffix runs
+            # over columns 1..stop, the last of them holding the maximum of
+            # every column after it as well (max is exact)
+            def bounds(stop):
+                second = np.where(feas, vals - v_own, -np.inf)
+                second[own, pos] = -np.inf
+                head = second[:, 1:stop + 1]
+                head[:, -1] = second[:, stop:].max(1)
+                suffix = np.maximum.accumulate(head[:, ::-1], axis=1)[:, ::-1]
+                return rise[:stop] + suffix[own[:stop], pos[:stop]] \
+                    + work.margin
 
-        yield "swap", (count, float(rise[k] + rest.max()) + margin), swap
+            return cells, ((h - pos - later)[:-1], h - 1 - pos[:-1], bounds)
+
+        yield "swap", (count, float(rise[k] + rest.max()) + work.margin), swap
 
 
 def _best_cell(best: float, drop: int, charged, gain, ok, x, y):
@@ -693,9 +712,10 @@ def _scan(clock: _BudgetClock, best: float, cap, tables):
     ``cap`` count and yields no move; its tables are never built.  One that
     fits in one block is that block with every row live.  Otherwise the
     fully granted rows are found from the per-row counts, of a partly
-    granted last row only its granted cells count, and a row is evaluated
-    only while its bound beats the best gain so far: live rows in scan
-    order, in blocks of at most ``_BLOCK`` cells.
+    granted last row only its granted cells count, bounds are asked for the
+    granted rows alone, and a row is evaluated only while its bound beats
+    the best gain so far: live rows in scan order, in blocks of at most
+    ``_BLOCK`` cells.
     """
     if cap is not None and cap[1] <= best:
         count = cap[0]
@@ -706,13 +726,16 @@ def _scan(clock: _BudgetClock, best: float, cap, tables):
         granted = clock.charge(total)
         best, move = _best_cell(best, total - granted, *cells)
         return best, move, granted < total
-    counts, width, bound = rows
+    counts, width, bounds = rows
     ends = np.cumsum(counts)
     total = int(ends[-1])
     granted = clock.charge(total)
+    if not granted:
+        return best, None, granted < total
     full = int(np.searchsorted(ends, granted, "right"))
     part = granted - (int(ends[full - 1]) if full else 0)  # of row `full`
-    live = np.flatnonzero(bound[:full + (part > 0) if granted else 0] > best)
+    bound = bounds(full + (part > 0))
+    live = np.flatnonzero(bound > best)
     move = None
     while len(live):
         k = max(1, _BLOCK // int(width[live[0]]))
@@ -996,8 +1019,9 @@ _last_solve: tuple | None = None
 
 
 def _arrays(problem: GapProblem) -> tuple[np.ndarray, ...]:
-    # values first: between cycles they change most often
-    return (problem.values, problem.feasible_pairs, problem.weights,
+    # the mask first: it is the cheapest to compare, and it differs
+    # whenever availability has changed
+    return (problem.feasible_pairs, problem.values, problem.weights,
             problem.agent_capacities)
 
 

@@ -134,7 +134,7 @@ def report_order(label: str) -> tuple:
 def _available_affinity(affinities: np.ndarray,
                         mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per task: the count of ``mask``'s agents and their affinity sum."""
-    return mask.sum(axis=0), np.where(mask, affinities, 0).sum(axis=0)
+    return mask.sum(axis=0), (affinities * mask).sum(axis=0)
 
 
 def max_affinity_pressure(state: AffinityState,
@@ -160,8 +160,9 @@ def pc_values(alpha: float, beta: float, profits: np.ndarray,
               affinities: np.ndarray) -> np.ndarray:
     """Product combination ``p**alpha * a**beta`` elementwise; 0**0 == 1 so
     the fop/foa special cases hold entrywise."""
-    return np.power(profits.astype(np.float64), alpha) \
-        * np.power(affinities.astype(np.float64), beta)
+    values = np.power(profits, alpha, dtype=np.float64)
+    return np.multiply(values, np.power(affinities, beta, dtype=np.float64),
+                       out=values)
 
 
 def wpp_values(profits: np.ndarray, affinities: np.ndarray,

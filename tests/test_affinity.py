@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rotagap.affinity import init_affinities
+from rotagap.affinity import init_affinities, update_affinities
 from rotagap.strategies import max_affinity_pressure
 
 from conftest import make_instance, update_from_pairs, worked_example_fixture
@@ -280,3 +280,61 @@ def test_update_invariants_under_full_availability(seed, steps):
         assert np.all(state.affinities[compat] >= 1)
         assert np.all(state.affinities <= state.cycle)
     assert int(state.assignment_counts.sum()) == total_assigned
+
+
+def reference_update(state, prev_available, rows, cols):
+    """``update_affinities`` as it checked its input with an ordered
+    ``np.minimum.at`` scan on every call: the error message it raises, or
+    the state it returns as ``(affinities, counts, cycle)``."""
+    mats = state.mats
+    incompatible = ~mats.compat[rows, cols]
+    unavailable = ~prev_available[rows, cols]
+    seq = np.arange(len(cols))
+    first = np.full(mats.n, len(cols))
+    np.minimum.at(first, cols, seq)  # each task's first pair
+    bad = incompatible | unavailable | (first[cols] < seq)
+    if bad.any():
+        k = int(np.argmax(bad))
+        agent_id, task_id = mats.agent_ids[rows[k]], mats.task_ids[cols[k]]
+        if incompatible[k]:
+            return f"assignment pair ({agent_id}, {task_id}) is incompatible"
+        if unavailable[k]:
+            return f"assignment pair ({agent_id}, {task_id}) was unavailable"
+        return f"task {task_id} assigned more than once"
+    affinities = state.affinities + prev_available
+    counts = state.assignment_counts.copy()
+    affinities[rows, cols] = 1
+    counts[rows, cols] += 1
+    return affinities.tolist(), counts.tolist(), state.cycle + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_update_checks_as_the_ordered_scan_did(data):
+    """Duplicates, incompatible and unavailable pairs, and negative
+    positions, which index from the end: the same message or the same new
+    state as the reference."""
+    seed = data.draw(st.integers(0, 10_000))
+    instance = random_compat_instance(random.Random(seed), max_agents=4,
+                                      max_tasks=6)
+    state = init_affinities(instance)
+    mats = state.mats
+    m, n = mats.m, mats.n
+    available = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        min_size=m, max_size=m)))
+    if data.draw(st.booleans()):  # as the engine passes it
+        available &= mats.compat
+    pairs = data.draw(st.lists(st.tuples(st.integers(-m, m - 1),
+                                         st.integers(-n, n - 1)),
+                               max_size=2 * n))
+    rows = np.array([i for i, _ in pairs], dtype=np.intp)
+    cols = np.array([j for _, j in pairs], dtype=np.intp)
+    expected = reference_update(state, available, rows, cols)
+    try:
+        new = update_affinities(state, available, rows, cols)
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert (new.affinities.tolist(), new.assignment_counts.tolist(),
+                new.cycle) == expected

@@ -694,6 +694,18 @@ def test_wpp_runs_on_a_cycle_without_positive_profit(tmp_path):
         == [("wpp", "5"), ("fop", "5")]
 
 
+def test_a_cycle_with_nothing_assigned_writes_a_float_objective(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", "mcmkp", "--agents", "3", "--tasks",
+                   "5", "--cycles", "30", "--agent-availability", "0.05",
+                   "--task-availability", "0.05", "--strategies",
+                   "foa,pc,wpp", "-o", str(out)) == 0
+    lines = [json.loads(line) for path in sorted(out.glob("*.cycles.jsonl"))
+             for line in path.read_text().splitlines()]
+    assert any(line["assigned_count"] == 0 for line in lines)
+    assert all(type(line["objective"]) is float for line in lines)
+
+
 @pytest.mark.parametrize("command", ["run", "generate", "report"])
 @pytest.mark.parametrize("target", ["afile", "afile/sub"])
 def test_output_dir_that_names_a_file_is_refused(tmp_path, capsys, command,

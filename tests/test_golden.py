@@ -1,11 +1,15 @@
 """Golden outputs: the benchmark's three command lines, run in this process
 on the first timing seeds of ``perfbench/run.py --seed 1``, write the
-``summary.csv`` files whose sha256 are pinned here.  A change meant to keep
-behaviour leaves them as they are; a change that alters results records
-the new digests here and says so.  tcsa-pc and mcmkp-grid have kept theirs
-since the benchmark was introduced.  mcmkp-foa's changed once, when
-perturbed local search took the first half of each solve's budget: its
-first local search ends with budget left, where the other two spend it all.
+``summary.csv`` files and the ``.cycles.jsonl`` files whose sha256 are
+pinned here; a run's cycle files are hashed together in name order, so
+their digest pins each cycle's ``max_ap``, ``objective`` and
+``nodes_explored``, which the summary does not carry.  A change meant to
+keep behaviour leaves them as they are; a change that alters results
+records the new digests here and says so.  tcsa-pc and mcmkp-grid have kept
+their summaries since the benchmark was introduced.  mcmkp-foa's changed
+once, when perturbed local search took the first half of each solve's
+budget: its first local search ends with budget left, where the other two
+spend it all.
 """
 
 import hashlib
@@ -27,6 +31,15 @@ DIGESTS = {
         "8cb50eefce74fb6c8b8feef08f7432d0c154efa56b7d6db6a251c23f55b8ab9d",
 }
 
+CYCLE_DIGESTS = {
+    "mcmkp-foa":
+        "2d15fa0c173b08db3237254a37032432ac65be487507adeb4be4d0a917f7bfec",
+    "tcsa-pc":
+        "20343cd84b35fcd7a1a80dc3a956eb869e43e10f555721b7e34bd75d96d19c45",
+    "mcmkp-grid":
+        "55e8ecf03f3e94d49750fb2ef3cb27e5dd113e6c57561b9b481d8439f386a81b",
+}
+
 
 def benchmark_runner():
     """``perfbench/run.py`` as a module, for its workloads and seeds."""
@@ -37,16 +50,42 @@ def benchmark_runner():
     return module
 
 
+@pytest.fixture(scope="module")
+def benchmark_run(tmp_path_factory):
+    """The output directory of a workload's command line, run once."""
+    bench = benchmark_runner()
+    outputs = {}
+
+    def run(workload):
+        if workload not in outputs:
+            seeds = ",".join(map(str, bench.timing_seeds(workload, 1)))
+            out = tmp_path_factory.mktemp(workload) / "run"
+            assert main(["run", *bench.WORKLOADS[workload], "--seeds", seeds,
+                         "--workers", "1", "-o", str(out)]) == 0
+            outputs[workload] = out
+        return outputs[workload]
+
+    return run
+
+
 def test_golden_digests_cover_every_workload():
-    assert sorted(benchmark_runner().WORKLOADS) == sorted(DIGESTS)
+    workloads = sorted(benchmark_runner().WORKLOADS)
+    assert workloads == sorted(DIGESTS) == sorted(CYCLE_DIGESTS)
 
 
 @pytest.mark.parametrize("workload", sorted(DIGESTS))
-def test_benchmark_command_line_writes_its_golden_summary(tmp_path, workload):
-    bench = benchmark_runner()
-    seeds = ",".join(map(str, bench.timing_seeds(workload, 1)))
-    out = tmp_path / "run"
-    assert main(["run", *bench.WORKLOADS[workload], "--seeds", seeds,
-                 "--workers", "1", "-o", str(out)]) == 0
+def test_benchmark_command_line_writes_its_golden_summary(benchmark_run,
+                                                          workload):
+    out = benchmark_run(workload)
     digest = hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest()
     assert digest == DIGESTS[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(CYCLE_DIGESTS))
+def test_benchmark_command_line_writes_its_golden_cycle_lines(benchmark_run,
+                                                              workload):
+    out = benchmark_run(workload)
+    digest = hashlib.sha256()
+    for path in sorted(out.glob("*.cycles.jsonl")):
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == CYCLE_DIGESTS[workload]

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from rotagap import solver
 from rotagap.solver import (Assignment, GapProblem, SolverBudget, SolverError,
-                            _greedy_order, _order, _Work, branch_and_bound,
+                            _dense_rank, _greedy_order, _order, _Work,
+                            branch_and_bound,
                             brute_force_oracle, greedy_construct,
                             local_search_improve, root_upper_bound, solve)
 
@@ -198,6 +199,7 @@ def test_solve_empty_feasible_set_is_proven():
     result = solve(problem, SolverBudget.nodes(100))
     assert result.pairs == frozenset()
     assert result.objective == 0.0
+    assert type(result.objective) is float  # written as 0.0, not 0
     assert result.proven_optimal
 
 
@@ -588,6 +590,50 @@ def test_candidate_and_greedy_orders_match_python_sorted(seed):
     order = _greedy_order(work).tolist()
     assert [candidates[k] for k in order] \
         == sorted(candidates, key=reference_greedy_key(problem))
+
+
+def nonzero_candidates(work: _Work) -> tuple[np.ndarray, ...]:
+    """The candidate arrays as built from the 2-D ``np.nonzero`` of the
+    statically feasible mask."""
+    agents, tasks = np.nonzero(work.feasible)
+    v = work.values[agents, tasks]
+    v_rank, levels = _dense_rank(-v)
+    order = _order((tasks, work.n), (v_rank, levels),
+                   (work.agent_rank[agents], work.m))
+    agents, tasks = agents[order], tasks[order]
+    return (agents, tasks, v[order], v_rank[order],
+            work.weights[agents, tasks])
+
+
+def empty_problem(m: int, n: int) -> GapProblem:
+    return GapProblem(agent_ids=tuple(f"a{i}" for i in range(m)),
+                      task_ids=tuple(f"t{j}" for j in range(n)),
+                      agent_capacities=np.full(m, 5),
+                      weights=np.ones((m, n)), values=np.ones((m, n)),
+                      feasible_pairs=np.zeros((m, n), dtype=bool))
+
+
+def candidate_problems():
+    """Problems without agents, tasks or feasible pairs, and problems whose
+    ids are not in sorted order."""
+    yield from (empty_problem(0, 4), empty_problem(3, 0), empty_problem(0, 0),
+                empty_problem(3, 4), small_problem([1], [[5, 5]], [[1, 1]]))
+    rng = random.Random(7)
+    for _ in range(20):
+        yield tie_heavy_problem(rng, rng.randint(1, 8), rng.randint(1, 40))
+    for _ in range(10):
+        yield shuffled_gap_problem(rng, rng.randint(1, 6), rng.randint(1, 30))
+    yield tcsa_gap_problem(rng, agents=7, tasks=60)
+
+
+def test_candidates_from_flat_positions_match_the_2d_nonzero():
+    for problem in candidate_problems():
+        work = _Work(problem)
+        got = (work.cand_agent, work.cand_task, work.cand_v,
+               work.cand_v_rank, work.cand_w)
+        for have, want in zip(got, nonzero_candidates(work), strict=True):
+            assert have.dtype == want.dtype and have.shape == want.shape
+            assert have.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m,n", [(20, 750), (12, 48), (2**16, 2**16),
