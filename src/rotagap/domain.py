@@ -17,12 +17,7 @@ from itertools import compress
 
 import numpy as np
 
-
-def spec_number(x: float) -> str:
-    """Shortest text that ``float()`` reads back to exactly ``x``, without a
-    trailing ``.0``: ``10``, ``0.5``, ``1e+16``.  Used in config specs."""
-    text = repr(float(x))
-    return text[:-2] if text.endswith(".0") else text
+from .solver import GapShape
 
 
 @dataclass(frozen=True)
@@ -311,9 +306,9 @@ def validate_trace(trace: ScenarioTrace, instance: Instance) -> list[str]:
 class InstanceMatrices:
     """Index-space view of an instance: row = agent position, column = task
     position, following list order.  Built once per instance, its arrays
-    read-only, and shared by every run on it (``Instance.matrices``);
-    ``agent_ids`` and ``task_ids`` are tuples, passed as they are to every
-    cycle's ``GapProblem``.
+    read-only, and shared by every run on it (``Instance.matrices``).
+    Its ids, capacities and weights are held by ``shape``, the
+    :class:`~rotagap.solver.GapShape` of every cycle's ``GapProblem``.
     """
 
     def __init__(self, instance: Instance):
@@ -322,8 +317,6 @@ class InstanceMatrices:
         self.agent_index = {a: i for i, a in enumerate(self.agent_ids)}
         self.task_index = {t: j for j, t in enumerate(self.task_ids)}
         m, n = len(self.agent_ids), len(self.task_ids)
-        self.capacities = np.array([a.capacity for a in instance.agents],
-                                   dtype=np.int64)
         # every compatible pair's position, profit and weight, task by task,
         # then one fancy assignment per array
         rows, cols, profits, weights = [], [], [], []
@@ -336,12 +329,14 @@ class InstanceMatrices:
         pairs = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
         self.compat = np.zeros((m, n), dtype=bool)
         self.profits = np.zeros((m, n), dtype=np.int64)
-        self.weights = np.zeros((m, n), dtype=np.int64)
+        weight_matrix = np.zeros((m, n), dtype=np.int64)
         self.compat[pairs] = True
         self.profits[pairs] = profits
-        self.weights[pairs] = weights
-        for array in (self.capacities, self.compat, self.profits, self.weights):
-            array.flags.writeable = False
+        weight_matrix[pairs] = weights
+        self.compat.flags.writeable = self.profits.flags.writeable = False
+        self.shape = GapShape(self.agent_ids, self.task_ids,
+                              [a.capacity for a in instance.agents],
+                              weight_matrix)
 
     @property
     def m(self) -> int:

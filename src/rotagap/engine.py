@@ -60,14 +60,7 @@ class RunReport:
 def build_gap_problem(mats: InstanceMatrices, values: np.ndarray,
                       feasible: np.ndarray) -> GapProblem:
     """Restrict the instance to the cycle's available compatible pairs."""
-    return GapProblem(
-        agent_ids=mats.agent_ids,
-        task_ids=mats.task_ids,
-        agent_capacities=mats.capacities,
-        weights=mats.weights,
-        values=values,
-        feasible_pairs=feasible,
-    )
+    return mats.shape.problem(values, feasible)
 
 
 def _profit_matrix(mats: InstanceMatrices,

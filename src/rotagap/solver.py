@@ -60,12 +60,12 @@ those of charging node by node.  Under a node limit identical inputs
 therefore yield identical assignments; a wall-clock budget trades that
 determinism for a real-time contract.
 
-:func:`solve` keeps the answer of its last node-budget call.  When the next
-call has an equal budget, the same ids and equal capacities, mask, values
-and weights (compared with copies taken at that call), it returns that
-``Assignment`` again after checking it against the new problem, without
-searching; its ``nodes_explored`` is the work the answer took when it was
-first computed.  Wall-clock budgets never reuse or keep an answer.
+:func:`solve` keeps the answer of its last node-budget call on the
+problem's :class:`GapShape`.  When the next call on that shape has an equal
+budget, mask and values (compared with copies taken at that call), it
+returns that ``Assignment`` again after checking it against the new problem,
+without searching; its ``nodes_explored`` is the work the answer took when it
+was first computed.  Wall-clock budgets never reuse or keep an answer.
 Positions of solver-built assignments are read-only, since one may be
 returned more than once.
 
@@ -80,7 +80,6 @@ tasks by best value descending, then task id.  Ids compare as Python strings,
 and ``-0.0`` ties with ``0.0``.
 """
 
-import functools
 import math
 import random
 import time
@@ -88,8 +87,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-
-from .domain import spec_number
 
 BRUTE_FORCE_LIMIT = 10_000_000
 _EPS = 1e-9
@@ -104,6 +101,13 @@ _EPS = 1e-9
 _KICK = 4          # assigned tasks a round un-assigns
 _PATIENCE = 2      # rounds in a row without improvement that end the phase
 _ILS_SHARE = 0.5   # share of the budget after which no round starts
+
+
+def spec_number(x: float) -> str:
+    """Shortest text that ``float()`` reads back to exactly ``x``, without a
+    trailing ``.0``: ``10``, ``0.5``, ``1e+16``.  Used in config specs."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
 
 
 class SolverError(RuntimeError):
@@ -223,40 +227,64 @@ class _BudgetClock:
         return (time.monotonic() - self.start) / self.seconds
 
 
-@dataclass(eq=False)
-class GapProblem:
-    """One cycle's assignment problem in index space.
+class GapShape:
+    """The static part of a run's problems: ids and read-only copies of
+    capacities and weights, with what the solver derives from them once:
+    id ranks (Python's sorted order), ``positive`` weights and ``fits``,
+    the pairs whose weight is within the agent's capacity (the others can
+    never be assigned; dropping them tightens the relaxed bound for free).
+    It keeps :func:`solve`'s last answer (module docstring)."""
 
-    ``feasible_pairs`` already combines compatibility and availability; rows
-    and columns are labeled by ``agent_ids`` / ``task_ids``.  On feasible
-    pairs values are finite and non-negative (``-0.0`` included) and weights
-    positive; entries off them are never read.
-    """
-
-    agent_ids: tuple[str, ...]
-    task_ids: tuple[str, ...]
-    agent_capacities: np.ndarray  # int64 (m,)
-    weights: np.ndarray           # int64 (m, n)
-    values: np.ndarray            # float64 (m, n)
-    feasible_pairs: np.ndarray    # bool (m, n)
-
-    def __post_init__(self):
-        self.agent_ids = tuple(self.agent_ids)
-        self.task_ids = tuple(self.task_ids)
-        self.agent_capacities = np.asarray(self.agent_capacities, dtype=np.int64)
-        self.weights = np.asarray(self.weights, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.feasible_pairs = np.asarray(self.feasible_pairs, dtype=bool)
+    def __init__(self, agent_ids: Iterable[str], task_ids: Iterable[str],
+                 agent_capacities, weights):
+        self.agent_ids, self.task_ids = tuple(agent_ids), tuple(task_ids)
         m, n = len(self.agent_ids), len(self.task_ids)
-        shape = (m, n)
-        for name in ("weights", "values", "feasible_pairs"):
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} must have shape {shape}")
+        self.agent_capacities = np.array(agent_capacities, dtype=np.int64)
+        self.weights = np.array(weights, dtype=np.int64)
+        if self.weights.shape != (m, n):
+            raise ValueError(f"weights must have shape {(m, n)}")
         if self.agent_capacities.shape != (m,):
             raise ValueError(f"agent_capacities must have shape ({m},)")
         if (self.agent_capacities < 0).any():
             raise ValueError("capacities must be >= 0")
-        ok = np.isfinite(self.values) & (self.values >= 0) & (self.weights > 0)
+        self.positive = self.weights > 0
+        self.fits = self.weights <= self.agent_capacities[:, None]
+        for array in (self.agent_capacities, self.weights, self.positive,
+                      self.fits):
+            array.flags.writeable = False
+        self.agent_rank = _ranks(self.agent_ids)
+        self.task_rank = _ranks(self.task_ids)
+        self.last_solve = None  # (budget, mask, values, answer)
+
+    def problem(self, values, feasible_pairs) -> "GapProblem":
+        """One cycle's problem on this shape."""
+        problem = GapProblem.__new__(GapProblem)
+        problem._take(self, values, feasible_pairs)
+        return problem
+
+
+class GapProblem:
+    """One cycle's assignment problem in index space: a :class:`GapShape`
+    and the cycle's ``values`` and ``feasible_pairs``, the latter combining
+    compatibility and availability.  On feasible pairs values are finite
+    and non-negative (``-0.0`` included) and weights positive; entries off
+    them are never read.  The constructor makes a shape of its own;
+    :meth:`GapShape.problem` shares one."""
+
+    def __init__(self, agent_ids: Iterable[str], task_ids: Iterable[str],
+                 agent_capacities, weights, values, feasible_pairs):
+        self._take(GapShape(agent_ids, task_ids, agent_capacities, weights),
+                   values, feasible_pairs)
+
+    def _take(self, shape: GapShape, values, feasible_pairs) -> None:
+        self.shape = shape
+        self.values = np.asarray(values, dtype=np.float64)
+        self.feasible_pairs = np.asarray(feasible_pairs, dtype=bool)
+        dims = shape.weights.shape
+        for name in ("values", "feasible_pairs"):
+            if getattr(self, name).shape != dims:
+                raise ValueError(f"{name} must have shape {dims}")
+        ok = np.isfinite(self.values) & (self.values >= 0) & shape.positive
         if (ok >= self.feasible_pairs).all():  # ok on every feasible pair
             return
         used = self.values[self.feasible_pairs]
@@ -265,6 +293,11 @@ class GapProblem:
         if (used < 0).any():
             raise ValueError("values must be >= 0 on feasible pairs")
         raise ValueError("weights must be positive on feasible pairs")
+
+    agent_ids = property(lambda self: self.shape.agent_ids)
+    task_ids = property(lambda self: self.shape.task_ids)
+    agent_capacities = property(lambda self: self.shape.agent_capacities)
+    weights = property(lambda self: self.shape.weights)
 
 
 class Assignment:
@@ -321,11 +354,8 @@ class Assignment:
                 .format(*self._key()))
 
 
-@functools.lru_cache(maxsize=64)
 def _ranks(ids: tuple[str, ...]) -> np.ndarray:
-    """Each id's position in Python's sorted order of ``ids``; memoised per
-    id tuple, so a run that passes the same ids every cycle sorts them once.
-    The array is read-only."""
+    """Each id's position in Python's sorted order of ``ids``, read-only."""
     ranks = np.empty(len(ids), dtype=np.int64)
     ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     ranks.flags.writeable = False
@@ -415,18 +445,14 @@ class _Work:
 
     def __init__(self, problem: GapProblem):
         self.problem = problem
-        self.m = len(problem.agent_ids)
-        self.n = len(problem.task_ids)
-        self.caps = problem.agent_capacities.tolist()
-        self.weights = problem.weights
-        # statically infeasible pairs (weight above total capacity) can never
-        # be assigned; dropping them tightens the relaxed bound for free
-        self.feasible = problem.feasible_pairs \
-            & (problem.weights <= problem.agent_capacities[:, None])
+        shape = problem.shape
+        self.m, self.n = shape.weights.shape
+        self.caps = shape.agent_capacities.tolist()
+        self.weights = shape.weights
+        self.feasible = problem.feasible_pairs & shape.fits
         # 0.0 off the feasible pairs, so whole blocks can be computed on
         self.values = np.where(self.feasible, problem.values, 0.0)
-        self.agent_rank = _ranks(problem.agent_ids)
-        self.task_rank = _ranks(problem.task_ids)
+        self.agent_rank, self.task_rank = shape.agent_rank, shape.task_rank
         # row-major flat positions, split into agent and task
         flat = np.flatnonzero(self.feasible)
         agents = flat // self.n
@@ -1011,20 +1037,6 @@ def root_upper_bound(problem: GapProblem) -> float:
     return sum(work.best_value.tolist())
 
 
-# The last node-budget solve: its budget, ids, copies of its four arrays (so
-# a caller that mutates a solved problem in place cannot get a stale answer)
-# and its answer.  Only node budgets are stored, so a wall-clock budget never
-# equals the stored one.
-_last_solve: tuple | None = None
-
-
-def _arrays(problem: GapProblem) -> tuple[np.ndarray, ...]:
-    # the mask first: it is the cheapest to compare, and it differs
-    # whenever availability has changed
-    return (problem.feasible_pairs, problem.values, problem.weights,
-            problem.agent_capacities)
-
-
 def solve(problem: GapProblem, budget: SolverBudget) -> Assignment:
     """Greedy construction, iterated local search in the first half of the
     budget, then branch-and-bound with the rest, all on one clock.  The
@@ -1032,14 +1044,14 @@ def solve(problem: GapProblem, budget: SolverBudget) -> Assignment:
     only when branch-and-bound finished.
 
     Under a node budget the result depends on the budget and the problem
-    alone, so a call whose budget, ids and arrays equal those of the
-    previous node-budget solve returns that solve's ``Assignment`` again,
-    after checking it against this problem, without searching."""
-    global _last_solve
-    ids = (problem.agent_ids, problem.task_ids)
-    last = _last_solve
-    if last is not None and last[0] == budget and last[1] == ids \
-            and all(map(np.array_equal, last[2], _arrays(problem))):
+    alone, so a repeated call on the same shape reuses the last answer
+    (module docstring)."""
+    last = problem.shape.last_solve
+    # the mask first: it is the cheaper to compare, and it differs whenever
+    # availability has changed
+    if last is not None and last[0] == budget \
+            and np.array_equal(last[1], problem.feasible_pairs) \
+            and np.array_equal(last[2], problem.values):
         result = last[3]
         _verify(problem, *result.positions)
         return result
@@ -1053,6 +1065,6 @@ def solve(problem: GapProblem, budget: SolverBudget) -> Assignment:
     result = work.to_assignment(best, proven=completed, nodes=clock.used,
                                 exhausted=clock.exhausted)
     if budget.node_limit is not None:
-        _last_solve = (budget, ids,
-                       tuple(a.copy() for a in _arrays(problem)), result)
+        problem.shape.last_solve = (budget, problem.feasible_pairs.copy(),
+                                    problem.values.copy(), result)
     return result

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affinity import AffinityState
-from .domain import spec_number
+from .solver import spec_number
 
 # in the order of the report tables
 STRATEGY_KINDS = ("foa", "os", "pc", "wpp", "fop")

@@ -3,7 +3,6 @@ import random
 import numpy as np
 import pytest
 
-from rotagap import solver
 from rotagap.affinity import update_affinities
 from rotagap.domain import AgentSpec, Instance, ScenarioTrace, TaskSpec
 from rotagap.solver import Assignment, GapProblem
@@ -60,14 +59,9 @@ def empty_assignment() -> Assignment:
                       nodes_explored=0, budget_exhausted=False)
 
 
-def forget_last_solve() -> None:
-    """Clear ``solve``'s memo of the last node-budget solve, so that the
-    next call searches."""
-    solver._last_solve = None
-
-
 def copied_problem(problem: GapProblem) -> GapProblem:
-    """An equal problem that shares no array with ``problem``."""
+    """An equal problem that shares no array with ``problem``, on a shape of
+    its own: ``solve`` searches it, whatever it answered ``problem``."""
     return GapProblem(problem.agent_ids, problem.task_ids,
                       problem.agent_capacities.copy(), problem.weights.copy(),
                       problem.values.copy(), problem.feasible_pairs.copy())

@@ -17,7 +17,7 @@ from rotagap.scenarios import (McmkpParams, TcsaParams, generate_mcmkp,
 from rotagap.solver import Assignment, SolverBudget
 from rotagap.strategies import StrategyConfig
 
-from conftest import (forget_last_solve, make_instance, update_from_pairs,
+from conftest import (copied_problem, make_instance, update_from_pairs,
                       worked_example_fixture)
 
 BUDGET = SolverBudget.nodes(5000)
@@ -336,20 +336,43 @@ def test_repeated_cycles_reuse_one_search(monkeypatch):
         return work(problem)
 
     monkeypatch.setattr(solver, "_Work", counted)
-    forget_last_solve()
     reused = run_scenario(instance, trace, FOP, BUDGET)
     assert len(builds) == 1
     solve = engine.solve
 
     def searching(problem, budget):
-        forget_last_solve()
-        return solve(problem, budget)
+        # an equal problem on a shape of its own: the memo cannot answer
+        return solve(copied_problem(problem), budget)
 
     monkeypatch.setattr(engine, "solve", searching)
     searched = run_scenario(instance, trace, FOP, BUDGET)
     assert len(builds) == 1 + trace.cycles
     assert searched.per_cycle == reused.per_cycle
     assert np.array_equal(searched.final_counts, reused.final_counts)
+
+
+def test_ranks_are_sorted_once_per_instance(monkeypatch):
+    """Every cycle's problem is made on the instance's one shape, so the id
+    ranks are sorted once per id tuple of the instance, not once per cycle
+    or per run."""
+    sorted_ids = []
+    ranks = solver._ranks
+
+    def counted(ids):
+        sorted_ids.append(ids)
+        return ranks(ids)
+
+    monkeypatch.setattr(solver, "_ranks", counted)
+    params = TcsaParams(agents=4, tasks=30, cycles=12, seed=8)
+    instance = generate_tcsa(params)
+    trace = generate_trace_episodic(instance, params)
+    hook = make_tcsa_priority_hook(instance, 8)
+    for spec in ("fop", "foa", "pc", "wpp"):
+        report = run_scenario(instance, trace, StrategyConfig.parse(spec),
+                              BUDGET, priority_hook=hook)
+        assert len(report.per_cycle) == 12
+    mats = instance.matrices
+    assert sorted_ids == [mats.agent_ids, mats.task_ids]
 
 
 def test_a_run_reads_the_trace_sets_in_any_id_order():

@@ -156,10 +156,23 @@ def process_state(path: str) -> set[str]:
 
 
 def test_no_new_process_wide_state():
-    """Only the two pieces of state that a per-run solver session is to
-    replace (ROADMAP item 1) keep anything between calls."""
+    """No function keeps anything between calls: what the solver derives
+    from an instance, and its last answer, live on the problem's
+    ``GapShape``."""
     found = set().union(*map(process_state, package_files()))
-    assert sorted(found) == ["solver._ranks", "solver.solve"]
+    assert sorted(found) == []
+
+
+def test_the_solver_imports_no_other_module_of_the_package():
+    """The solver stands alone, so ``domain`` can build a ``GapShape``
+    without an import cycle."""
+    path = os.path.join(PACKAGE, "solver.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    relative = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    tops = {name.split(".")[0] for name in imported_modules(path)}
+    assert relative == [] and "rotagap" not in tops
 
 
 # the ``random`` module's functions that draw from, or reseed, its one

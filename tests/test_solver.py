@@ -15,7 +15,7 @@ from rotagap.solver import (Assignment, GapProblem, SolverBudget, SolverError,
                             local_search_improve, root_upper_bound, solve)
 
 from conftest import (assert_feasible, copied_problem, empty_assignment,
-                      forget_last_solve, mcmkp_gap_problem, random_gap_problem,
+                      mcmkp_gap_problem, random_gap_problem,
                       shuffled_gap_problem, tcsa_gap_problem)
 
 AMPLE = SolverBudget.nodes(2_000_000)
@@ -220,8 +220,8 @@ def test_solve_is_deterministic_under_node_limits():
         problem = random_gap_problem(rng)
         budget = SolverBudget.nodes(300)
         first = solve(problem, budget)
-        forget_last_solve()  # a second search, not the memo's answer
-        second = solve(problem, budget)
+        # a problem built apart has a shape of its own: a second search
+        second = solve(copied_problem(problem), budget)
         assert second is not first
         assert first == second
 
@@ -240,45 +240,62 @@ def shaped_problem(rng: random.Random, shape: str) -> GapProblem:
        shape=st.sampled_from(["small", "shuffled", "mcmkp"]),
        nodes=st.integers(0, 5000))
 def test_repeated_solve_returns_what_a_fresh_search_gives(seed, shape, nodes):
-    """An equal problem and budget reuse the last solve's answer, which is
-    the answer a search with the memo cleared gives."""
+    """An equal problem on the same shape and an equal budget reuse the last
+    solve's answer, which is the answer a problem built apart, with a shape
+    of its own, gets from a search."""
     problem = shaped_problem(random.Random(seed), shape)
     budget = SolverBudget.nodes(nodes)
-    forget_last_solve()
     first = solve(problem, budget)
-    assert solve(copied_problem(problem), SolverBudget.nodes(nodes)) is first
-    forget_last_solve()
-    fresh = solve(problem, budget)
+    again = problem.shape.problem(problem.values.copy(),
+                                  problem.feasible_pairs.copy())
+    assert solve(again, SolverBudget.nodes(nodes)) is first
+    fresh = solve(copied_problem(problem), budget)
     assert fresh is not first and fresh == first
     for got, want in zip(first.positions, fresh.positions):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("field", ["values", "feasible_pairs", "weights",
-                                   "agent_capacities"])
+@pytest.mark.parametrize("field", ["values", "feasible_pairs"])
 def test_mutating_a_solved_problem_in_place_searches_again(field):
     problem = mcmkp_gap_problem(random.Random(5), agents=4, tasks=12)
-    forget_last_solve()
     first = solve(problem, AMPLE)
     rows, cols = first.positions
-    array = getattr(problem, field)
     if field == "values":
-        array[rows[0], cols[0]] += 5.0
-    elif field == "feasible_pairs":
-        array[rows[0], cols[0]] = False
-    elif field == "weights":
-        array[rows[0], cols[0]] += 1
+        problem.values[rows[0], cols[0]] += 5.0
     else:
-        array[rows[0]] += 1
+        problem.feasible_pairs[rows[0], cols[0]] = False
     again = solve(problem, AMPLE)
     assert again is not first
-    forget_last_solve()
-    assert again == solve(problem, AMPLE)
+    assert again == solve(copied_problem(problem), AMPLE)
+
+
+@pytest.mark.parametrize("field", ["weights", "agent_capacities"])
+def test_mutating_the_callers_static_arrays_changes_nothing(field):
+    """A problem's weights and capacities are copies of the caller's arrays,
+    held read-only by its shape: writing to them raises, and changing the
+    caller's arrays after construction changes neither the problem nor its
+    answer."""
+    base = mcmkp_gap_problem(random.Random(5), agents=4, tasks=12)
+    arrays = {"agent_capacities": base.agent_capacities.copy(),
+              "weights": base.weights.copy()}
+    problem = GapProblem(base.agent_ids, base.task_ids, values=base.values,
+                         feasible_pairs=base.feasible_pairs, **arrays)
+    first = solve(problem, AMPLE)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(problem, field)[0] += 1
+    # seen, either change would make the first answer infeasible
+    rows, cols = first.positions
+    if field == "weights":
+        arrays[field][rows[0], cols[0]] = 10**9
+    else:
+        arrays[field][:] = 0
+    assert np.array_equal(getattr(problem, field), getattr(base, field))
+    assert solve(problem, AMPLE) is first
+    assert solve(copied_problem(problem), AMPLE) == first
 
 
 def test_another_node_budget_searches_again():
     problem = mcmkp_gap_problem(random.Random(6), agents=4, tasks=12)
-    forget_last_solve()
     first = solve(problem, SolverBudget.nodes(300))
     other = solve(problem, SolverBudget.nodes(301))
     assert other is not first
@@ -287,7 +304,6 @@ def test_another_node_budget_searches_again():
 
 def test_wall_clock_budgets_never_reuse_or_store_an_answer():
     problem = mcmkp_gap_problem(random.Random(7), agents=4, tasks=12)
-    forget_last_solve()
     by_nodes = solve(problem, AMPLE)
     first = solve(problem, SolverBudget.seconds(5.0))
     second = solve(problem, SolverBudget.seconds(5.0))
@@ -298,7 +314,6 @@ def test_wall_clock_budgets_never_reuse_or_store_an_answer():
 
 def test_a_reused_answer_is_checked_against_the_new_problem(monkeypatch):
     problem = mcmkp_gap_problem(random.Random(8), agents=4, tasks=12)
-    forget_last_solve()
     first = solve(problem, AMPLE)
     checked = []
     verify = solver._verify
@@ -308,12 +323,32 @@ def test_a_reused_answer_is_checked_against_the_new_problem(monkeypatch):
         verify(checked_problem, rows, cols)
 
     monkeypatch.setattr(solver, "_verify", spied)
-    repeat = copied_problem(problem)
+    repeat = problem.shape.problem(problem.values.copy(),
+                                   problem.feasible_pairs.copy())
     assert solve(repeat, AMPLE) is first
     assert len(checked) == 1
     checked_problem, rows, cols = checked[0]
     assert checked_problem is repeat
     assert rows is first.positions[0] and cols is first.positions[1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_a_shape_derives_what_a_fresh_computation_gives(seed):
+    """A shape's ranks are Python's sorted order of its ids, and its
+    ``positive`` and ``fits`` masks those of the weights and capacities."""
+    rng = random.Random(seed)
+    problem = shuffled_gap_problem(rng, rng.randint(1, 8), rng.randint(0, 40))
+    shape = problem.shape
+    for ids, ranks in ((shape.agent_ids, shape.agent_rank),
+                       (shape.task_ids, shape.task_rank)):
+        assert [ids[k] for k in np.argsort(ranks)] == sorted(ids)
+    weights, caps = problem.weights, problem.agent_capacities
+    assert np.array_equal(shape.positive, weights > 0)
+    assert np.array_equal(shape.fits, weights <= caps[:, None])
+    for array in (shape.agent_rank, shape.task_rank, shape.positive,
+                  shape.fits, shape.weights, shape.agent_capacities):
+        assert not array.flags.writeable
 
 
 def test_solver_positions_are_read_only():
@@ -826,7 +861,6 @@ def test_greedy_and_local_search_match_the_unit_scan(seed, nodes):
     local = reference_iterated_local_search(problem, reference_greedy(problem),
                                             nodes)
     assert local_search_improve(problem, greedy, budget) == local
-    forget_last_solve()
     assert solve(problem, budget) == reference_branch_and_bound(
         problem, local, nodes, used=local.nodes_explored)
 
@@ -843,7 +877,6 @@ def test_solve_keeps_what_plain_local_search_reaches(seed, shape, nodes):
     greedy, that local search and branch-and-bound with the rest."""
     problem = shaped_problem(random.Random(seed), shape)
     plain = plain_local_search(problem, nodes)
-    forget_last_solve()
     result = solve(problem, SolverBudget.nodes(nodes))
     assert result.objective >= plain.objective
     if plain.budget_exhausted:
@@ -886,7 +919,6 @@ def test_wall_clock_solve_leaves_branch_and_bound_time(monkeypatch, patience):
         return out
 
     monkeypatch.setattr(solver, "_branch_and_bound", timed)
-    forget_last_solve()
     start = time.monotonic()
     result = solve(problem, SolverBudget.seconds(0.2))
     assert time.monotonic() - start < 2.0
@@ -1230,7 +1262,6 @@ def assert_matches_the_unit_charged_loop(problem: GapProblem, nodes: int):
         assert branch_and_bound(problem, start, budget) \
             == reference_branch_and_bound(problem, start, nodes)
     local = local_search_improve(problem, greedy, budget)
-    forget_last_solve()
     assert solve(problem, budget) == reference_branch_and_bound(
         problem, local, nodes, used=local.nodes_explored)
 
@@ -1617,7 +1648,8 @@ def test_heuristic_quality_on_generated_knapsack_instances():
         mats = InstanceMatrices(instance)
         problem = GapProblem(
             agent_ids=tuple(mats.agent_ids), task_ids=tuple(mats.task_ids),
-            agent_capacities=mats.capacities, weights=mats.weights,
+            agent_capacities=mats.shape.agent_capacities,
+            weights=mats.shape.weights,
             values=mats.profits.astype(np.float64), feasible_pairs=mats.compat)
         optimal = brute_force_oracle(problem)
         heuristic = local_search_improve(problem, greedy_construct(problem), AMPLE)
