@@ -128,7 +128,10 @@ def scenario_params(scenario: dict, seed: int, cycles: int | None):
 
 def load_files(scenario: dict):
     """The instance and trace of a ``files`` scenario, checked together;
-    an error names the file's path."""
+    an error names the file's path, or a field other than its three."""
+    unknown = sorted(set(scenario) - {"name", "instance", "trace"})
+    if unknown:
+        raise ConfigError(f"unknown files scenario field(s): {', '.join(unknown)}")
     path = typed(scenario, "instance", "files scenario", str)
     trace_path = typed(scenario, "trace", "files scenario", str)
     try:
@@ -366,22 +369,22 @@ def cmd_run(args) -> int:
                 "config": config, "seed": seed, "strategy": spec,
                 "scenario": built.result()})) for spec in strategies)
             del built  # a serial run holds one seed's scenario at a time
-    docs = []
-    failures = []  # (seed, strategy, exception)
+    docs = []  # (strategy spec, report)
+    failures = []  # (seed, strategy spec, exception)
     for seed, spec, future in jobs:
         try:
-            docs.append(future.result()["report"])
+            docs.append((spec, future.result()["report"]))
         except Exception as exc:  # noqa: BLE001 - preserve partial results
             failures.append((seed, spec, exc))
 
     rows = []
-    fop_totals = {d["seed"]: d["total_profit"]
-                  for d in docs if d["strategy"]["label"] == "fop"}
-    docs.sort(key=lambda d: (d["seed"], report_order(d["strategy"]["label"])))
-    for doc in docs:
+    fop_totals = {d["seed"]: d["total_profit"] for spec, d in docs if spec == "fop"}
+    docs.sort(key=lambda sd: (sd[1]["seed"],
+                              report_order(sd[1]["strategy"]["label"])))
+    for spec, doc in docs:
         label = doc["strategy"]["label"]
         if doc["seed"] not in fop_totals:
-            failures.append((doc["seed"], label, RuntimeError(
+            failures.append((doc["seed"], spec, RuntimeError(
                 "no fop report for this seed; cannot compute profit "
                 "percentages")))
             continue

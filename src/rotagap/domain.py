@@ -303,26 +303,24 @@ def validate_trace(trace: ScenarioTrace, instance: Instance) -> list[str]:
     return problems
 
 
-class InstanceMatrices:
+class InstanceMatrices(GapShape):
     """Index-space view of an instance: row = agent position, column = task
     position, following list order.  Built once per instance, its arrays
-    read-only, and shared by every run on it (``Instance.matrices``).
-    Its ids, capacities and weights are held by ``shape``, the
-    :class:`~rotagap.solver.GapShape` of every cycle's ``GapProblem``.
+    read-only, and shared by every run on it (``Instance.matrices``).  It
+    is the :class:`~rotagap.solver.GapShape` of its ids, capacities and
+    weights, on which every cycle's ``GapProblem`` is made, and adds the
+    ``compat`` and ``profits`` matrices.
     """
 
     def __init__(self, instance: Instance):
-        self.agent_ids = tuple(instance.agent_ids)
-        self.task_ids = tuple(instance.task_ids)
-        self.agent_index = {a: i for i, a in enumerate(self.agent_ids)}
-        self.task_index = {t: j for j, t in enumerate(self.task_ids)}
-        m, n = len(self.agent_ids), len(self.task_ids)
+        row = {a.id: i for i, a in enumerate(instance.agents)}
+        m, n = len(instance.agents), len(instance.tasks)
         # every compatible pair's position, profit and weight, task by task,
         # then one fancy assignment per array
         rows, cols, profits, weights = [], [], [], []
         for j, task in enumerate(instance.tasks):
             agents = list(task.compatible)
-            rows += map(self.agent_index.__getitem__, agents)
+            rows += map(row.__getitem__, agents)
             cols += [j] * len(agents)
             profits += map(task.profits.__getitem__, agents)
             weights += map(task.weights.__getitem__, agents)
@@ -334,17 +332,8 @@ class InstanceMatrices:
         self.profits[pairs] = profits
         weight_matrix[pairs] = weights
         self.compat.flags.writeable = self.profits.flags.writeable = False
-        self.shape = GapShape(self.agent_ids, self.task_ids,
-                              [a.capacity for a in instance.agents],
-                              weight_matrix)
-
-    @property
-    def m(self) -> int:
-        return len(self.agent_ids)
-
-    @property
-    def n(self) -> int:
-        return len(self.task_ids)
+        super().__init__(instance.agent_ids, instance.task_ids,
+                         [a.capacity for a in instance.agents], weight_matrix)
 
     @staticmethod
     def positions(index: Mapping[str, int], ids: Iterable[str]) -> np.ndarray:

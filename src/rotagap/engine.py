@@ -60,7 +60,7 @@ class RunReport:
 def build_gap_problem(mats: InstanceMatrices, values: np.ndarray,
                       feasible: np.ndarray) -> GapProblem:
     """Restrict the instance to the cycle's available compatible pairs."""
-    return mats.shape.problem(values, feasible)
+    return mats.problem(values, feasible)
 
 
 def _profit_matrix(mats: InstanceMatrices,

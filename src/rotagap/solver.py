@@ -228,17 +228,20 @@ class _BudgetClock:
 
 
 class GapShape:
-    """The static part of a run's problems: ids and read-only copies of
-    capacities and weights, with what the solver derives from them once:
-    id ranks (Python's sorted order), ``positive`` weights and ``fits``,
-    the pairs whose weight is within the agent's capacity (the others can
-    never be assigned; dropping them tightens the relaxed bound for free).
-    It keeps :func:`solve`'s last answer (module docstring)."""
+    """The static part of a run's problems: ids, the counts ``m`` and ``n``,
+    each id's position (``agent_index``, ``task_index``) and read-only
+    copies of capacities and weights, with what the solver derives from
+    them once: id ranks (Python's sorted order), ``positive`` weights and
+    ``fits``, the pairs whose weight is within the agent's capacity (the
+    others can never be assigned; dropping them tightens the relaxed bound
+    for free).  It keeps :func:`solve`'s last answer (module docstring)."""
 
     def __init__(self, agent_ids: Iterable[str], task_ids: Iterable[str],
                  agent_capacities, weights):
         self.agent_ids, self.task_ids = tuple(agent_ids), tuple(task_ids)
-        m, n = len(self.agent_ids), len(self.task_ids)
+        self.agent_index = {a: i for i, a in enumerate(self.agent_ids)}
+        self.task_index = {t: j for j, t in enumerate(self.task_ids)}
+        self.m, self.n = m, n = len(self.agent_ids), len(self.task_ids)
         self.agent_capacities = np.array(agent_capacities, dtype=np.int64)
         self.weights = np.array(weights, dtype=np.int64)
         if self.weights.shape != (m, n):
@@ -446,7 +449,7 @@ class _Work:
     def __init__(self, problem: GapProblem):
         self.problem = problem
         shape = problem.shape
-        self.m, self.n = shape.weights.shape
+        self.m, self.n = shape.m, shape.n
         self.caps = shape.agent_capacities.tolist()
         self.weights = shape.weights
         self.feasible = problem.feasible_pairs & shape.fits
@@ -492,15 +495,15 @@ class _Work:
                           ids=(self.problem.agent_ids, self.problem.task_ids))
 
     def from_assignment(self, assignment: Assignment) -> np.ndarray:
-        """``assignment`` in index space, checked by :func:`_verify`."""
-        agent_index = {a: i for i, a in enumerate(self.problem.agent_ids)}
-        task_index = {t: j for j, t in enumerate(self.problem.task_ids)}
+        """``assignment`` in index space, through the shape's id-to-position
+        maps; checked by :func:`_verify`."""
+        shape = self.problem.shape
         assigned = np.full(self.n, -1, dtype=np.int64)
         for agent_id, task_id in assignment.pairs:
-            j = task_index[task_id]
+            j = shape.task_index[task_id]
             if assigned[j] >= 0:
                 raise SolverError(f"task {task_id} assigned twice")
-            assigned[j] = agent_index[agent_id]
+            assigned[j] = shape.agent_index[agent_id]
         _verify(self.problem, *_positions(assigned))
         return assigned
 

@@ -333,6 +333,31 @@ def test_config_with_an_unknown_field_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_files_config_with_an_unknown_scenario_field_is_refused(tmp_path,
+                                                                capsys):
+    # a files run's config.json, rerun with generator fields added to its
+    # scenario: the files fix the instance, so the fields would be ignored
+    gen = tmp_path / "gen"
+    assert run_cli("generate", "--scenario", "mcmkp", "--agents", "2",
+                   "--tasks", "4", "--cycles", "2", "--seed", "1",
+                   "-o", str(gen)) == 0
+    stem = gen / "mcmkp-2x4-uncorrelated-seed1"
+    done = tmp_path / "done"
+    assert run_cli("run", "--instance", f"{stem}.instance.json", "--trace",
+                   f"{stem}.trace.jsonl", "--strategies", "foa", "--budget",
+                   "nodes:10", "-o", str(done)) == 0
+    config = json.loads((done / "config.json").read_text())
+    config["scenario"].update(agents=5, correlation="bogus")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli("run", "--config", str(path), "-o", str(out)) == 2
+    assert capsys.readouterr().err == \
+        "error: unknown files scenario field(s): agents, correlation\n"
+    assert not out.exists()
+
+
 def test_config_reads_floats_written_as_integers(tmp_path):
     runs = {}
     for name, availability in [("float", 1.0), ("int", 1)]:
@@ -654,6 +679,33 @@ def test_failed_fop_job_fails_the_rows_of_its_seed(tmp_path, capsys,
     names = os.listdir(out)
     assert not any("-fop-seed1." in n for n in names)
     assert "mcmkp-2x4-uncorrelated-foa-seed1.report.json" in names
+
+
+def test_failures_name_a_strategy_by_its_spec(tmp_path, capsys,
+                                              monkeypatch):
+    # seed 1 loses its fop report, so its os:10 row fails for want of a
+    # baseline; seed 2's os:10 job fails itself: both are named os:10, as
+    # --strategies and config.json spell it
+    write = fileio.atomic_write_text
+
+    def failing_write(path, text):
+        if "-fop-seed1." in path or "-os-10-seed2." in path:
+            raise OSError(f"cannot write {path}")
+        write(path, text)
+
+    monkeypatch.setattr(fileio, "atomic_write_text", failing_write)
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", "mcmkp", "--agents", "2", "--tasks",
+                   "4", "--cycles", "2", "--seeds", "1,2", "--strategies",
+                   "os:10", "--budget", "nodes:100", "-o", str(out)) == 3
+    failures = json.loads((out / "failures.json").read_text())
+    assert [(f["seed"], f["strategy"]) for f in failures] \
+        == [(1, "fop"), (2, "os:10"), (1, "os:10")]
+    assert "no fop report for this seed" in failures[2]["error"]
+    err = capsys.readouterr().err
+    assert "os/10" not in err
+    for f in failures:
+        assert f"seed {f['seed']}, strategy {f['strategy']}): " in err
 
 
 def test_baseline_that_earns_nothing_reads_100_percent(tmp_path):

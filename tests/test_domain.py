@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rotagap.domain import (AgentSpec, IdSet, IdSets, Instance,
                             InstanceMatrices, ScenarioTrace, TaskSpec,
                             validate_instance, validate_trace)
+from rotagap.solver import GapShape
 
 from conftest import make_instance, worked_example_fixture
 
@@ -122,10 +123,10 @@ def test_matrices_follow_list_order():
     mats = InstanceMatrices(instance)
     assert mats.agent_ids == ("B", "A")
     assert mats.task_ids == ("T2", "T1")
-    assert mats.shape.agent_capacities.tolist() == [4, 2]
+    assert mats.agent_capacities.tolist() == [4, 2]
     assert mats.compat.tolist() == [[True, True], [False, True]]
-    assert mats.profits[0, 0] == 5 and mats.shape.weights[0, 0] == 3
-    assert mats.profits[1, 1] == 9 and mats.shape.weights[1, 1] == 1
+    assert mats.profits[0, 0] == 5 and mats.weights[0, 0] == 3
+    assert mats.profits[1, 1] == 9 and mats.weights[1, 1] == 1
     assert mats.available_pairs({"A"}, {"T1", "T2"}).tolist() \
         == [[False, False], [False, True]]
     assert mats.available_pairs({"A", "B"}, {"T2"}).tolist() \
@@ -170,7 +171,7 @@ def test_matrices_match_a_pair_by_pair_fill(data, m, n):
                                      for a in agent_ids),
                         tasks=tuple(tasks))
     mats = InstanceMatrices(instance)
-    for got, want in zip((mats.compat, mats.profits, mats.shape.weights),
+    for got, want in zip((mats.compat, mats.profits, mats.weights),
                          matrices_pair_by_pair(instance)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -180,9 +181,9 @@ def test_an_instance_builds_its_matrices_once_and_read_only():
     mats = instance.matrices
     assert mats is instance.matrices
     assert mats.task_ids == tuple(instance.task_ids)
-    assert mats.agent_ids is mats.shape.agent_ids
-    for array in (mats.shape.agent_capacities, mats.compat, mats.profits,
-                  mats.shape.weights):
+    assert isinstance(mats, GapShape)
+    for array in (mats.agent_capacities, mats.compat, mats.profits,
+                  mats.weights):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     # the cache is no field: copies compare equal, and a pickle round trip

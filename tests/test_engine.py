@@ -375,6 +375,28 @@ def test_ranks_are_sorted_once_per_instance(monkeypatch):
     assert sorted_ids == [mats.agent_ids, mats.task_ids]
 
 
+def test_every_problem_of_a_run_is_made_on_the_instance_matrices(
+        monkeypatch):
+    """The instance's matrices are the shape of every cycle's problem, in
+    every run on it."""
+    shapes = []
+    solve = engine.solve
+
+    def spied(problem, budget):
+        shapes.append(problem.shape)
+        return solve(problem, budget)
+
+    monkeypatch.setattr(engine, "solve", spied)
+    params = TcsaParams(agents=3, tasks=12, cycles=5, seed=4)
+    instance = generate_tcsa(params)
+    trace = generate_trace_episodic(instance, params)
+    for spec in ("fop", "pc"):
+        run_scenario(instance, trace, StrategyConfig.parse(spec), BUDGET,
+                     priority_hook=make_tcsa_priority_hook(instance, 4))
+    assert len(shapes) == 2 * trace.cycles
+    assert all(shape is instance.matrices for shape in shapes)
+
+
 def test_a_run_reads_the_trace_sets_in_any_id_order():
     """The same sets over another id order, or over only the ids they name
     (as a trace read from a file holds them), give the same run."""

@@ -3,13 +3,15 @@ on the first timing seeds of ``perfbench/run.py --seed 1``, write the
 ``summary.csv`` files and the ``.cycles.jsonl`` files whose sha256 are
 pinned here; a run's cycle files are hashed together in name order, so
 their digest pins each cycle's ``max_ap``, ``objective`` and
-``nodes_explored``, which the summary does not carry.  A change meant to
-keep behaviour leaves them as they are; a change that alters results
-records the new digests here and says so.  tcsa-pc and mcmkp-grid have kept
-their summaries since the benchmark was introduced.  mcmkp-foa's changed
-once, when perturbed local search took the first half of each solve's
-budget: its first local search ends with budget left, where the other two
-spend it all.
+``nodes_explored``, which the summary does not carry.  The ``.report.json``
+files are pinned the same way; each run writes to the relative output
+directory ``run``, so the ``config.output_dir`` they embed is the same on
+every machine.  A change meant to keep behaviour leaves them as they are;
+a change that alters results records the new digests here and says so.
+tcsa-pc and mcmkp-grid have kept their summaries since the benchmark was
+introduced.  mcmkp-foa's changed once, when perturbed local search took
+the first half of each solve's budget: its first local search ends with
+budget left, where the other two spend it all.
 """
 
 import hashlib
@@ -41,6 +43,16 @@ CYCLE_DIGESTS = {
 }
 
 
+REPORT_DIGESTS = {
+    "mcmkp-foa":
+        "61182808d13f40025bf259f850484083eb4a2dde7e7d91651b1868a2b723d747",
+    "tcsa-pc":
+        "6c8bfde8c929763db91009a3c94a03a1af6e6c559bbf294903d382cb94356a98",
+    "mcmkp-grid":
+        "73f4b53e10ba443d421fd19aaf5617288460fef6fc4250d0012345164c32b87a",
+}
+
+
 def benchmark_runner():
     """``perfbench/run.py`` as a module, for its workloads and seeds."""
     spec = importlib.util.spec_from_file_location(
@@ -59,10 +71,12 @@ def benchmark_run(tmp_path_factory):
     def run(workload):
         if workload not in outputs:
             seeds = ",".join(map(str, bench.timing_seeds(workload, 1)))
-            out = tmp_path_factory.mktemp(workload) / "run"
-            assert main(["run", *bench.WORKLOADS[workload], "--seeds", seeds,
-                         "--workers", "1", "-o", str(out)]) == 0
-            outputs[workload] = out
+            base = tmp_path_factory.mktemp(workload)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.chdir(base)
+                assert main(["run", *bench.WORKLOADS[workload], "--seeds",
+                             seeds, "--workers", "1", "-o", "run"]) == 0
+            outputs[workload] = base / "run"
         return outputs[workload]
 
     return run
@@ -70,7 +84,8 @@ def benchmark_run(tmp_path_factory):
 
 def test_golden_digests_cover_every_workload():
     workloads = sorted(benchmark_runner().WORKLOADS)
-    assert workloads == sorted(DIGESTS) == sorted(CYCLE_DIGESTS)
+    assert workloads == sorted(DIGESTS) == sorted(CYCLE_DIGESTS) \
+        == sorted(REPORT_DIGESTS)
 
 
 @pytest.mark.parametrize("workload", sorted(DIGESTS))
@@ -89,3 +104,13 @@ def test_benchmark_command_line_writes_its_golden_cycle_lines(benchmark_run,
     for path in sorted(out.glob("*.cycles.jsonl")):
         digest.update(path.read_bytes())
     assert digest.hexdigest() == CYCLE_DIGESTS[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(REPORT_DIGESTS))
+def test_benchmark_command_line_writes_its_golden_reports(benchmark_run,
+                                                          workload):
+    out = benchmark_run(workload)
+    digest = hashlib.sha256()
+    for path in sorted(out.glob("*.report.json")):
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == REPORT_DIGESTS[workload]

@@ -120,18 +120,64 @@ def names_defined(path: str) -> set[str]:
     return names
 
 
+def members_defined(path: str) -> set[str]:
+    """The public methods and properties of a file's classes, those made
+    with ``property(...)`` included; dunder and ``_`` names are left out."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    names = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign) \
+                    and isinstance(node.value, ast.Call) \
+                    and getattr(node.value.func, "id", None) == "property":
+                names.update(t.id for t in node.targets
+                             if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
 def test_every_public_name_is_used():
-    """Each name the package exports, and each module-level function,
-    class and constant of its modules, is read by the package itself (a
-    re-export in ``__init__`` aside) or by the benchmark, outside its own
-    definition; a name that only tests read belongs in the tests."""
+    """Each name the package exports, each module-level function, class
+    and constant of its modules, and each public method and property of
+    their classes, is read by the package itself (a re-export in
+    ``__init__`` aside) or by the benchmark, outside its own definition; a
+    name that only tests read belongs in the tests."""
     bench = os.path.join(ROOT, "perfbench")
     paths = [p for p in package_files() if os.path.basename(p) != "__init__.py"]
-    defined = set(rotagap.__all__).union(*map(names_defined, paths))
+    defined = set(rotagap.__all__).union(*map(names_defined, paths),
+                                         *map(members_defined, paths))
     paths += sorted(os.path.join(bench, name) for name in os.listdir(bench)
                     if name.endswith(".py"))
     used = set().union(*map(names_read, paths))
     assert sorted(defined - used) == []
+
+
+def test_the_member_guard_finds_each_public_method_and_property(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(textwrap.dedent("""
+        class Shape:
+            size = 3
+            ids = property(lambda self: ())
+
+            def __init__(self):
+                self.m = 1
+
+            @property
+            def n(self):
+                return self.size
+
+            @staticmethod
+            def positions():
+                return []
+
+            def _mask(self):
+                return self.n
+    """))
+    assert members_defined(str(sample)) == {"ids", "n", "positions"}
 
 
 def process_state(path: str) -> set[str]:

@@ -255,6 +255,14 @@ def test_repeated_solve_returns_what_a_fresh_search_gives(seed, shape, nodes):
         assert np.array_equal(got, want)
 
 
+def test_a_keyword_built_problem_indexes_its_own_ids():
+    problem = shuffled_gap_problem(random.Random(2), 3, 7)
+    shape = problem.shape
+    assert (shape.m, shape.n) == (3, 7)
+    assert shape.agent_index == {a: i for i, a in enumerate(problem.agent_ids)}
+    assert shape.task_index == {t: j for j, t in enumerate(problem.task_ids)}
+
+
 @pytest.mark.parametrize("field", ["values", "feasible_pairs"])
 def test_mutating_a_solved_problem_in_place_searches_again(field):
     problem = mcmkp_gap_problem(random.Random(5), agents=4, tasks=12)
@@ -1648,8 +1656,8 @@ def test_heuristic_quality_on_generated_knapsack_instances():
         mats = InstanceMatrices(instance)
         problem = GapProblem(
             agent_ids=tuple(mats.agent_ids), task_ids=tuple(mats.task_ids),
-            agent_capacities=mats.shape.agent_capacities,
-            weights=mats.shape.weights,
+            agent_capacities=mats.agent_capacities,
+            weights=mats.weights,
             values=mats.profits.astype(np.float64), feasible_pairs=mats.compat)
         optimal = brute_force_oracle(problem)
         heuristic = local_search_improve(problem, greedy_construct(problem), AMPLE)
