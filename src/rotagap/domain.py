@@ -309,7 +309,11 @@ class InstanceMatrices(GapShape):
     read-only, and shared by every run on it (``Instance.matrices``).  It
     is the :class:`~rotagap.solver.GapShape` of its ids, capacities and
     weights, on which every cycle's ``GapProblem`` is made, and adds the
-    ``compat`` and ``profits`` matrices.
+    ``compat`` and ``profits`` matrices.  Its recurring values are the
+    profits as float64, built on first use: every cycle whose values are
+    the instance's own profits, in any job on the instance in this process,
+    passes that one matrix, so the solver answers such a problem once per
+    budget and availability mask.
     """
 
     def __init__(self, instance: Instance):
@@ -333,7 +337,8 @@ class InstanceMatrices(GapShape):
         weight_matrix[pairs] = weights
         self.compat.flags.writeable = self.profits.flags.writeable = False
         super().__init__(instance.agent_ids, instance.task_ids,
-                         [a.capacity for a in instance.agents], weight_matrix)
+                         [a.capacity for a in instance.agents], weight_matrix,
+                         recurring=self.profits)
 
     @staticmethod
     def positions(index: Mapping[str, int], ids: Iterable[str]) -> np.ndarray:

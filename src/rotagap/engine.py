@@ -107,8 +107,11 @@ def run_cycle(instance: Instance, entry: tuple[Iterable[str], Iterable[str]],
     feasible = mats.available_pairs(available_agents, available_tasks)
     profits = _profit_matrix(mats, profit_overrides)
     max_ap = max_affinity_pressure(state, feasible)
-    values = compute_values(strategy, profits, state.affinities, feasible,
-                            max_ap)
+    # without overrides the values are made from the one recurring profit
+    # matrix, whose problems the solver answers once per mask
+    values = compute_values(
+        strategy, mats.recurring_values if profits is mats.profits else profits,
+        state.affinities, feasible, max_ap)
     problem = build_gap_problem(mats, values, feasible)
     assignment = solve(problem, budget)
     rows, cols = assignment.positions

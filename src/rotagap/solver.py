@@ -60,14 +60,23 @@ those of charging node by node.  Under a node limit identical inputs
 therefore yield identical assignments; a wall-clock budget trades that
 determinism for a real-time contract.
 
-:func:`solve` keeps the answer of its last node-budget call on the
-problem's :class:`GapShape`.  When the next call on that shape has an equal
-budget, mask and values (compared with copies taken at that call), it
-returns that ``Assignment`` again after checking it against the new problem,
-without searching; its ``nodes_explored`` is the work the answer took when it
-was first computed.  Wall-clock budgets never reuse or keep an answer.
-Positions of solver-built assignments are read-only, since one may be
-returned more than once.
+:func:`solve` answers a problem once per node limit and mask when its
+``values`` is its shape's recurring matrix itself
+(:attr:`GapShape.recurring_values`, read-only).  The shape keeps a table
+keyed by the node limit and the mask's ``np.packbits`` bytes; an entry holds
+each task's agent index in the smallest signed integer type that fits (one
+byte for up to 127 agents), the objective, the two flags and
+``nodes_explored``: about ``m * n / 8 + n`` bytes plus a few hundred of
+Python objects.  A later problem with the same key gets an equal
+``Assignment`` with new read-only positions, checked against it by
+:func:`_verify`, without searching; its ``nodes_explored`` is the work the
+answer took when it was first computed.  The table lives on the shape, so
+only problems made on it in one process share answers: the jobs of a
+one-worker run on one instance do, jobs in separate worker processes do
+not.  Any other ``values`` array is searched every time, even when its
+contents equal the recurring matrix (``pc:1:0`` gives such an array), and
+no call copies or compares a problem's arrays.  Wall-clock budgets never
+read or write the table.
 
 Values must be non-negative on feasible pairs (``GapProblem`` refuses
 others): the capacity-relaxed bound and the local-search row bounds rely on
@@ -234,10 +243,16 @@ class GapShape:
     them once: id ranks (Python's sorted order), ``positive`` weights and
     ``fits``, the pairs whose weight is within the agent's capacity (the
     others can never be assigned; dropping them tightens the relaxed bound
-    for free).  It keeps :func:`solve`'s last answer (module docstring)."""
+    for free).
+
+    A shape may have one value matrix that recurs across its problems,
+    ``recurring`` (``m x n``, read when first needed).  It keeps the table
+    in which :func:`solve` answers the problems whose ``values`` is
+    :attr:`recurring_values` itself, once per node limit and mask (module
+    docstring)."""
 
     def __init__(self, agent_ids: Iterable[str], task_ids: Iterable[str],
-                 agent_capacities, weights):
+                 agent_capacities, weights, recurring=None):
         self.agent_ids, self.task_ids = tuple(agent_ids), tuple(task_ids)
         self.agent_index = {a: i for i, a in enumerate(self.agent_ids)}
         self.task_index = {t: j for j, t in enumerate(self.task_ids)}
@@ -257,7 +272,21 @@ class GapShape:
             array.flags.writeable = False
         self.agent_rank = _ranks(self.agent_ids)
         self.task_rank = _ranks(self.task_ids)
-        self.last_solve = None  # (budget, mask, values, answer)
+        if recurring is not None and np.shape(recurring) != (m, n):
+            raise ValueError(f"recurring must have shape {(m, n)}")
+        self._recurring_source = recurring
+        self._recurring = None  # built by recurring_values
+        self._answers = {}  # (node limit, packed mask) -> stored answer
+
+    @property
+    def recurring_values(self) -> np.ndarray | None:
+        """``recurring`` as a read-only float64 matrix, built on first use;
+        ``None`` for a shape without one."""
+        if self._recurring is None and self._recurring_source is not None:
+            self._recurring = np.array(self._recurring_source,
+                                       dtype=np.float64)
+            self._recurring.flags.writeable = False
+        return self._recurring
 
     def problem(self, values, feasible_pairs) -> "GapProblem":
         """One cycle's problem on this shape."""
@@ -435,6 +464,21 @@ def _verify(problem: GapProblem, rows: np.ndarray, cols: np.ndarray) -> None:
             f"{loads[i]} > {problem.agent_capacities[i]}")
 
 
+def _assignment(problem: GapProblem, assigned: np.ndarray, objective: float,
+                proven: bool, nodes: int, exhausted: bool) -> Assignment:
+    """The ``Assignment`` of ``assigned`` (agent index per task, -1 for
+    none) on ``problem``, checked by :func:`_verify`; its positions are
+    int64 and read-only."""
+    rows, cols = _positions(assigned)
+    rows = rows.astype(np.int64, copy=False)
+    _verify(problem, rows, cols)
+    rows.flags.writeable = cols.flags.writeable = False
+    return Assignment(pairs=None, objective=objective, proven_optimal=proven,
+                      nodes_explored=nodes, budget_exhausted=exhausted,
+                      positions=(rows, cols),
+                      ids=(problem.agent_ids, problem.task_ids))
+
+
 class _Work:
     """Problem unpacked for the solver.  An assignment is an int array over
     tasks holding the agent index, -1 for unassigned.
@@ -483,16 +527,9 @@ class _Work:
 
     def to_assignment(self, assigned: np.ndarray, *, proven: bool,
                       nodes: int, exhausted: bool) -> Assignment:
-        """The verified ``Assignment`` of ``assigned``; its positions are
-        read-only, since one answer may be handed out again by
-        :func:`solve`."""
-        rows, cols = _positions(assigned)
-        _verify(self.problem, rows, cols)
-        rows.flags.writeable = cols.flags.writeable = False
-        return Assignment(pairs=None, objective=self.objective(assigned),
-                          proven_optimal=proven, nodes_explored=nodes,
-                          budget_exhausted=exhausted, positions=(rows, cols),
-                          ids=(self.problem.agent_ids, self.problem.task_ids))
+        """The verified ``Assignment`` of ``assigned``."""
+        return _assignment(self.problem, assigned, self.objective(assigned),
+                           proven, nodes, exhausted)
 
     def from_assignment(self, assignment: Assignment) -> np.ndarray:
         """``assignment`` in index space, through the shape's id-to-position
@@ -1047,17 +1084,15 @@ def solve(problem: GapProblem, budget: SolverBudget) -> Assignment:
     only when branch-and-bound finished.
 
     Under a node budget the result depends on the budget and the problem
-    alone, so a repeated call on the same shape reuses the last answer
-    (module docstring)."""
-    last = problem.shape.last_solve
-    # the mask first: it is the cheaper to compare, and it differs whenever
-    # availability has changed
-    if last is not None and last[0] == budget \
-            and np.array_equal(last[1], problem.feasible_pairs) \
-            and np.array_equal(last[2], problem.values):
-        result = last[3]
-        _verify(problem, *result.positions)
-        return result
+    alone, so a problem on its shape's recurring values is answered once
+    per node limit and mask (module docstring)."""
+    shape = problem.shape
+    key = None
+    if budget.node_limit is not None and problem.values is shape._recurring:
+        key = budget.node_limit, np.packbits(problem.feasible_pairs).tobytes()
+        known = shape._answers.get(key)
+        if known is not None:
+            return _assignment(problem, *known)
     work = _Work(problem)
     clock = _BudgetClock(budget)
     assigned = _greedy(work)
@@ -1067,7 +1102,10 @@ def solve(problem: GapProblem, budget: SolverBudget) -> Assignment:
     best, completed = _branch_and_bound(work, assigned, clock)
     result = work.to_assignment(best, proven=completed, nodes=clock.used,
                                 exhausted=clock.exhausted)
-    if budget.node_limit is not None:
-        problem.shape.last_solve = (budget, problem.feasible_pairs.copy(),
-                                    problem.values.copy(), result)
+    if key is not None:
+        # each task's agent in the smallest signed type that holds -1 and
+        # every agent index
+        shape._answers[key] = (best.astype(np.min_scalar_type(-1 - shape.m)),
+                               result.objective, completed, clock.used,
+                               clock.exhausted)
     return result

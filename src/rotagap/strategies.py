@@ -204,6 +204,15 @@ def compute_values(config: StrategyConfig, profits: np.ndarray,
     maximum affinity pressure (read by ``os`` only).  The result is the
     float64 m x n value matrix, the formula on every pair; ``GapProblem``
     checks it, and the solver reads it, on the available pairs alone.
+
+    ``fop``, and ``os`` in profit mode, return a float64 ``profits`` itself,
+    not a copy: given the instance's recurring matrix
+    (``InstanceMatrices.recurring_values``), the solver answers the cycle's
+    problem once per budget and mask, across the jobs of one process.  The
+    other strategies, and int64 or overridden profits, give a fresh array,
+    which is searched every time even when its contents equal the profits
+    (``pc:1:0``); the affinity branch always copies, so a problem never
+    holds the state's affinities.
     """
     if config.kind == "pc":
         return pc_values(config.alpha, config.beta, profits, affinities)
@@ -212,4 +221,6 @@ def compute_values(config: StrategyConfig, profits: np.ndarray,
     # fop, foa and os each take one matrix as it is
     by_profit = config.kind == "fop" \
         or (config.kind == "os" and config.gamma > max_ap)
-    return (profits if by_profit else affinities).astype(np.float64)
+    if by_profit:
+        return np.asarray(profits, dtype=np.float64)
+    return affinities.astype(np.float64)

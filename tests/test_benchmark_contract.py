@@ -22,6 +22,12 @@ RUNS = {
     "mcmkp-full": ["--scenario", "mcmkp", "--agents", "4", "--tasks", "10",
                    "--cycles", "5", "--strategies", "os:40",
                    "--budget", "nodes:300"],
+    # partial availability: fop and os in profit mode pose the same problem
+    # in the same cycle, so later jobs reuse answers across jobs
+    "mcmkp-partial": ["--scenario", "mcmkp", "--agents", "4", "--tasks", "10",
+                      "--cycles", "5", "--agent-availability", "0.75",
+                      "--task-availability", "0.75",
+                      "--strategies", "os:10,os:40", "--budget", "nodes:300"],
     "tcsa": ["--scenario", "tcsa", "--agents", "4", "--tasks", "30",
              "--cycles", "5", "--strategies", "pc,os:5", "--budget", "nodes:300"],
 }

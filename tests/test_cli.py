@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from rotagap import engine, fileio, scenarios
+from rotagap import engine, fileio, scenarios, solver
 from rotagap.cli import (GENERATOR_PARAMS, main, parse_strategies,
                          scenario_fields)
 from rotagap.domain import (AgentSpec, Instance, InstanceMatrices,
@@ -900,6 +900,25 @@ def test_report_rejects_schema_mismatch(tmp_path):
     assert run_cli("report", "--summary", str(path), "-o", str(tmp_path / "t")) == 4
 
 
+def run_content(root) -> dict:
+    """A run directory's results: each file's digest, and each report
+    without the embedded config, which records ``workers`` and
+    ``output_dir``."""
+    out = {}
+    for name in sorted(os.listdir(root)):
+        if name == "config.json":
+            continue
+        path = os.path.join(root, name)
+        if name.endswith(".report.json"):
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            doc.pop("config")
+            out[name] = doc
+        else:
+            out[name] = fileio.sha256_file(path)
+    return out
+
+
 def test_run_with_worker_pool_matches_serial(tmp_path):
     serial = tmp_path / "serial"
     pooled = tmp_path / "pooled"
@@ -908,25 +927,36 @@ def test_run_with_worker_pool_matches_serial(tmp_path):
             "--budget", "nodes:800"]
     assert run_cli(*base, "-o", str(serial)) == 0
     assert run_cli(*base, "--workers", "2", "-o", str(pooled)) == 0
+    assert run_content(serial) == run_content(pooled)
 
-    def content(root):
-        # the embedded audit config records workers/output_dir, which differ
-        # between the two invocations by construction; results must not
-        out = {}
-        for name in sorted(os.listdir(root)):
-            if name == "config.json":
-                continue
-            path = os.path.join(root, name)
-            if name.endswith(".report.json"):
-                with open(path, encoding="utf-8") as fh:
-                    doc = json.load(fh)
-                doc.pop("config")
-                out[name] = doc
-            else:
-                out[name] = fileio.sha256_file(path)
-        return out
 
-    assert content(str(serial)) == content(str(pooled))
+def test_one_worker_answers_a_recurring_problem_once_across_jobs(tmp_path):
+    """``fop``, and ``os`` while gamma exceeds max AP, pose their problems
+    on the instance's own profit matrix, so in one process a job reuses
+    the answer an earlier job found for the same cycle's mask; the files
+    equal those of jobs in separate worker processes, which share
+    nothing."""
+    base = ["run", "--scenario", "mcmkp", "--agents", "6", "--tasks", "16",
+            "--cycles", "8", "--agent-availability", "0.75",
+            "--task-availability", "0.75", "--strategies", "os:10,os:40",
+            "--budget", "nodes:300", "--seeds", "3"]
+    solves, searches = [], []
+    solve, work = engine.solve, solver._Work
+
+    def counted(counts, fn):
+        def spied(*args):
+            counts.append(None)
+            return fn(*args)
+        return spied
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "solve", counted(solves, solve))
+        patch.setattr(solver, "_Work", counted(searches, work))
+        assert run_cli(*base, "-o", str(tmp_path / "serial")) == 0
+    assert len(solves) == 3 * 8
+    assert 8 <= len(searches) < len(solves)
+    assert run_cli(*base, "--workers", "2", "-o", str(tmp_path / "pooled")) == 0
+    assert run_content(tmp_path / "serial") == run_content(tmp_path / "pooled")
 
 
 TCSA_RUN = ["run", "--scenario", "tcsa", "--agents", "6", "--tasks", "20",

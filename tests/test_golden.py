@@ -12,6 +12,11 @@ tcsa-pc and mcmkp-grid have kept their summaries since the benchmark was
 introduced.  mcmkp-foa's changed once, when perturbed local search took
 the first half of each solve's budget: its first local search ends with
 budget left, where the other two spend it all.
+
+A small tcsa run with ``--static-priorities`` is pinned the same way: with
+no per-cycle priorities, ``fop`` and ``os`` in profit mode pose problems on
+the instance's own profit matrix, which the solver may answer once per
+availability mask across the run's jobs.
 """
 
 import hashlib
@@ -50,6 +55,21 @@ REPORT_DIGESTS = {
         "6c8bfde8c929763db91009a3c94a03a1af6e6c559bbf294903d382cb94356a98",
     "mcmkp-grid":
         "73f4b53e10ba443d421fd19aaf5617288460fef6fc4250d0012345164c32b87a",
+}
+
+
+STATIC_TCSA_RUN = [
+    "--scenario", "tcsa", "--agents", "6", "--tasks", "300", "--cycles", "12",
+    "--strategies", "fop,os:3,pc,wpp", "--budget", "nodes:2000",
+    "--static-priorities", "--seeds", "7", "--workers", "1"]
+
+STATIC_TCSA_DIGESTS = {
+    "summary.csv":
+        "ce74b69402001503bfc83b1d139c24a0c70b202128e23b228de4b2b64a34ac7f",
+    "*.cycles.jsonl":
+        "80eb76d86c05125311f1fc48444a913a6cadb2034ff1a7921a79c078a22d9001",
+    "*.report.json":
+        "d251ca53406ad5ac5f9da2ebce88dbb5fb42d2d96a5ea0d5dee2442860de239a",
 }
 
 
@@ -114,3 +134,14 @@ def test_benchmark_command_line_writes_its_golden_reports(benchmark_run,
     for path in sorted(out.glob("*.report.json")):
         digest.update(path.read_bytes())
     assert digest.hexdigest() == REPORT_DIGESTS[workload]
+
+
+def test_static_priority_tcsa_run_writes_its_golden_outputs(tmp_path,
+                                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", *STATIC_TCSA_RUN, "-o", "run"]) == 0
+    for pattern, want in STATIC_TCSA_DIGESTS.items():
+        digest = hashlib.sha256()
+        for path in sorted((tmp_path / "run").glob(pattern)):
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == want, pattern

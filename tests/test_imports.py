@@ -203,7 +203,7 @@ def process_state(path: str) -> set[str]:
 
 def test_no_new_process_wide_state():
     """No function keeps anything between calls: what the solver derives
-    from an instance, and its last answer, live on the problem's
+    from an instance, and its table of answers, live on the problem's
     ``GapShape``."""
     found = set().union(*map(process_state, package_files()))
     assert sorted(found) == []

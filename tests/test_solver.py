@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import random
 import time
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rotagap import solver
-from rotagap.solver import (Assignment, GapProblem, SolverBudget, SolverError,
-                            _dense_rank, _greedy_order, _order, _Work,
-                            branch_and_bound,
-                            brute_force_oracle, greedy_construct,
-                            local_search_improve, root_upper_bound, solve)
+from rotagap.solver import (Assignment, GapProblem, GapShape, SolverBudget,
+                            SolverError, _dense_rank, _greedy_order, _order,
+                            _Work, branch_and_bound, brute_force_oracle,
+                            greedy_construct, local_search_improve,
+                            root_upper_bound, solve)
 
 from conftest import (assert_feasible, copied_problem, empty_assignment,
                       mcmkp_gap_problem, random_gap_problem,
@@ -235,24 +236,113 @@ def shaped_problem(rng: random.Random, shape: str) -> GapProblem:
                              tasks=rng.randint(4, 30))
 
 
+def recurring_problem(problem: GapProblem) -> GapProblem:
+    """``problem`` on a shape of its own whose recurring values are a copy
+    of its values: ``solve`` answers it once per node limit and mask."""
+    shape = GapShape(problem.agent_ids, problem.task_ids,
+                     problem.agent_capacities, problem.weights,
+                     recurring=problem.values.copy())
+    return shape.problem(shape.recurring_values, problem.feasible_pairs.copy())
+
+
+@contextlib.contextmanager
+def counted_searches():
+    """The problems ``solve`` searches inside the block, in order: a spy on
+    ``solver._Work``, which every search builds first and a reused answer
+    never does."""
+    searched = []
+    work = solver._Work
+
+    def spied(problem):
+        searched.append(problem)
+        return work(problem)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_Work", spied)
+        yield searched
+
+
+def assert_same_answer(got: Assignment, want: Assignment) -> None:
+    """Equal answers with equal int64, read-only positions."""
+    assert got == want
+    for a, b in zip(got.positions, want.positions):
+        assert np.array_equal(a, b) and a.dtype == b.dtype == np.int64
+        assert not a.flags.writeable
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 100_000),
        shape=st.sampled_from(["small", "shuffled", "mcmkp"]),
        nodes=st.integers(0, 5000))
 def test_repeated_solve_returns_what_a_fresh_search_gives(seed, shape, nodes):
-    """An equal problem on the same shape and an equal budget reuse the last
-    solve's answer, which is the answer a problem built apart, with a shape
+    """A problem on its shape's recurring values, posed again with an equal
+    mask (a copy) and an equal node budget, is answered from the shape's
+    table without a search, with what a problem built apart, with a shape
     of its own, gets from a search."""
-    problem = shaped_problem(random.Random(seed), shape)
+    problem = recurring_problem(shaped_problem(random.Random(seed), shape))
     budget = SolverBudget.nodes(nodes)
-    first = solve(problem, budget)
-    again = problem.shape.problem(problem.values.copy(),
-                                  problem.feasible_pairs.copy())
-    assert solve(again, SolverBudget.nodes(nodes)) is first
+    with counted_searches() as searched:
+        first = solve(problem, budget)
+        again = problem.shape.problem(problem.values,
+                                      problem.feasible_pairs.copy())
+        second = solve(again, SolverBudget.nodes(nodes))
+    assert searched == [problem]
     fresh = solve(copied_problem(problem), budget)
-    assert fresh is not first and fresh == first
-    for got, want in zip(first.positions, fresh.positions):
-        assert np.array_equal(got, want)
+    assert fresh is not first and second is not first
+    assert_same_answer(first, fresh)
+    assert_same_answer(second, fresh)
+
+
+def test_a_mask_seen_two_solves_ago_is_answered_as_a_fresh_search_would():
+    problem = recurring_problem(
+        mcmkp_gap_problem(random.Random(9), agents=5, tasks=16))
+    shape = problem.shape
+    other_mask = problem.feasible_pairs.copy()
+    other_mask[:, 0] = False
+    budget = SolverBudget.nodes(400)
+    with counted_searches() as searched:
+        solve(problem, budget)
+        solve(shape.problem(shape.recurring_values, other_mask), budget)
+        back = shape.problem(shape.recurring_values,
+                             problem.feasible_pairs.copy())
+        reused = solve(back, budget)
+    assert len(searched) == 2
+    assert_same_answer(reused, solve(copied_problem(back), budget))
+
+
+def test_an_equal_copy_of_the_recurring_values_is_searched_again():
+    """Only the recurring matrix itself reaches the table: an equal array
+    of another identity (as ``pc:1:0`` gives) is searched every time."""
+    problem = recurring_problem(
+        mcmkp_gap_problem(random.Random(10), agents=4, tasks=12))
+    shape = problem.shape
+    with counted_searches() as searched:
+        first = solve(problem, AMPLE)
+        for _ in range(2):
+            copy = shape.problem(shape.recurring_values.copy(),
+                                 problem.feasible_pairs)
+            assert solve(copy, AMPLE) == first
+    assert len(searched) == 3
+
+
+def test_writing_to_the_recurring_matrix_raises():
+    base = mcmkp_gap_problem(random.Random(11), agents=4, tasks=12)
+    source = base.values.astype(np.int64)
+    shape = GapShape(base.agent_ids, base.task_ids, base.agent_capacities,
+                     base.weights, recurring=source)
+    recurring = shape.recurring_values
+    assert recurring is shape.recurring_values  # built once
+    assert recurring.dtype == np.float64 and recurring is not source
+    assert np.array_equal(recurring, source)
+    with pytest.raises(ValueError, match="read-only"):
+        recurring[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        shape.problem(recurring, base.feasible_pairs).values[0, 0] = 1.0
+    assert GapShape(base.agent_ids, base.task_ids, base.agent_capacities,
+                    base.weights).recurring_values is None
+    with pytest.raises(ValueError, match="recurring"):
+        GapShape(base.agent_ids, base.task_ids, base.agent_capacities,
+                 base.weights, recurring=source[:, 1:])
 
 
 def test_a_keyword_built_problem_indexes_its_own_ids():
@@ -279,15 +369,16 @@ def test_mutating_a_solved_problem_in_place_searches_again(field):
 
 @pytest.mark.parametrize("field", ["weights", "agent_capacities"])
 def test_mutating_the_callers_static_arrays_changes_nothing(field):
-    """A problem's weights and capacities are copies of the caller's arrays,
-    held read-only by its shape: writing to them raises, and changing the
-    caller's arrays after construction changes neither the problem nor its
-    answer."""
+    """A shape's weights and capacities are copies of the caller's arrays,
+    held read-only: writing to them raises, and changing the caller's
+    arrays after construction changes neither the problems made on it nor
+    their answers, which the shape's table still serves."""
     base = mcmkp_gap_problem(random.Random(5), agents=4, tasks=12)
     arrays = {"agent_capacities": base.agent_capacities.copy(),
               "weights": base.weights.copy()}
-    problem = GapProblem(base.agent_ids, base.task_ids, values=base.values,
-                         feasible_pairs=base.feasible_pairs, **arrays)
+    shape = GapShape(base.agent_ids, base.task_ids, **arrays,
+                     recurring=base.values)
+    problem = shape.problem(shape.recurring_values, base.feasible_pairs)
     first = solve(problem, AMPLE)
     with pytest.raises(ValueError, match="read-only"):
         getattr(problem, field)[0] += 1
@@ -298,30 +389,50 @@ def test_mutating_the_callers_static_arrays_changes_nothing(field):
     else:
         arrays[field][:] = 0
     assert np.array_equal(getattr(problem, field), getattr(base, field))
-    assert solve(problem, AMPLE) is first
+    with counted_searches() as searched:
+        again = solve(shape.problem(shape.recurring_values,
+                                    base.feasible_pairs), AMPLE)
+    assert searched == []
+    assert_same_answer(again, first)
     assert solve(copied_problem(problem), AMPLE) == first
 
 
 def test_another_node_budget_searches_again():
-    problem = mcmkp_gap_problem(random.Random(6), agents=4, tasks=12)
-    first = solve(problem, SolverBudget.nodes(300))
-    other = solve(problem, SolverBudget.nodes(301))
-    assert other is not first
-    assert solve(problem, SolverBudget.nodes(301)) is other
+    """The table is keyed by the node limit as well as the mask, and keeps
+    the answers of both limits."""
+    problem = recurring_problem(
+        mcmkp_gap_problem(random.Random(6), agents=4, tasks=12))
+    with counted_searches() as searched:
+        first = solve(problem, SolverBudget.nodes(300))
+        other = solve(problem, SolverBudget.nodes(301))
+        assert len(searched) == 2
+        assert other == solve(copied_problem(problem), SolverBudget.nodes(301))
+        searched.clear()
+        assert_same_answer(solve(problem, SolverBudget.nodes(301)), other)
+        assert_same_answer(solve(problem, SolverBudget.nodes(300)), first)
+    assert searched == []
 
 
 def test_wall_clock_budgets_never_reuse_or_store_an_answer():
-    problem = mcmkp_gap_problem(random.Random(7), agents=4, tasks=12)
-    by_nodes = solve(problem, AMPLE)
-    first = solve(problem, SolverBudget.seconds(5.0))
-    second = solve(problem, SolverBudget.seconds(5.0))
-    assert len({id(by_nodes), id(first), id(second)}) == 3
-    # the node-budget answer is still the one kept
-    assert solve(problem, AMPLE) is by_nodes
+    problem = recurring_problem(
+        mcmkp_gap_problem(random.Random(7), agents=4, tasks=12))
+    with counted_searches() as searched:
+        first = solve(problem, SolverBudget.seconds(5.0))
+        second = solve(problem, SolverBudget.seconds(5.0))
+        assert len(searched) == 2 and first is not second
+        assert problem.shape._answers == {}
+        by_nodes = solve(problem, AMPLE)
+        assert len(searched) == 3
+        solve(problem, SolverBudget.seconds(5.0))
+        assert len(searched) == 4
+        # the node-budget answer is still the one kept
+        assert_same_answer(solve(problem, AMPLE), by_nodes)
+    assert len(searched) == 4 and len(problem.shape._answers) == 1
 
 
 def test_a_reused_answer_is_checked_against_the_new_problem(monkeypatch):
-    problem = mcmkp_gap_problem(random.Random(8), agents=4, tasks=12)
+    problem = recurring_problem(
+        mcmkp_gap_problem(random.Random(8), agents=4, tasks=12))
     first = solve(problem, AMPLE)
     checked = []
     verify = solver._verify
@@ -331,13 +442,16 @@ def test_a_reused_answer_is_checked_against_the_new_problem(monkeypatch):
         verify(checked_problem, rows, cols)
 
     monkeypatch.setattr(solver, "_verify", spied)
-    repeat = problem.shape.problem(problem.values.copy(),
+    repeat = problem.shape.problem(problem.values,
                                    problem.feasible_pairs.copy())
-    assert solve(repeat, AMPLE) is first
+    with counted_searches() as searched:
+        reused = solve(repeat, AMPLE)
+    assert searched == []
+    assert_same_answer(reused, first)
     assert len(checked) == 1
     checked_problem, rows, cols = checked[0]
     assert checked_problem is repeat
-    assert rows is first.positions[0] and cols is first.positions[1]
+    assert rows is reused.positions[0] and cols is reused.positions[1]
 
 
 @settings(max_examples=50, deadline=None)

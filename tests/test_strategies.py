@@ -241,6 +241,28 @@ def test_strategies_are_pure(walkthrough_state):
         assert np.array_equal(a, b)
 
 
+def test_profit_values_are_the_recurring_matrix_itself(walkthrough_state):
+    """``fop`` and profit-mode ``os`` hand the instance's recurring profit
+    matrix on as it is, so the solver can answer its problems once per
+    mask; every other result is a fresh array, never the state's
+    affinities, not even when those are float64 already."""
+    instance, state = walkthrough_state
+    recurring = state.mats.recurring_values
+    mask = state.mats.available_pairs("ABC", instance.task_ids)
+    max_ap = 1.0  # os:10 takes profits, os:0.5 affinities
+    for affinities in (state.affinities, state.affinities.astype(float)):
+        for spec in ("fop", "os:10", "os:0.5", "foa", "pc", "pc:1:0", "wpp"):
+            config = StrategyConfig.parse(spec)
+            values = compute_values(config, recurring, affinities, mask,
+                                    max_ap)
+            by_profit = spec in ("fop", "os:10")
+            assert (values is recurring) == by_profit, spec
+            assert not np.shares_memory(values, affinities), spec
+    # profits of another dtype, or overridden, come back as a new array
+    assert compute_values(StrategyConfig.parse("fop"), state.mats.profits,
+                          state.affinities, mask, max_ap) is not recurring
+
+
 def test_positive_scaling_preserves_optimal_assignments():
     rng = random.Random(11)
     caps = np.array([6, 5], dtype=np.int64)
