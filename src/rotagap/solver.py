@@ -44,7 +44,10 @@ agent to its best one) cannot beat the best move so far is charged and
 skipped without building it; otherwise the granted moves are evaluated in
 numpy blocks of up to ``_BLOCK`` cells, and rows of a neighbourhood whose
 gain bound cannot beat the best move so far are not evaluated.  Row bounds
-are built after the charge, for the granted rows only.
+are built after the charge, for the granted rows only.  A neighbourhood
+that fits in one block computes a gain for each of its cells; in one that
+spans several, each block first builds which of its cells are charged and
+keep the mask and every capacity, and computes gains at those alone.
 Branch-and-bound takes nodes from the clock in batches of at
 most 256 (never more than a node limit has left), keeps one unit per node
 it visits and hands back what it did not use.  A deadline is read on every
@@ -249,7 +252,8 @@ class GapShape:
     ``recurring`` (``m x n``, read when first needed).  It keeps the table
     in which :func:`solve` answers the problems whose ``values`` is
     :attr:`recurring_values` itself, once per node limit and mask (module
-    docstring)."""
+    docstring), and checks that matrix's entries once: a problem on it
+    tests only its mask against them."""
 
     def __init__(self, agent_ids: Iterable[str], task_ids: Iterable[str],
                  agent_capacities, weights, recurring=None):
@@ -276,16 +280,20 @@ class GapShape:
             raise ValueError(f"recurring must have shape {(m, n)}")
         self._recurring_source = recurring
         self._recurring = None  # built by recurring_values
+        self._recurring_ok = None  # the pairs GapProblem accepts it on
         self._answers = {}  # (node limit, packed mask) -> stored answer
 
     @property
     def recurring_values(self) -> np.ndarray | None:
-        """``recurring`` as a read-only float64 matrix, built on first use;
-        ``None`` for a shape without one."""
+        """``recurring`` as a read-only float64 matrix, built on first use
+        together with the pairs a :class:`GapProblem` accepts it on (finite,
+        non-negative value and positive weight); ``None`` for a shape
+        without one."""
         if self._recurring is None and self._recurring_source is not None:
-            self._recurring = np.array(self._recurring_source,
-                                       dtype=np.float64)
-            self._recurring.flags.writeable = False
+            values = np.array(self._recurring_source, dtype=np.float64)
+            values.flags.writeable = False
+            self._recurring_ok = _acceptable(values, self.positive)
+            self._recurring = values
         return self._recurring
 
     def problem(self, values, feasible_pairs) -> "GapProblem":
@@ -316,7 +324,8 @@ class GapProblem:
         for name in ("values", "feasible_pairs"):
             if getattr(self, name).shape != dims:
                 raise ValueError(f"{name} must have shape {dims}")
-        ok = np.isfinite(self.values) & (self.values >= 0) & shape.positive
+        ok = shape._recurring_ok if self.values is shape._recurring \
+            else _acceptable(self.values, shape.positive)
         if (ok >= self.feasible_pairs).all():  # ok on every feasible pair
             return
         used = self.values[self.feasible_pairs]
@@ -384,6 +393,12 @@ class Assignment:
         return ("Assignment(pairs={!r}, objective={!r}, proven_optimal={!r}, "
                 "nodes_explored={!r}, budget_exhausted={!r})"
                 .format(*self._key()))
+
+
+def _acceptable(values: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """The pairs a problem may make feasible: finite, non-negative value
+    (``-0.0`` included) and positive weight."""
+    return np.isfinite(values) & (values >= 0) & positive
 
 
 def _ranks(ids: tuple[str, ...]) -> np.ndarray:
@@ -639,13 +654,17 @@ def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
     ``cells`` is equal-shaped arrays ``(charged, gain, ok, x, y)``: the
     cells that cost a work unit (scanned row by row), each move's gain,
     whether it keeps the mask and every capacity, and its two arguments,
-    ``x`` by row and ``y`` by column.  Otherwise ``cells(r)`` gives those
-    arrays for an ascending index array of rows ``r``, and ``rows`` is
-    ``(counts, width, bounds)``: two arrays over the rows, each row's number
-    of charged cells and its width in cells, and ``bounds(stop)``, which
-    gives for each of the first ``stop`` rows a bound that none of its gains
-    exceeds; rows past the budget's grant get no bound.  Insert and shift
-    are one row each.
+    ``x`` by row and ``y`` by column.  Otherwise ``cells(r)`` gives the
+    block of an ascending index array of rows ``r`` as ``(charged, allowed,
+    gain, x, y)``: ``charged()`` builds the mask of its charged cells,
+    ``allowed`` is the mask of those that keep the mask and every capacity,
+    built in place, and ``gain(rows, cols)`` computes the gains of the cells
+    at those row and column positions, each by the arithmetic of the dense
+    block.  ``rows`` is then ``(counts, width, bounds)``: two arrays over
+    the rows, each row's number of charged cells and its width in cells,
+    and ``bounds(stop)``, which gives for each of the first ``stop`` rows a
+    bound that none of its gains exceeds; rows past the budget's grant get
+    no bound.  Insert and shift are one row each.
     """
     values, weights, feasible = work.values, work.weights, work.feasible
     agent, task = work.cand_agent, work.cand_task
@@ -678,13 +697,21 @@ def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
             vals, wts = values[:, free], weights[:, free]
             feas = feasible[:, free]
 
+            if h * f <= _BLOCK:
+                return (feas[own], vals[own] - v_own[:, None],
+                        wts[own] <= slack[:, None], held, free), None
+
             def cells(r):
                 i = own[r]
-                return (feas[i], vals[i] - v_own[r, None],
-                        wts[i] <= slack[r, None], held[r], free)
+                charged = np.take(feas, i, axis=0)
+                allowed = np.take(wts, i, axis=0) <= slack[r, None]
+                allowed &= charged
 
-            if h * f <= _BLOCK:
-                return cells(slice(None)), None
+                def gain(rows, cols):
+                    return vals[i[rows], cols] - v_own[r[rows]]
+
+                return lambda: charged, allowed, gain, held[r], free
+
             # the bound is exact: a gain is one subtraction, and rounding
             # is monotone; values are >= 0, so the 0.0 off the mask never
             # raises the maximum of a row that has charged cells
@@ -712,20 +739,40 @@ def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
             feas = feasible[:, held]
             pos = np.arange(h)
 
-            def cells(r):
-                rc = pos[r, None]
-                lo = int(rc[0, 0]) + 1
-                i1, i2 = own[r], own[lo:]
-                ok = feas[i1, lo:] & feas[:, r][i2].T \
-                    & (slack[r, None] >= wts[i1, lo:]) \
-                    & (slack[lo:] >= wts[:, r][i2].T)
-                gain = vals[:, r][i2].T + vals[i1, lo:] - v_own[r, None] \
-                    - v_own[lo:]
-                return ((pos[lo:] > rc) & (i1[:, None] != i2), gain, ok,
-                        held[r], held[lo:])
-
             if (h - 1) * (h - 1) <= _BLOCK:
-                return cells(slice(0, h - 1)), None
+                i1, i2 = own[:-1], own[1:]
+                ok = feas[i1, 1:] & feas[i2, :-1].T \
+                    & (slack[:-1, None] >= wts[i1, 1:]) \
+                    & (slack[1:] >= wts[i2, :-1].T)
+                gain = vals[i2, :-1].T + vals[i1, 1:] - v_own[:-1, None] \
+                    - v_own[1:]
+                return ((pos[1:] > pos[:-1, None]) & (i1[:, None] != i2),
+                        gain, ok, held[:-1], held[1:]), None
+
+            # no task swaps onto its own agent: clearing those pairs drops
+            # the cells between tasks on one agent from each block's mask
+            # and from the row bounds' table
+            feas[own, pos] = False
+
+            def cells(r):
+                lo = int(r[0]) + 1
+                i1, i2 = own[r], own[lo:]
+                allowed = feas[i1, lo:]
+                allowed &= np.take(feas[:, r].T, i2, axis=1)
+                allowed &= slack[r, None] >= wts[i1, lo:]
+                allowed &= slack[lo:] >= np.take(wts[:, r].T, i2, axis=1)
+                # t > s can fail only in the columns up to the last row
+                b = int(r[-1]) - lo + 1
+                allowed[:, :b] &= pos[lo:lo + b] > r[:, None]
+
+                def gain(rows, cols):
+                    s, t = r[rows], cols + lo
+                    return vals[own[t], s] + vals[own[s], t] - v_own[s] \
+                        - v_own[t]
+
+                return (lambda: (pos[lo:] > r[:, None]) & (i1[:, None] != i2),
+                        allowed, gain, held[r], held[lo:])
+
             # row s charges the later held tasks on other agents: all later
             # ones but those that follow it in its agent's run of `order`
             order = np.argsort(own, kind="stable")
@@ -741,7 +788,6 @@ def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
             # every column after it as well (max is exact)
             def bounds(stop):
                 second = np.where(feas, vals - v_own, -np.inf)
-                second[own, pos] = -np.inf
                 head = second[:, 1:stop + 1]
                 head[:, -1] = second[:, stop:].max(1)
                 suffix = np.maximum.accumulate(head[:, ::-1], axis=1)[:, ::-1]
@@ -756,7 +802,9 @@ def _neighbourhoods(work: _Work, assigned: np.ndarray, rem: np.ndarray):
 def _best_cell(best: float, drop: int, charged, gain, ok, x, y):
     """The first largest gain above ``best`` among the charged cells in
     scan order, all but the last ``drop`` of them: ``(gain, (x, y))``, or
-    ``(best, None)`` where none is larger."""
+    ``(best, None)`` where none is larger.  For a block with every gain
+    computed; :func:`_best_allowed` takes one that computes only those it
+    may pick."""
     gain = np.where(charged & ok, gain, -np.inf).ravel()
     if drop:  # up to the last cell kept
         keep = np.flatnonzero(charged)[:-drop]
@@ -769,6 +817,25 @@ def _best_cell(best: float, drop: int, charged, gain, ok, x, y):
     return best, None
 
 
+def _best_allowed(best: float, drop: int, charged, allowed, gain, x, y):
+    """:func:`_best_cell` for a block of a multi-block neighbourhood
+    (:func:`_neighbourhoods`): its gains are computed only at the
+    ``allowed`` cells before the last ``drop`` charged ones, which hold
+    every cell the dense block could pick, in the same scan order.  Builds
+    the charged mask only for a ``drop``."""
+    flat = np.flatnonzero(allowed)
+    if drop:  # up to the last cell kept
+        keep = np.flatnonzero(charged())[:-drop]
+        flat = flat[:np.searchsorted(flat, keep[-1] + 1 if len(keep) else 0)]
+    if len(flat):
+        rows, cols = np.divmod(flat, allowed.shape[1])
+        gains = gain(rows, cols)
+        k = int(np.argmax(gains))
+        if gains[k] > best:
+            return gains[k], (int(x[rows[k]]), int(y[cols[k]]))
+    return best, None
+
+
 def _scan(clock: _BudgetClock, best: float, cap, tables):
     """Charge one neighbourhood with a single ``charge`` and find the first
     largest gain above ``best`` among its granted cells; returns ``(best,
@@ -776,12 +843,13 @@ def _scan(clock: _BudgetClock, best: float, cap, tables):
 
     A neighbourhood whose ``cap`` bound cannot beat ``best`` is charged its
     ``cap`` count and yields no move; its tables are never built.  One that
-    fits in one block is that block with every row live.  Otherwise the
-    fully granted rows are found from the per-row counts, of a partly
-    granted last row only its granted cells count, bounds are asked for the
-    granted rows alone, and a row is evaluated only while its bound beats
-    the best gain so far: live rows in scan order, in blocks of at most
-    ``_BLOCK`` cells.
+    fits in one block is that block with every row live and every gain
+    computed (:func:`_best_cell`).  Otherwise the fully granted rows are
+    found from the per-row counts, of a partly granted last row only its
+    granted cells count, bounds are asked for the granted rows alone, and a
+    row is evaluated only while its bound beats the best gain so far: live
+    rows in scan order, in blocks of at most ``_BLOCK`` cells, each of which
+    computes gains only at its allowed cells (:func:`_best_allowed`).
     """
     if cap is not None and cap[1] <= best:
         count = cap[0]
@@ -807,7 +875,7 @@ def _scan(clock: _BudgetClock, best: float, cap, tables):
         k = max(1, _BLOCK // int(width[live[0]]))
         r, live = live[:k], live[k:]
         drop = int(counts[full]) - part if r[-1] == full else 0
-        best, found = _best_cell(best, drop, *cells(r))
+        best, found = _best_allowed(best, drop, *cells(r))
         if found is not None:
             move = found
             live = live[bound[live] > best]

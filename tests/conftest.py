@@ -133,7 +133,8 @@ def mcmkp_gap_problem(rng: random.Random, agents: int = 12,
 
 
 def tcsa_gap_problem(rng: random.Random, agents: int = 20, tasks: int = 750,
-                     values: str = "integer") -> GapProblem:
+                     values: str = "integer",
+                     weights: str = "shared") -> GapProblem:
     """Problem shaped like a tcsa cycle: agent-independent weights in
     [1, 21], each task compatible with 6 of the agents, capacities that
     together hold about 80% of the total weight and shuffled ids.  Local
@@ -143,9 +144,14 @@ def tcsa_gap_problem(rng: random.Random, agents: int = 20, tasks: int = 750,
     affinity, as ``pc`` gives), ``"priority"`` (the per-task priority alone,
     the same on every agent, as ``fop`` gives), ``"tenths"`` (multiples of
     0.1, full of ties) or ``"uniform"`` (uniform floats on a random scale
-    from 1e-3 to 1e6)."""
-    weights = [rng.randint(1, 21) for _ in range(tasks)]
-    share = sum(weights) * 4 // (5 * agents)
+    from 1e-3 to 1e6).
+
+    ``weights`` is ``"shared"`` (one weight per task, as tcsa has) or
+    ``"per-agent"``: each agent then has a speed of 1, 2 or 3, drawn after
+    everything else, and a task weighs half its shared weight times the
+    speed, rounded up, so the problem is the shared one reweighed."""
+    task_weight = [rng.randint(1, 21) for _ in range(tasks)]
+    share = sum(task_weight) * 4 // (5 * agents)
     caps = np.array([rng.randint(share * 9 // 10, share * 11 // 10)
                      for _ in range(agents)])
     feasible = np.zeros((agents, tasks), dtype=bool)
@@ -165,11 +171,15 @@ def tcsa_gap_problem(rng: random.Random, agents: int = 20, tasks: int = 750,
         scale = 10.0 ** rng.randint(-3, 6)
         table = np.array([[rng.random() * scale for _ in range(tasks)]
                           for _ in range(agents)])
+    agent_ids = tuple(f"a{k:02d}" for k in rng.sample(range(agents), agents))
+    task_ids = tuple(f"t{k:03d}" for k in rng.sample(range(tasks), tasks))
+    table_w = np.tile(task_weight, (agents, 1))
+    if weights == "per-agent":
+        speed = np.array([rng.randint(1, 3) for _ in range(agents)])
+        table_w = -(-table_w * speed[:, None] // 2)
     return GapProblem(
-        agent_ids=tuple(f"a{k:02d}" for k in rng.sample(range(agents), agents)),
-        task_ids=tuple(f"t{k:03d}" for k in rng.sample(range(tasks), tasks)),
-        agent_capacities=caps, weights=np.tile(weights, (agents, 1)),
-        values=table, feasible_pairs=feasible,
+        agent_ids=agent_ids, task_ids=task_ids, agent_capacities=caps,
+        weights=table_w, values=table, feasible_pairs=feasible,
     )
 
 

@@ -345,6 +345,41 @@ def test_writing_to_the_recurring_matrix_raises():
                  base.weights, recurring=source[:, 1:])
 
 
+@pytest.mark.parametrize("bad,message", [
+    (-1.5, "values must be >= 0"), (np.nan, "values must be finite"),
+    (np.inf, "values must be finite")])
+def test_a_bad_recurring_entry_is_refused_only_where_the_mask_holds_it(
+        monkeypatch, bad, message):
+    """The recurring matrix's entries are checked once, when it is built;
+    a problem on it then tests only its mask, and names the defect as a
+    problem on any other array does."""
+    base = mcmkp_gap_problem(random.Random(12), agents=4, tasks=12)
+    source = base.values.copy()
+    source[2, 5] = bad
+    shape = GapShape(base.agent_ids, base.task_ids, base.agent_capacities,
+                     base.weights, recurring=source)
+    recurring = shape.recurring_values
+    checks = []
+    acceptable = solver._acceptable
+
+    def counted(*args):
+        checks.append(args)
+        return acceptable(*args)
+
+    monkeypatch.setattr(solver, "_acceptable", counted)
+    mask = np.ones((4, 12), dtype=bool)
+    mask[2, 5] = False
+    assert shape.problem(recurring, mask).values is recurring
+    mask[2, 5] = True
+    with pytest.raises(ValueError, match=f"^{message} on feasible pairs$"):
+        shape.problem(recurring, mask)
+    assert checks == []
+    # an equal copy is checked in full, and refused the same way
+    with pytest.raises(ValueError, match=f"^{message} on feasible pairs$"):
+        shape.problem(recurring.copy(), mask)
+    assert len(checks) == 1
+
+
 def test_a_keyword_built_problem_indexes_its_own_ids():
     problem = shuffled_gap_problem(random.Random(2), 3, 7)
     shape = problem.shape
@@ -1520,19 +1555,27 @@ def inside(ends: list[int], k: int) -> int:
     return (ends[k - 1] + ends[k]) // 2
 
 
-# tcsa-shaped problems (seed, tasks, values) whose exchange and swap
-# neighbourhoods span several blocks, even at 200 tasks; on the "priority"
-# ones every shift and swap neighbourhood is skipped by its bound
+# tcsa-shaped problems (seed, tasks, values[, weights]) whose exchange and
+# swap neighbourhoods span several blocks, even at 200 tasks; on the
+# "priority" ones every shift and swap neighbourhood is skipped by its
+# bound; on the "per-agent" ones a capacity test that reads another agent's
+# weight picks other moves, in a swap on both and in an exchange on the
+# second
 MULTI_BLOCK_SHAPES = [(1, 750, "integer"), (2, 600, "tenths"),
                       (3, 450, "uniform"), (4, 300, "integer"),
                       (5, 200, "uniform"), (6, 250, "tenths"),
-                      (7, 600, "priority"), (8, 250, "priority")]
+                      (7, 600, "priority"), (8, 250, "priority"),
+                      (10, 250, "uniform", "per-agent"),
+                      (12, 250, "integer", "per-agent")]
 
 
-@pytest.mark.parametrize("seed,tasks,values", MULTI_BLOCK_SHAPES)
-def test_multi_block_local_search_matches_the_unit_scan(seed, tasks, values):
+@pytest.mark.parametrize("shape", MULTI_BLOCK_SHAPES,
+                         ids=lambda shape: "-".join(map(str, shape)))
+def test_multi_block_local_search_matches_the_unit_scan(shape):
+    seed, tasks, values, *weights = shape
     problem = tcsa_gap_problem(random.Random(seed), tasks=tasks,
-                               values=values)
+                               values=values,
+                               weights=weights[0] if weights else "shared")
     greedy = greedy_construct(problem)
     exchange, swap = first_scan_rows(problem, greedy)
     budgets = [inside(exchange, len(exchange) // 2),
@@ -1598,6 +1641,110 @@ def test_multi_block_truncation_is_pinned(seed, values, route, nodes,
     assert (result.objective, result.nodes_explored, result.budget_exhausted,
             result.proven_optimal, pairs_digest(result.pairs)) \
         == (objective, explored, exhausted, False, digest)
+
+
+@contextlib.contextmanager
+def computed_gains():
+    """The gains local search computes in multi-block scans inside the
+    block, one entry per block: ``(kind, rows, cells)``, the block's row
+    tasks and the ``(row task, column task)`` cells whose gains it
+    computed, in scan order."""
+    computed = []
+    neighbourhoods = solver._neighbourhoods
+
+    def spied(*args):
+        for kind, cap, tables in neighbourhoods(*args):
+            def build(kind=kind, tables=tables):
+                cells, rows = tables()
+                if rows is None:
+                    return cells, rows
+
+                def block(r):
+                    charged, allowed, gain, x, y = cells(r)
+                    entry = (kind, x.tolist(), [])
+                    computed.append(entry)
+
+                    def counted(rows, cols):
+                        entry[2].extend(zip(x[rows].tolist(),
+                                            y[cols].tolist()))
+                        return gain(rows, cols)
+
+                    return charged, allowed, counted, x, y
+
+                return block, rows
+            yield kind, cap, build
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_neighbourhoods", spied)
+        yield computed
+
+
+def test_multi_block_gains_are_computed_only_on_allowed_cells():
+    """In the first scan from greedy, a block computes gains for exactly its
+    charged cells that keep the mask and both capacities, up to the last
+    granted unit; checked cell by cell against the rules, with a budget
+    that ends inside an evaluated swap row."""
+    problem = tcsa_gap_problem(random.Random(1))
+    greedy = greedy_construct(problem)
+    exchange, swap = first_scan_rows(problem, greedy)
+    feas, _ = reference_candidates(problem)
+    w = problem.weights.tolist()
+    agent_index = {a: i for i, a in enumerate(problem.agent_ids)}
+    task_index = {t: j for j, t in enumerate(problem.task_ids)}
+    assigned = [None] * len(problem.task_ids)
+    rem = problem.agent_capacities.tolist()
+    for agent_id, task_id in greedy.pairs:
+        i, j = agent_index[agent_id], task_index[task_id]
+        assigned[j] = i
+        rem[i] -= w[i][j]
+    held = [j for j, i in enumerate(assigned) if i is not None]
+    free = [j for j, i in enumerate(assigned) if i is None]
+    after = {j: held[a + 1:] for a, j in enumerate(held)}
+    # each swap row's first unit, past the exchange's
+    start = dict(zip(held, [exchange[-1]] + swap))
+
+    def fits(i, j_in, j_out):  # j_in onto agent i, which j_out leaves
+        return feas[i][j_in] and w[i][j_in] <= rem[i] + w[i][j_out]
+
+    def expected(kind, rows, nodes):
+        cells = []
+        for j1 in rows:
+            i1 = assigned[j1]
+            if kind == "exchange":
+                cells += [(j1, j2) for j2 in free if fits(i1, j2, j1)]
+                continue
+            unit = start[j1]
+            for j2 in after[j1]:
+                i2 = assigned[j2]
+                if i2 == i1:
+                    continue
+                unit += 1
+                if unit <= nodes and fits(i1, j2, j1) and fits(i2, j1, j2):
+                    cells.append((j1, j2))
+        return cells
+
+    def first_scan(nodes):
+        with computed_gains() as computed:
+            local_search_improve(problem, greedy, SolverBudget.nodes(nodes))
+        kinds = [kind for kind, _, _ in computed]
+        assert kinds == sorted(kinds) and set(kinds) == {"exchange", "swap"}
+        for kind, rows, cells in computed:
+            assert cells == expected(kind, rows, nodes)
+        return computed
+
+    # to the end of the first scan, which the budget then ends
+    evaluated = [j for kind, rows, _ in first_scan(swap[-1])
+                 if kind == "swap" for j in rows]
+    row = next(a for a, j in enumerate(held[:-1])
+               if j in evaluated and swap[a] - start[j] > 1)
+    computed = first_scan(inside([exchange[-1]] + swap, row + 1))
+    assert held[row] == computed[-1][1][-1]
+    # mcmkp-shaped problems scan every neighbourhood in one block
+    for seed in range(6):
+        problem = mcmkp_gap_problem(random.Random(seed))
+        with computed_gains() as computed:
+            solve(problem, SolverBudget.nodes(20_000))
+        assert computed == []
 
 
 def test_local_search_charges_each_neighbourhood_once(monkeypatch):
