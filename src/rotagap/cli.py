@@ -492,11 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the scenario's cycle count")
 
     gen = sub.add_parser("generate", help="write instance and trace files")
+    gen.set_defaults(handler=cmd_generate)
     add_scenario_args(gen, for_run=False)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("-o", "--output-dir", required=True)
 
     run = sub.add_parser("run", help="run a strategy grid over a scenario")
+    run.set_defaults(handler=cmd_run)
     add_scenario_args(run, for_run=True)
     run.add_argument("--config", help="resolved config.json from a previous run")
     run.add_argument("--instance", help="instance file (with --trace)")
@@ -515,24 +517,18 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--verbose", action="store_true")
 
     rep = sub.add_parser("report", help="comparison tables from summaries")
+    rep.set_defaults(handler=cmd_report)
     rep.add_argument("--summary", nargs="+", required=True)
     rep.add_argument("-o", "--output-dir", required=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "verbose", False):
         logging.basicConfig(level=logging.INFO,
                             format="%(name)s: %(message)s")
-    if args.command == "generate":
-        return cmd_generate(args)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "report":
-        return cmd_report(args)
-    return EXIT_CONFIG
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -239,13 +239,10 @@ def validate_instance(instance: Instance) -> list[str]:
         problems.append("instance: needs at least one agent")
     if len(instance.tasks) < 1:
         problems.append("instance: needs at least one task")
-    if len(known) != len(agent_ids):
-        dupes = sorted({a for a in agent_ids if agent_ids.count(a) > 1})
-        problems.append(f"agents: duplicate ids {dupes}")
-    task_ids = [t.id for t in instance.tasks]
-    if len(set(task_ids)) != len(task_ids):
-        dupes = sorted({t for t in task_ids if task_ids.count(t) > 1})
-        problems.append(f"tasks: duplicate ids {dupes}")
+    for side, ids in (("agents", agent_ids), ("tasks", instance.task_ids)):
+        if len(set(ids)) != len(ids):
+            dupes = sorted({x for x in ids if ids.count(x) > 1})
+            problems.append(f"{side}: duplicate ids {dupes}")
 
     for agent in instance.agents:
         if agent.capacity < 0:

@@ -180,14 +180,10 @@ def load_instance(path: str) -> Instance:
 
 def trace_to_lines(trace: ScenarioTrace) -> str:
     """JSON lines: a header record, then one record per cycle."""
-    out = io.StringIO()
-    out.write(json.dumps({"cycles": trace.cycles, "seed": trace.seed},
-                         sort_keys=True) + "\n")
-    for k in range(1, trace.cycles + 1):
-        agents, tasks = trace.entry(k)
-        record = {"cycle": k, "agents": sorted(agents), "tasks": sorted(tasks)}
-        out.write(json.dumps(record, sort_keys=True) + "\n")
-    return out.getvalue()
+    entries = map(trace.entry, range(1, trace.cycles + 1))
+    return dump_json({"cycles": trace.cycles, "seed": trace.seed}) + "".join(
+        dump_json({"cycle": k, "agents": sorted(agents), "tasks": sorted(tasks)})
+        for k, (agents, tasks) in enumerate(entries, start=1))
 
 
 def trace_from_lines(text: str) -> ScenarioTrace:
@@ -316,8 +312,7 @@ def report_json(doc: dict) -> str:
 
 def cycle_lines(report) -> str:
     """One JSON line per cycle, holding its ``CycleReport``'s fields."""
-    return "".join(json.dumps(vars(c), sort_keys=True) + "\n"
-                   for c in report.per_cycle)
+    return "".join(dump_json(vars(c)) for c in report.per_cycle)
 
 
 def csv_text(rows: Iterable[list]) -> str:

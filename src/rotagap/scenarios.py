@@ -60,12 +60,8 @@ def _metadata(generator: str, params) -> dict:
     return {"generator": generator, "seed": params.seed, "params": fields}
 
 
-def _agent_id(i: int, m: int) -> str:
-    return f"A{i + 1:0{max(2, len(str(m)))}d}"
-
-
-def _task_id(j: int, n: int) -> str:
-    return f"T{j + 1:0{max(2, len(str(n)))}d}"
+def _id(prefix: str, k: int, count: int) -> str:
+    return f"{prefix}{k + 1:0{max(2, len(str(count)))}d}"
 
 
 @dataclass(frozen=True)
@@ -210,11 +206,11 @@ def generate_mcmkp(params: McmkpParams) -> Instance:
         profits = [max(1, w + p_rng.randint(-_PROFIT_NOISE, _PROFIT_NOISE))
                    for w in weights]
 
-    agents = tuple(AgentSpec(id=_agent_id(i, m), capacity=caps[i]) for i in range(m))
+    agents = tuple(AgentSpec(id=_id("A", i, m), capacity=caps[i]) for i in range(m))
     tasks = []
     for j in range(n):
         compatible = {a.id for a in agents if weights[j] <= a.capacity}
-        tasks.append(TaskSpec.uniform(_task_id(j, n), profit=profits[j],
+        tasks.append(TaskSpec.uniform(_id("T", j, n), profit=profits[j],
                                       weight=weights[j], compatible=compatible))
     return Instance(agents=agents, tasks=tuple(tasks),
                     metadata=_metadata("mcmkp", params))
@@ -230,7 +226,7 @@ def generate_tcsa(params: TcsaParams) -> Instance:
     c_rng = random.Random(derive_seed(params.seed, "tcsa", "compat"))
     p_rng = random.Random(derive_seed(params.seed, "tcsa", "priorities"))
 
-    agent_ids = [_agent_id(i, m) for i in range(m)]
+    agent_ids = [_id("A", i, m) for i in range(m)]
     agents = tuple(AgentSpec(id=a, capacity=params.capacity_minutes)
                    for a in agent_ids)
     compat_size = max(1, round(params.compat_fraction * m))
@@ -240,7 +236,7 @@ def generate_tcsa(params: TcsaParams) -> Instance:
         runtime = r_rng.randint(lo, hi)
         compatible = c_rng.sample(agent_ids, compat_size)
         priority = p_rng.randint(_PROFIT_LO, _PROFIT_HI)
-        tasks.append(TaskSpec.uniform(_task_id(j, n), profit=priority,
+        tasks.append(TaskSpec.uniform(_id("T", j, n), profit=priority,
                                       weight=runtime, compatible=compatible))
     return Instance(agents=agents, tasks=tuple(tasks),
                     metadata=_metadata("tcsa", params))
@@ -273,22 +269,19 @@ def _randints(rng: random.Random, lo: int, hi: int, count: int) -> np.ndarray:
     return np.concatenate(kept).astype(np.int64) + lo
 
 
-def _tcsa_priorities(seed: int, task_ids: tuple[str, ...],
-                     index: dict[str, int], cycle: int) -> IdInts:
+def _tcsa_priorities(seed: int, instance: Instance, cycle: int) -> IdInts:
     rng = random.Random(derive_seed(seed, "tcsa", "cycle-priorities", cycle))
-    row = _randints(rng, _PROFIT_LO, _PROFIT_HI, len(task_ids))
+    row = _randints(rng, _PROFIT_LO, _PROFIT_HI, len(instance.tasks))
     row.flags.writeable = False
-    return IdInts(task_ids, index, row)
+    return IdInts(instance.matrices.task_ids, instance.matrices.task_index, row)
 
 
 def make_tcsa_priority_hook(instance: Instance, seed: int):
     """Per-cycle priority redraw for TCSA runs: every task's profit is drawn
     fresh from U[10, 1000] each cycle, from a per-cycle child seed, in one
-    bulk draw (:func:`_randints`), as a read-only view (:class:`IdInts`) in
-    task order.  The hook pickles, so a job can carry it into a worker."""
-    task_ids = tuple(instance.task_ids)
-    index = {t: j for j, t in enumerate(task_ids)}
-    return functools.partial(_tcsa_priorities, seed, task_ids, index)
+    bulk draw (:func:`_randints`), as a read-only view (:class:`IdInts`) on
+    the instance matrices' task ids, read per call.  It pickles into jobs."""
+    return functools.partial(_tcsa_priorities, seed, instance)
 
 
 def _fill_empty_cycles(available: np.ndarray) -> None:

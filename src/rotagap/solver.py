@@ -88,8 +88,8 @@ it.
 Orders are exact and total.  Each task's candidate agents run by value
 descending, then agent id; greedy takes the candidates by value/weight ratio
 descending, then value descending, agent id, task id; branch-and-bound fixes
-tasks by best value descending, then task id.  Ids compare as Python strings,
-and ``-0.0`` ties with ``0.0``.
+tasks by best value descending, then the shape's task rank.  Ids compare as
+Python strings, ranked once by the shape, and ``-0.0`` ties with ``0.0``.
 """
 
 import math
@@ -1042,9 +1042,9 @@ def _branch_and_bound(work: _Work, incumbent: np.ndarray,
         return best, completed
 
     n = work.n
-    task_ids = work.problem.task_ids
+    rank = work.task_rank.tolist()
     best_value = work.best_value.tolist()
-    order = sorted(range(n), key=lambda j: (-best_value[j], task_ids[j]))
+    order = sorted(range(n), key=lambda j: (-best_value[j], rank[j]))
     suffix = [0.0] * (n + 1)
     for d in range(n - 1, -1, -1):
         suffix[d] = suffix[d + 1] + best_value[order[d]]

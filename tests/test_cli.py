@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -11,8 +12,8 @@ from collections import Counter
 import pytest
 
 from rotagap import engine, fileio, scenarios, solver
-from rotagap.cli import (GENERATOR_PARAMS, main, parse_strategies,
-                         scenario_fields)
+from rotagap.cli import (GENERATOR_PARAMS, main, materialize_scenario,
+                         parse_strategies, scenario_fields)
 from rotagap.domain import (AgentSpec, Instance, InstanceMatrices,
                             ScenarioTrace, TaskSpec)
 from rotagap.engine import run_scenario
@@ -1034,6 +1035,18 @@ def test_pooled_tcsa_run_writes_the_serial_bytes(tmp_path, monkeypatch):
                          if name == "summary.csv" or name.endswith(".cycles.jsonl")}
     assert len(runs["1"]) == 5  # the summary and pc, fop x seeds 1, 2
     assert runs["2"] == runs["1"]
+
+
+def test_a_pooled_tcsa_job_carries_no_matrices():
+    # the hook reads the instance's matrices when called, so building the
+    # scenario in the parent builds none, and a job's payload pickles none
+    built = materialize_scenario({"name": "tcsa", "agents": 4, "tasks": 30},
+                                 1, 5, static_priorities=False)
+    instance, _, hook, _ = built
+    assert hook is not None and "matrices" not in vars(instance)
+    instance, _, hook, _ = pickle.loads(pickle.dumps(built))
+    assert "matrices" not in vars(instance)
+    assert hook(1).ids is instance.matrices.task_ids  # the job's one copy
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -45,6 +45,8 @@ def test_violations_name_entity_and_rule():
         ))
     violations = validate_instance(instance)
     joined = "\n".join(violations)
+    assert violations[:2] == ["agents: duplicate ids ['A']",
+                              "tasks: duplicate ids ['T1']"]
     assert "duplicate ids" in joined
     assert "capacity -1" in joined
     assert "weight 0" in joined

@@ -218,6 +218,15 @@ def test_tcsa_priority_hook_survives_a_pickle_round_trip():
         assert list(copy(cycle)) == list(instance.task_ids)
 
 
+def test_tcsa_priority_hook_views_the_instance_matrices_ids():
+    instance = generate_tcsa(TcsaParams(agents=5, tasks=10, seed=6))
+    hook = make_tcsa_priority_hook(instance, seed=6)
+    assert "matrices" not in vars(instance)  # making the hook builds nothing
+    view = hook(3)
+    assert view.ids is instance.matrices.task_ids
+    assert view.index is instance.matrices.task_index
+
+
 def reference_randints(rng, lo, hi, count):
     return [rng.randint(lo, hi) for _ in range(count)]
 

@@ -784,6 +784,39 @@ def test_candidate_and_greedy_orders_match_python_sorted(seed):
         == sorted(candidates, key=reference_greedy_key(problem))
 
 
+class TrippedId(str):
+    """A task id that refuses ``<`` while ``armed``."""
+
+    armed = False
+
+    def __lt__(self, other):
+        if TrippedId.armed:
+            raise AssertionError("a task id was compared")
+        return str.__lt__(self, other)
+
+
+def test_branch_and_bound_compares_no_task_id_once_the_shape_ranked_them(
+        monkeypatch):
+    # tasks of equal best value tie on the first part of branch-and-bound's
+    # task order, so a key holding the ids would compare them
+    rng = random.Random(5)
+    for _ in range(10):
+        agents, tasks = rng.randint(1, 4), rng.randint(2, 12)
+        plain = small_problem(
+            [rng.randint(2, 12) for _ in range(agents)],
+            [[rng.choice((1, 2, 3)) for _ in range(tasks)]] * agents,
+            [[rng.choice((1.0, 2.0)) for _ in range(tasks)]] * agents)
+        problem = GapProblem(plain.agent_ids,
+                             tuple(map(TrippedId, plain.task_ids)),
+                             plain.agent_capacities, plain.weights,
+                             plain.values, plain.feasible_pairs)
+        with monkeypatch.context() as patch:
+            patch.setattr(TrippedId, "armed", True)
+            result = solve(problem, AMPLE)
+        assert result == solve(plain, AMPLE)
+        assert result.proven_optimal
+
+
 def nonzero_candidates(work: _Work) -> tuple[np.ndarray, ...]:
     """The candidate arrays as built from the 2-D ``np.nonzero`` of the
     statically feasible mask."""
